@@ -210,7 +210,7 @@ fn bench_cache_sim(c: &mut Criterion) {
     });
 }
 
-/// The engine comparison (step vs block vs superblock vs uop) on the
+/// The engine comparison (step vs superblock vs uop) on the
 /// hot emulation paths: whole-workload execution (translation-cache hit
 /// path), the straight-line-heavy workload the superblock tier targets,
 /// the dispatch-dominated workload the uop tier targets, batched
@@ -221,7 +221,6 @@ fn bench_block_engine(c: &mut Criterion) {
     let elf = build(&program, &CompileOptions::default());
     for (name, engine) in [
         ("engine_step_tao_null_sink", Engine::Step),
-        ("engine_block_tao_null_sink", Engine::Block),
         ("engine_superblock_tao_null_sink", Engine::Superblock),
         ("engine_uop_tao_null_sink", Engine::Uop),
     ] {
@@ -236,7 +235,6 @@ fn bench_block_engine(c: &mut Criterion) {
     }
     for (name, engine) in [
         ("engine_step_tao_cpu_model", Engine::Step),
-        ("engine_block_tao_cpu_model", Engine::Block),
         ("engine_superblock_tao_cpu_model", Engine::Superblock),
         ("engine_uop_tao_cpu_model", Engine::Uop),
     ] {
@@ -251,15 +249,13 @@ fn bench_block_engine(c: &mut Criterion) {
         });
     }
 
-    // Superblock-vs-block on the workload shape the superblock tier
-    // targets: long straight-line runs interleaving ALU work with
-    // loads/stores, where the block engine's blocks degenerate to ~2
-    // instructions (the ≥1.5x acceptance workload; `bench-snapshot`
-    // records the measured ratio in BENCH_emu.json).
+    // The workload shape the superblock tier targets: long
+    // straight-line runs interleaving ALU work with loads/stores, one
+    // chained block per loop body (`bench-snapshot` records the
+    // measured ratios in BENCH_emu.json).
     let straight = straightline_elf(2_000);
     for (name, engine) in [
         ("engine_step_straightline", Engine::Step),
-        ("engine_block_straightline", Engine::Block),
         ("engine_superblock_straightline", Engine::Superblock),
         ("engine_uop_straightline", Engine::Uop),
     ] {

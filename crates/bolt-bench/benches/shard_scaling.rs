@@ -95,14 +95,13 @@ fn main() {
     }
 
     // Execution engines on the identical sharded batch
-    // (--engine=step|block|superblock / BOLT_ENGINE): the block engines
-    // execute through the translation cache with batched trace events —
-    // superblocks additionally span memory-touching instructions and
-    // chain block transitions — byte-identical merged profile and
+    // (--engine=step|superblock|uop / BOLT_ENGINE): the translation
+    // engines execute chained superblocks through the translation cache
+    // with batched trace events — byte-identical merged profile and
     // counters, less wall clock per shard.
     println!("\nemulation engine (--engine), same batch at {workers} workers:");
     let mut engine_runs = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock] {
+    for engine in [Engine::Step, Engine::Superblock, Engine::Uop] {
         let plan = shard_plan(shards, workers).with_engine(engine);
         let started = Instant::now();
         let (profile, batch) =
@@ -113,8 +112,8 @@ fn main() {
     }
     let step_leg = &engine_runs[0];
     for (engine, leg) in [
-        (Engine::Block, &engine_runs[1]),
-        (Engine::Superblock, &engine_runs[2]),
+        (Engine::Superblock, &engine_runs[1]),
+        (Engine::Uop, &engine_runs[2]),
     ] {
         assert_eq!(
             step_leg.0.to_fdata(),

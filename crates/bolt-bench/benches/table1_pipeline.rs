@@ -23,9 +23,9 @@ fn main() {
     // Emulation dominates the bench's wall clock; compare the engines on
     // the profiling run before timing the pipeline itself. Profiles are
     // byte-identical under every engine — only the wall clock differs.
-    println!("emulation engine (--engine=step|block|superblock), profiling run:");
+    println!("emulation engine (--engine=step|superblock|uop), profiling run:");
     let mut profiled = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock] {
+    for engine in [Engine::Step, Engine::Superblock, Engine::Uop] {
         let plan = shard_plan(1, 1).with_engine(engine);
         let started = Instant::now();
         let leg = profile_lbr_batch(&baseline, &cfg, &plan);
@@ -34,8 +34,8 @@ fn main() {
         profiled.push((leg, wall));
     }
     for (engine, leg) in [
-        (Engine::Block, &profiled[1]),
-        (Engine::Superblock, &profiled[2]),
+        (Engine::Superblock, &profiled[1]),
+        (Engine::Uop, &profiled[2]),
     ] {
         assert_eq!(
             profiled[0].0 .0.to_fdata(),

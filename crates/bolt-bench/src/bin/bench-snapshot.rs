@@ -1,7 +1,7 @@
 //! `bench-snapshot`: records the emulation-engine performance trajectory
 //! as a committed artifact instead of a commit-message anecdote.
 //!
-//! Runs every execution engine (`step`, `block`, `superblock`, `uop`)
+//! Runs every execution engine (`step`, `superblock`, `uop`)
 //! over a small workload matrix — the TAO and clang-like paper
 //! workloads, the dispatch-dominated `interp` VM the uop tier targets,
 //! and the synthetic straight-line-heavy loop the superblock tier
@@ -32,7 +32,7 @@ use bolt_workloads::{Scale, Workload};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-const ENGINES: [Engine; 4] = [Engine::Step, Engine::Block, Engine::Superblock, Engine::Uop];
+const ENGINES: [Engine; 3] = [Engine::Step, Engine::Superblock, Engine::Uop];
 
 struct Leg {
     /// Best-of-reps wall clock with no sink attached (pure engine cost).
@@ -181,15 +181,11 @@ fn main() {
         // The cpu-model leg is the product path (every real profiling
         // or measurement run attaches a sink); null-sink isolates the
         // engines themselves.
-        let sb_vs_block = legs[1].model_ms / legs[2].model_ms.max(f64::MIN_POSITIVE);
-        let sb_vs_block_null = legs[1].null_ms / legs[2].null_ms.max(f64::MIN_POSITIVE);
-        let block_vs_step = legs[0].model_ms / legs[1].model_ms.max(f64::MIN_POSITIVE);
-        let sb_vs_step = legs[0].model_ms / legs[2].model_ms.max(f64::MIN_POSITIVE);
-        let uop_vs_sb = legs[2].model_ms / legs[3].model_ms.max(f64::MIN_POSITIVE);
-        let uop_vs_sb_null = legs[2].null_ms / legs[3].null_ms.max(f64::MIN_POSITIVE);
+        let sb_vs_step = legs[0].model_ms / legs[1].model_ms.max(f64::MIN_POSITIVE);
+        let uop_vs_sb = legs[1].model_ms / legs[2].model_ms.max(f64::MIN_POSITIVE);
+        let uop_vs_sb_null = legs[1].null_ms / legs[2].null_ms.max(f64::MIN_POSITIVE);
         println!(
-            "  {name:<12} cpu-model superblock/block {sb_vs_block:.2}x (null {sb_vs_block_null:.2}x), \
-             block/step {block_vs_step:.2}x, superblock/step {sb_vs_step:.2}x, \
+            "  {name:<12} cpu-model superblock/step {sb_vs_step:.2}x, \
              uop/superblock {uop_vs_sb:.2}x (null {uop_vs_sb_null:.2}x)"
         );
         let _ = writeln!(json, "    \"{name}\": {{");
@@ -207,15 +203,6 @@ fn main() {
         let _ = writeln!(json, "      }},");
         let _ = writeln!(
             json,
-            "      \"speedup_superblock_vs_block\": {sb_vs_block:.3},"
-        );
-        let _ = writeln!(
-            json,
-            "      \"speedup_superblock_vs_block_null_sink\": {sb_vs_block_null:.3},"
-        );
-        let _ = writeln!(json, "      \"speedup_block_vs_step\": {block_vs_step:.3},");
-        let _ = writeln!(
-            json,
             "      \"speedup_superblock_vs_step\": {sb_vs_step:.3},"
         );
         let _ = writeln!(json, "      \"speedup_uop_vs_superblock\": {uop_vs_sb:.3},");
@@ -228,12 +215,6 @@ fn main() {
             "    }}{}",
             if wi + 1 < workloads.len() { "," } else { "" }
         );
-        if !smoke && *name == "straightline" && sb_vs_block < 1.5 {
-            eprintln!(
-                "bench-snapshot: WARNING: superblock/block on the straight-line \
-                 workload measured {sb_vs_block:.2}x, below the 1.5x target"
-            );
-        }
         if uop_vs_sb_null >= 1.3 {
             uop_wins += 1;
         }
@@ -475,7 +456,7 @@ fn main() {
     }
     let _ = writeln!(json, "  }},");
 
-    // Symbolic translation-validation overhead: re-run the three
+    // Symbolic translation-validation overhead: re-run the two
     // translation engines on TAO with semantic validation enabled and
     // record the wall-clock cost against a just-measured baseline (the
     // validator runs once per packed block, at translate time). This
@@ -487,7 +468,7 @@ fn main() {
         .find(|(n, _)| *n == "tao")
         .expect("workload built above")
         .1;
-    let sem_engines = [Engine::Block, Engine::Superblock, Engine::Uop];
+    let sem_engines = [Engine::Superblock, Engine::Uop];
     let sem_reps = reps.min(3);
     let baseline: Vec<f64> = sem_engines
         .iter()

@@ -372,11 +372,10 @@ pub fn seed_partition(elf: &Elf, base: i64) -> impl Fn(usize, &mut Machine) + Sy
 /// Builds a synthetic straight-line-heavy binary: a loop whose
 /// ~50-instruction body is dominated by memory traffic (loads, stores,
 /// balanced pushes/pops — a memcpy/spill-heavy shape), then exits 0.
-/// This is exactly the pathology the superblock engine targets: under
-/// the plain block engine every memory-touching instruction ends a
-/// block, so blocks here degenerate to one or two instructions and
-/// every transition pays a cache lookup; under the superblock engine
-/// the whole body is a single chained block. Used by the
+/// This is exactly the shape the superblock engine targets: blocks that
+/// ended at every memory-touching instruction would degenerate to one
+/// or two instructions here, each transition paying a cache lookup; as
+/// a superblock the whole body is a single chained block. Used by the
 /// `perf_criterion` engine benches, the `bench-snapshot` trajectory
 /// script, and the engine-invariance tests.
 pub fn straightline_elf(iters: i64) -> Elf {
@@ -661,7 +660,6 @@ mod tests {
         };
         let step = run(Engine::Step);
         assert!(step.0 > 50 * 40, "the loop body actually spins");
-        assert_eq!(step, run(Engine::Block), "block engine identical");
         assert_eq!(step, run(Engine::Superblock), "superblock identical");
         assert_eq!(step, run(Engine::Uop), "uop engine identical");
     }

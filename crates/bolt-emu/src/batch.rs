@@ -38,7 +38,7 @@ pub struct ShardPlan {
     pub max_steps: u64,
     /// Execution engine for every shard. `None` (the default) resolves
     /// via [`resolve_engine`] — the `BOLT_ENGINE` environment override
-    /// or per-instruction stepping. All four engines produce
+    /// or per-instruction stepping. All engines produce
     /// byte-identical batch results; this only changes the wall clock.
     pub engine: Option<Engine>,
 }

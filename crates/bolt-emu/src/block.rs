@@ -1,5 +1,5 @@
-//! The basic-block translation cache behind [`Machine::run_blocks`] and
-//! [`Machine::run_superblocks`].
+//! The translation cache behind the superblock and uop engines
+//! (`Machine::run_engine`).
 //!
 //! Per-instruction emulation pays a decode-cache probe, an interpreter
 //! dispatch, and a sink callback for every retired instruction. Real
@@ -11,43 +11,32 @@
 //! instructions, per-instruction fetch records, static memory-op
 //! shapes, and the precomputed I-side line footprint in shared pools.
 //!
-//! The cache translates in three modes (see [`ensure_span`]):
+//! Blocks span memory-touching instructions and end only at control
+//! transfers. Each memory-touching instruction's static D-side shape
+//! (which instruction, read or write — the width is fixed by the ISA;
+//! only the effective address and its line crossing are resolved at
+//! execute time) is recorded at translation time, and the engine
+//! captures the resolved addresses while the block executes, emitting
+//! one [`BlockEvent`] whose interleaved fetch + memory records
+//! reproduce the step engine's event order exactly. Blocks also
+//! *chain*: a block's terminator caches up to two `(successor rip →
+//! block index)` links so the hot loop follows direct jumps and
+//! fall-throughs without consulting the entry index at all.
 //!
-//! * **Block mode** (`Machine::run_blocks`): blocks end at the first
-//!   control transfer *or* memory-touching instruction. Every
-//!   `on_mem`/`on_branch` event a block produces therefore comes from
-//!   its final instruction, so charging the whole fetch footprint up
-//!   front (one [`BlockEvent`] before the block executes) presents
-//!   sinks with exactly the event order of per-instruction stepping.
-//! * **Superblock mode** (`Machine::run_superblocks`): blocks span
-//!   memory-touching instructions and end only at control transfers.
-//!   Each memory-touching instruction's static D-side shape (which
-//!   instruction, read or write — the width is fixed by the ISA; only
-//!   the effective address and its line crossing are resolved at
-//!   execute time) is recorded at translation time, and the engine
-//!   captures the resolved addresses while the block executes, emitting
-//!   one [`BlockEvent`] whose interleaved fetch + memory records
-//!   reproduce the step engine's event order exactly. Superblocks also
-//!   *chain*: a block's terminator caches up to two `(successor rip →
-//!   block index)` links so the hot loop follows direct jumps and
-//!   fall-throughs without consulting the entry index at all.
-//! * **Uop mode** (`Machine::run_uops`): superblock packing, and in
-//!   addition each decoded instruction is lowered to a pre-resolved
-//!   [`MicroOp`] in a pool parallel to the decoded entries — see
-//!   [`crate::uop`]. The decoded `insts` stay populated too: the
-//!   mid-block `MaxSteps` fallback steps through them exactly.
+//! The cache translates in two modes (see [`ensure_span`]): superblock
+//! mode packs exactly the above; uop mode additionally lowers each
+//! decoded instruction to a pre-resolved [`MicroOp`] in a pool parallel
+//! to the decoded entries — see [`crate::uop`]. The decoded `insts`
+//! stay populated too: a block whose lowering fails validation executes
+//! them instead.
 //!
 //! **Blocks self-invalidate on stores into cached text** (flat span or
-//! spill bounds). In block mode a store is always a block's last
-//! instruction; in superblock mode the engine checks the dirty flag
-//! after every executed instruction and abandons the packed entries
-//! mid-block. Either way the pools (and every chain link with them) are
-//! reclaimed at the next block boundary and the patched bytes are
-//! retranslated, matching the step engine's (also invalidated) decode
-//! cache.
+//! spill bounds): the engine checks the dirty flag after every executed
+//! instruction and abandons the packed entries mid-block. The pools
+//! (and every chain link with them) are reclaimed at the next block
+//! boundary and the patched bytes are retranslated, matching the step
+//! engine's (also invalidated) decode cache.
 //!
-//! [`Machine::run_blocks`]: crate::Machine::run_blocks
-//! [`Machine::run_superblocks`]: crate::Machine::run_superblocks
 //! [`ensure_span`]: BlockCache::ensure_span
 
 use crate::spill::SpillIndex;
@@ -57,35 +46,23 @@ use bolt_isa::{decode, Inst, Rm};
 use std::ops::Range;
 
 /// Longest straight-line run a single block may hold. Blocks usually end
-/// far earlier (at a branch — or, in block mode, a memory access); the
-/// cap bounds translation latency for degenerate compute-only runs.
+/// far earlier (at a branch); the cap bounds translation latency for
+/// degenerate compute-only runs.
 const MAX_BLOCK_INSTS: usize = 64;
 
 /// Chain-link slot holding no successor yet.
 const NO_LINK: (u64, u32) = (u64::MAX, 0);
 
 /// How the cache translates — pinned per span by
-/// [`ensure_span`](BlockCache::ensure_span) since the three engines
-/// pack blocks differently.
+/// [`ensure_span`](BlockCache::ensure_span).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum TranslationMode {
-    /// Blocks end at the first control transfer *or* memory access.
-    #[default]
-    Block,
     /// Blocks span memory accesses (shapes recorded) and chain.
+    #[default]
     Superblock,
     /// Superblock packing, plus each instruction lowered to a
     /// pre-resolved [`MicroOp`] in a parallel pool.
     Uop,
-}
-
-impl TranslationMode {
-    /// Whether blocks span memory-touching instructions (and therefore
-    /// record static D-side shapes and support chaining).
-    #[inline]
-    fn spans_mems(self) -> bool {
-        !matches!(self, TranslationMode::Block)
-    }
 }
 
 /// The execution tier a translated block runs at. Blocks normally run
@@ -94,7 +71,7 @@ impl TranslationMode {
 /// aborting the run — the fault-tolerance counterpart of per-function
 /// quarantine on the optimize path. Degradation is strictly local: the
 /// rest of the cache keeps running at full speed, and every tier is
-/// observationally identical, so four-way engine invariance holds even
+/// observationally identical, so engine invariance holds even
 /// with degraded blocks in the mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockTier {
@@ -137,8 +114,9 @@ impl TierCounts {
 /// kind would take. Per-cache state — parallel tests never interfere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
-    /// Pretend the uop structural validator rejected the lowering
-    /// (degrades the block to [`BlockTier::Decoded`] in uop mode).
+    /// Pretend the micro-op lowering is untrusted while the decoded
+    /// entries are fine (degrades the block to [`BlockTier::Decoded`]
+    /// in uop mode).
     UopInvalid,
     /// Pretend semantic validation found a disagreement that survives
     /// re-validation (degrades the block to [`BlockTier::Step`]).
@@ -147,7 +125,7 @@ pub enum InjectedFault {
 
 /// Static shape of one data-memory access inside a block: which
 /// instruction performs it and its direction, recorded at translation
-/// time (superblock mode). The access width is fixed at 8 bytes by the
+/// time. The access width is fixed at 8 bytes by the
 /// ISA; the effective address — and hence any line crossing — is only
 /// resolvable at execute time and is captured into a [`MemRecord`] then.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,7 +189,7 @@ struct Block {
     /// Range into the line-footprint pool: the 64-byte-aligned line
     /// addresses `[entry, entry + byte_len)` spans, ascending.
     lines: Range<u32>,
-    /// Range into the memory-shape pool (superblock mode).
+    /// Range into the memory-shape pool.
     mems: Range<u32>,
     /// Total bytes the block's instructions occupy.
     byte_len: u32,
@@ -219,7 +197,7 @@ struct Block {
     /// Fetches straddling a 64-byte line boundary.
     crossings64: u32,
     /// Chain links: `(successor rip, successor block index)`, installed
-    /// by the superblock engine when a transition resolves. Two slots
+    /// by the engine when a transition resolves. Two slots
     /// cover a conditional branch's taken and fall-through successors;
     /// dynamic terminators (indirect jumps, returns) memoize their most
     /// recent targets. Links never outlive the blocks vector — every
@@ -230,25 +208,21 @@ struct Block {
 }
 
 /// Whether `inst` must be the last instruction of its block: control
-/// transfers and program exits always (so a block has at most one
-/// dynamic successor per execution); in block mode also memory-touching
-/// instructions (so all D-side events come from a block's final
-/// instruction — the ordering guarantee up-front batched I-side
-/// charging depends on).
-fn ends_block(inst: &Inst, spans_mems: bool) -> bool {
-    match inst {
+/// transfers and program exits (so a block has at most one dynamic
+/// successor per execution).
+fn ends_block(inst: &Inst) -> bool {
+    matches!(
+        inst,
         Inst::Jcc { .. }
-        | Inst::Jmp { .. }
-        | Inst::JmpInd { .. }
-        | Inst::Call { .. }
-        | Inst::CallInd { .. }
-        | Inst::Ret
-        | Inst::RepzRet
-        | Inst::Ud2
-        | Inst::Syscall => true,
-        Inst::Push(_) | Inst::Pop(_) | Inst::Load { .. } | Inst::Store { .. } => !spans_mems,
-        _ => false,
-    }
+            | Inst::Jmp { .. }
+            | Inst::JmpInd { .. }
+            | Inst::Call { .. }
+            | Inst::CallInd { .. }
+            | Inst::Ret
+            | Inst::RepzRet
+            | Inst::Ud2
+            | Inst::Syscall
+    )
 }
 
 /// The translation cache: entry-`rip`-indexed [`Block`]s over the
@@ -257,8 +231,8 @@ fn ends_block(inst: &Inst, spans_mems: bool) -> bool {
 #[derive(Debug)]
 pub(crate) struct BlockCache {
     /// `entry_rip - base` → block index + 1 (`0` = untranslated). Sized
-    /// lazily to the machine's flat text span on the first block-engine
-    /// run, so step-only machines pay nothing.
+    /// lazily to the machine's flat text span on the first
+    /// translation-engine run, so step-only machines pay nothing.
     index: Vec<u32>,
     base: u64,
     /// Translation mode (see [`TranslationMode`]).
@@ -273,7 +247,7 @@ pub(crate) struct BlockCache {
     fetches: Vec<(u64, u8)>,
     /// Pooled 64-byte line footprints.
     lines: Vec<u64>,
-    /// Pooled static memory-op shapes (superblock mode).
+    /// Pooled static memory-op shapes.
     mem_shapes: Vec<MemShape>,
     /// Entry index for blocks outside the flat span — the same sorted
     /// spill index (last-hit memo, bounded out-of-order pending buffer)
@@ -304,7 +278,7 @@ impl Default for BlockCache {
         BlockCache {
             index: Vec::new(),
             base: 0,
-            mode: TranslationMode::Block,
+            mode: TranslationMode::default(),
             blocks: Vec::new(),
             insts: Vec::new(),
             uops: Vec::new(),
@@ -435,9 +409,9 @@ impl BlockCache {
         }
     }
 
-    /// Whether an invalidation is pending (the superblock engine checks
-    /// this after every executed instruction to abandon a block whose
-    /// later entries a store may have patched).
+    /// Whether an invalidation is pending (the engine checks this after
+    /// every executed instruction to abandon a block whose later
+    /// entries a store may have patched).
     #[inline]
     pub(crate) fn is_dirty(&self) -> bool {
         self.dirty
@@ -477,7 +451,7 @@ impl BlockCache {
     /// Translates the straight-line run starting at `entry`: decodes up
     /// to the first block-ending instruction or [`MAX_BLOCK_INSTS`],
     /// packs the entries, and precomputes the 64-byte line footprint,
-    /// crossing count, and (superblock mode) static memory-op shapes.
+    /// crossing count, and static memory-op shapes.
     /// In-span entries land in the flat index; out-of-span entries in
     /// the sorted spill index.
     ///
@@ -502,13 +476,11 @@ impl BlockCache {
                 Err(_) if at == entry => return Err(EmuError::BadInstruction { rip: entry }),
                 Err(_) => break,
             };
-            if self.mode.spans_mems() {
-                push_shapes_for(
-                    (self.insts.len() - insts_start) as u32,
-                    &d.inst,
-                    &mut self.mem_shapes,
-                );
-            }
+            push_shapes_for(
+                (self.insts.len() - insts_start) as u32,
+                &d.inst,
+                &mut self.mem_shapes,
+            );
             self.insts.push((d.inst, d.len));
             self.fetches.push((at, d.len));
             if (at >> 6) != ((at + d.len as u64 - 1) >> 6) {
@@ -519,7 +491,7 @@ impl BlockCache {
             // direction: flat-index and spill blocks have different
             // text-write invalidation bounds, so each block must lie
             // wholly inside one region.
-            if ends_block(&d.inst, self.mode.spans_mems())
+            if ends_block(&d.inst)
                 || self.insts.len() - insts_start >= MAX_BLOCK_INSTS
                 || self.in_span(at) != entry_in_span
             {
@@ -534,14 +506,7 @@ impl BlockCache {
             // `uops[i]` always pairs with `insts[i]`.
             crate::uop::lower_into(&mut self.uops, &self.insts[insts_start..]);
             debug_assert_eq!(self.uops.len(), self.insts.len());
-            let structurally_bad = injected == Some(InjectedFault::UopInvalid)
-                || (crate::uop::uop_validation_enabled()
-                    && crate::uop::validate_block(
-                        &self.insts[insts_start..],
-                        &self.uops[insts_start..],
-                    )
-                    .is_err());
-            if structurally_bad {
+            if injected == Some(InjectedFault::UopInvalid) {
                 // The lowering is untrusted but the decoded entries it
                 // came from are independently checkable — degrade one
                 // tier and leave the uop pool entries unread.
@@ -624,7 +589,7 @@ impl BlockCache {
         with_uops: bool,
     ) -> Vec<crate::transval::SemFinding> {
         use crate::transval::{SemFinding, SemFindingKind};
-        let (range, entry) = self.inst_range(idx);
+        let (range, entry, _) = self.block_info(idx);
         let mut reference = Vec::with_capacity(range.len());
         let mut at = entry;
         let mut buf = [0u8; 16];
@@ -652,8 +617,13 @@ impl BlockCache {
         let cached = &self.insts[range.clone()];
         let uops =
             (with_uops && self.mode == TranslationMode::Uop).then(|| &self.uops[range.clone()]);
-        let shapes = self.mode.spans_mems().then(|| self.shapes(idx));
-        crate::transval::validate_translation(entry, &reference, cached, uops, shapes)
+        crate::transval::validate_translation(
+            entry,
+            &reference,
+            cached,
+            uops,
+            Some(self.shapes(idx)),
+        )
     }
 
     /// Total bytes block `idx`'s instructions occupy.
@@ -661,13 +631,7 @@ impl BlockCache {
         self.blocks[idx as usize].byte_len as u64
     }
 
-    /// The pool range holding block `idx`'s instructions, and its entry.
-    pub(crate) fn inst_range(&self, idx: u32) -> (Range<usize>, u64) {
-        let b = &self.blocks[idx as usize];
-        (b.insts.start as usize..b.insts.end as usize, b.entry)
-    }
-
-    /// Everything the superblock hot loop needs about block `idx` in
+    /// Everything the hot loop needs about block `idx` in
     /// one descriptor read: instruction pool range, entry address, and
     /// whether the block touches memory.
     #[inline]
@@ -693,7 +657,7 @@ impl BlockCache {
         self.uops[i]
     }
 
-    /// Block `idx`'s static memory-op shapes (superblock mode).
+    /// Block `idx`'s static memory-op shapes.
     pub(crate) fn shapes(&self, idx: u32) -> &[MemShape] {
         let b = &self.blocks[idx as usize];
         &self.mem_shapes[b.mems.start as usize..b.mems.end as usize]
@@ -728,7 +692,7 @@ impl BlockCache {
     }
 
     /// The batched trace event describing block `idx` (no memory
-    /// records — the block engine's shape).
+    /// records — the shape of a block that touches no memory).
     pub(crate) fn event(&self, idx: u32) -> BlockEvent<'_> {
         let b = &self.blocks[idx as usize];
         BlockEvent {
@@ -743,8 +707,8 @@ impl BlockCache {
     }
 
     /// The batched trace event for the first `count` instructions of
-    /// block `idx`, carrying the memory records the executor captured —
-    /// the superblock engine's shape. `count` covers the whole block in
+    /// block `idx`, carrying the memory records the executor captured.
+    /// `count` covers the whole block in
     /// the common case; a store into text mid-block truncates to the
     /// executed prefix (line footprint and crossings recomputed for the
     /// prefix, which stays exact because lines ascend from the entry).
@@ -800,12 +764,6 @@ mod tests {
 
     fn cache_over(base: u64, span: usize) -> BlockCache {
         let mut c = BlockCache::default();
-        c.ensure_span(base, span, TranslationMode::Block);
-        c
-    }
-
-    fn supercache_over(base: u64, span: usize) -> BlockCache {
-        let mut c = BlockCache::default();
         c.ensure_span(base, span, TranslationMode::Superblock);
         c
     }
@@ -839,48 +797,8 @@ mod tests {
         assert_eq!(c.lookup(0x400001), None, "interior rips not indexed");
     }
 
-    #[test]
-    fn memory_touching_instructions_end_blocks_in_block_mode() {
-        // mov; load; mov; store; mov; ret — D-side events must always
-        // come from a block's last instruction under the block engine.
-        let m = Mem::BaseDisp {
-            base: Reg::R10,
-            disp: 0,
-        };
-        let insts = [
-            Inst::MovRI {
-                dst: Reg::Rax,
-                imm: 1,
-            },
-            Inst::Load {
-                dst: Reg::Rcx,
-                mem: m,
-            },
-            Inst::MovRI {
-                dst: Reg::Rdx,
-                imm: 2,
-            },
-            Inst::Store {
-                mem: m,
-                src: Reg::Rdx,
-            },
-            Inst::Ret,
-        ];
-        let (mem, len) = memory_with(&insts, 0x400000);
-        let mut c = cache_over(0x400000, len as usize);
-        let mut entry = 0x400000;
-        let mut counts = Vec::new();
-        while c.in_span(entry) {
-            let idx = c.translate(&mem, entry).unwrap();
-            let ev = c.event(idx);
-            counts.push(ev.inst_count);
-            entry += ev.byte_len as u64;
-        }
-        assert_eq!(counts, [2, 2, 1], "mov+load | mov+store | ret");
-    }
-
-    /// The same run in superblock mode is one block spanning the memory
-    /// accesses, with the static shapes recorded in executor order.
+    /// A straight-line run is one block spanning its memory accesses,
+    /// with the static shapes recorded in executor order.
     #[test]
     fn superblocks_span_memory_instructions_and_record_shapes() {
         let m = Mem::BaseDisp {
@@ -909,7 +827,7 @@ mod tests {
             Inst::Ret,
         ];
         let (mem, len) = memory_with(&insts, 0x400000);
-        let mut c = supercache_over(0x400000, len as usize);
+        let mut c = cache_over(0x400000, len as usize);
         let idx = c.translate(&mem, 0x400000).unwrap();
         let ev = c.event(idx);
         assert_eq!(ev.inst_count, 7, "one superblock up to (and incl.) ret");
@@ -937,7 +855,7 @@ mod tests {
             Inst::Ret,
         ];
         let (mem, len) = memory_with(&insts, 0x400000);
-        let mut c = supercache_over(0x400000, len as usize);
+        let mut c = cache_over(0x400000, len as usize);
         let a = c.translate(&mem, 0x400000).unwrap();
         let b_entry = 0x400000 + c.event(a).byte_len as u64;
         let b = c.translate(&mem, b_entry).unwrap();
@@ -1006,7 +924,7 @@ mod tests {
             Inst::Ret,
         ];
         let (mem, len) = memory_with(&insts, base);
-        let mut c = supercache_over(base, len as usize);
+        let mut c = cache_over(base, len as usize);
         let idx = c.translate(&mem, base).unwrap();
         let full = c.event(idx);
         assert_eq!(full.inst_count, 4);
@@ -1159,7 +1077,7 @@ mod tests {
         let idx = c.translate(&mem, 0x400000).unwrap();
         assert_eq!(c.event(idx).inst_count, 4, "packs like a superblock");
         assert_eq!(c.uops.len(), c.insts.len(), "pools parallel");
-        let (range, _) = c.inst_range(idx);
+        let (range, _, _) = c.block_info(idx);
         assert_eq!(
             c.uop(range.start).kind,
             crate::uop::UopKind::MovRI,

@@ -68,23 +68,13 @@ pub struct MemRecord {
 /// a translated basic block, covering the straight-line byte range
 /// `[entry, entry + byte_len)`.
 ///
-/// Emitted by the block-level execution engines. Under
-/// [`Machine::run_blocks`] blocks end at the first control transfer *or*
-/// memory-touching instruction, every `on_mem`/`on_branch` event a block
-/// produces comes from its last instruction, and `mems` is empty — so a
-/// sink that charges the whole fetch footprint here observes exactly
-/// the event order of per-instruction stepping. Under
-/// [`Machine::run_superblocks`] (and [`Machine::run_uops`], which
-/// shares its translation and batching) blocks span memory-touching
+/// Emitted by the translation engines (`superblock` and `uop`, which
+/// share translation and batching). Blocks span memory-touching
 /// instructions and the event carries the executed instructions' memory
 /// accesses in `mems`, interleaved with the fetches by instruction
 /// index; replaying fetch `i` then its memory records reproduces the
 /// step engine's order exactly (a block's terminating branch event, if
 /// any, is delivered live right after the block event).
-///
-/// [`Machine::run_blocks`]: crate::Machine::run_blocks
-/// [`Machine::run_superblocks`]: crate::Machine::run_superblocks
-/// [`Machine::run_uops`]: crate::Machine::run_uops
 #[derive(Debug, Clone, Copy)]
 pub struct BlockEvent<'a> {
     /// Address of the block's first instruction.
@@ -96,7 +86,7 @@ pub struct BlockEvent<'a> {
     /// Per-instruction `(addr, len)` fetch records in retirement order —
     /// replaying `on_inst` over these (interleaved with `mems`) is
     /// exactly equivalent to this event (the default implementation
-    /// does just that). The block engines always emit at least one
+    /// does just that). The engines always emit at least one
     /// fetch; sinks treat an empty slice as "nothing retired".
     pub fetches: &'a [(u64, u8)],
     /// The 64-byte-aligned line addresses the block's bytes span,
@@ -107,8 +97,8 @@ pub struct BlockEvent<'a> {
     /// fetch touches two lines).
     pub crossings64: u32,
     /// Data-memory accesses of the block's instructions in program
-    /// order, each tagged with the index of its fetch (superblock and
-    /// uop engines; empty under the plain block engine).
+    /// order, each tagged with the index of its fetch (empty for a
+    /// block that touches no memory).
     pub mems: &'a [MemRecord],
 }
 
@@ -174,7 +164,7 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     /// Discarding a batched event outright (instead of replaying it
-    /// into per-instruction no-ops) keeps the block engines' null-sink
+    /// into per-instruction no-ops) keeps the translation engines' null-sink
     /// cost at the dispatch itself.
     #[inline]
     fn on_block(&mut self, _ev: BlockEvent<'_>) {}

@@ -151,24 +151,18 @@ pub enum Engine {
     /// ([`Machine::step`] in a loop). The reference engine.
     #[default]
     Step,
-    /// Basic-block translation cache ([`Machine::run_blocks`]): decode a
-    /// straight-line run once (blocks end at the first control transfer
-    /// *or* memory-touching instruction), then execute its packed
-    /// entries with no per-step fetch probe, charging the I-side
-    /// footprint to the sink in one batched [`TraceSink::on_block`]
-    /// call.
-    Block,
-    /// Superblock translation with chaining
-    /// ([`Machine::run_superblocks`]): blocks span memory-touching
-    /// instructions (roughly doubling typical block length), the
-    /// batched event carries the executed instructions' memory records
-    /// interleaved with the fetches, and a block's terminator caches
-    /// its successor block so the hot loop skips the entry-index lookup
-    /// entirely.
+    /// Superblock translation with chaining: decode a straight-line run
+    /// once (blocks end only at control transfers, spanning
+    /// memory-touching instructions), then execute its packed entries
+    /// with no per-step fetch probe. One batched
+    /// [`TraceSink::on_block`] event carries the I-side footprint with
+    /// the executed instructions' memory records interleaved, and a
+    /// block's terminator caches its successor block so the hot loop
+    /// skips the entry-index lookup entirely.
     Superblock,
-    /// Pre-resolved micro-op execution ([`Machine::run_uops`]): blocks
-    /// translate exactly like superblocks (same spanning, chaining, SMC,
-    /// and event batching), but each decoded instruction is additionally
+    /// Pre-resolved micro-op execution: blocks translate exactly like
+    /// superblocks (same spanning, chaining, SMC, and event batching),
+    /// but each decoded instruction is additionally
     /// *lowered* to a flat [`MicroOp`](crate::uop::MicroOp) — operands
     /// pre-resolved to register-file indices, immediates sign-extended,
     /// effective-address recipes split per addressing shape — so the hot
@@ -182,7 +176,7 @@ pub enum Engine {
 
 impl Engine {
     /// The accepted knob spellings, for error messages.
-    pub const VALID: &'static str = "step|block|superblock|uop";
+    pub const VALID: &'static str = "step|superblock|uop";
 }
 
 impl std::str::FromStr for Engine {
@@ -191,7 +185,6 @@ impl std::str::FromStr for Engine {
     fn from_str(s: &str) -> Result<Engine, String> {
         match s {
             "step" => Ok(Engine::Step),
-            "block" => Ok(Engine::Block),
             "superblock" => Ok(Engine::Superblock),
             "uop" => Ok(Engine::Uop),
             other => Err(format!("expected one of {}, got {other:?}", Engine::VALID)),
@@ -203,7 +196,6 @@ impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Engine::Step => "step",
-            Engine::Block => "block",
             Engine::Superblock => "superblock",
             Engine::Uop => "uop",
         })
@@ -214,9 +206,10 @@ impl fmt::Display for Engine {
 ///
 /// * `Some(engine)`: that engine.
 /// * `None` (auto): the `BOLT_ENGINE` environment override (`step`,
-///   `block`, `superblock`, or `uop`) if set, else [`Engine::Step`]. Like
-///   `BOLT_THREADS` / `BOLT_SHARDS`, a set-but-garbled override fails
-///   loudly instead of silently de-fanging a CI leg.
+///   `superblock`, or `uop`) if set, else [`Engine::Step`]. Like
+///   `BOLT_THREADS` / `BOLT_SHARDS`, a set-but-garbled override (or the
+///   retired `block`) fails loudly, quoting [`Engine::VALID`], instead
+///   of silently de-fanging a CI leg.
 pub fn resolve_engine(engine: Option<Engine>) -> Engine {
     if let Some(e) = engine {
         return e;
@@ -358,8 +351,7 @@ pub struct Machine {
     /// cached decode, so `note_text_write`'s hot path is two compares.
     icache_watch_lo: u64,
     icache_watch_hi: u64,
-    /// Basic-block translation cache for [`run_blocks`](Machine::run_blocks)
-    /// and [`run_superblocks`](Machine::run_superblocks).
+    /// Translation cache for the superblock and uop engines.
     blocks: BlockCache,
     /// Reused capture buffer for the superblock engine's per-block
     /// memory records.
@@ -679,7 +671,7 @@ impl Machine {
     /// Executes one already-decoded instruction at `rip` (occupying
     /// `len` bytes), advancing `self.rip`. The caller has already
     /// charged the fetch to the sink — `on_inst` ([`step`](Machine::step))
-    /// or a batched `on_block` ([`run_blocks`](Machine::run_blocks)).
+    /// or a batched `on_block` ([`exec_block`](Machine::exec_block)).
     fn exec_inst<S: TraceSink + ?Sized>(
         &mut self,
         rip: u64,
@@ -897,9 +889,8 @@ impl Machine {
     ) -> Result<RunResult, EmuError> {
         match engine {
             Engine::Step => self.run_steps(sink, max_steps),
-            Engine::Block => self.run_blocks(sink, max_steps),
-            Engine::Superblock => self.run_superblocks(sink, max_steps),
-            Engine::Uop => self.run_uops(sink, max_steps),
+            Engine::Superblock => self.run_translated(sink, max_steps, TranslationMode::Superblock),
+            Engine::Uop => self.run_translated(sink, max_steps, TranslationMode::Uop),
         }
     }
 
@@ -922,135 +913,57 @@ impl Machine {
         })
     }
 
-    /// The block engine: executes translated basic blocks from the
-    /// translation cache — decode once per block, then a tight loop over
-    /// packed pre-decoded entries with a single batched
-    /// [`TraceSink::on_block`] charge for the block's I-side footprint.
+    /// The translation engines: executes translated superblocks from the
+    /// translation cache. `mode` is a constant at both call sites in
+    /// [`run_engine`](Machine::run_engine), so the driver monomorphizes
+    /// per engine.
     ///
-    /// Blocks end at the first control transfer *or* memory-touching
-    /// instruction (so all `on_mem`/`on_branch` events come from a
-    /// block's final instruction, and the sink-visible event order is
-    /// exactly the step engine's), self-invalidate on stores into text,
-    /// and code outside the flat text span translates through the
-    /// cache's sorted spill index. A step budget landing inside a block
-    /// finishes with per-instruction stepping, so [`Exit::MaxSteps`]
-    /// triggers at exactly the same retired count as the step engine.
-    ///
-    /// # Errors
-    ///
-    /// See [`EmuError`].
-    pub fn run_blocks<S: TraceSink + ?Sized>(
-        &mut self,
-        sink: &mut S,
-        max_steps: u64,
-    ) -> Result<RunResult, EmuError> {
-        self.blocks.ensure_span(
-            self.icache_base,
-            self.icache_index.len(),
-            TranslationMode::Block,
-        );
-        let mut steps = 0u64;
-        while steps < max_steps {
-            // Reclaim invalidated pools only between blocks: a store is
-            // always a block's last instruction, so nothing is ever
-            // executing out of the pools when they are rebuilt.
-            self.blocks.reclaim();
-            let rip = self.rip;
-            let idx = match self.blocks.lookup(rip) {
-                Some(i) => i,
-                None => self.blocks.translate(&self.mem, rip)?,
-            };
-            let (range, entry) = self.blocks.inst_range(idx);
-            let count = range.len() as u64;
-            if max_steps - steps < count {
-                // The budget lands inside this block: finish with exact
-                // per-instruction stepping so MaxSteps fires at the same
-                // retired count as the step engine.
-                while steps < max_steps {
-                    steps += 1;
-                    if let Some(exit) = self.step(sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
-                }
-                break;
-            }
-            if self.blocks.tier(idx) == BlockTier::Step {
-                // Degraded block: its packed entries are untrusted, so
-                // retire the same instruction count through the
-                // interpreter's architectural fetch path instead.
-                for _ in 0..count {
-                    steps += 1;
-                    if let Some(exit) = self.step(sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
-                }
-                continue;
-            }
-            sink.on_block(self.blocks.event(idx));
-            let mut at = entry;
-            for i in range {
-                let (inst, len) = self.blocks.inst(i);
-                steps += 1;
-                if let Some(exit) = self.exec_inst(at, inst, len, sink)? {
-                    return Ok(RunResult { exit, steps });
-                }
-                at += len as u64;
-            }
-        }
-        Ok(RunResult {
-            exit: Exit::MaxSteps,
-            steps,
-        })
-    }
-
-    /// The superblock engine: like [`run_blocks`](Machine::run_blocks),
-    /// but blocks span memory-touching instructions (ending only at
-    /// control transfers), and consecutive blocks *chain* — a block's
+    /// Blocks end only at control transfers and *chain* — a block's
     /// terminator caches its successor block index so the hot loop
     /// skips the entry-index lookup on direct jumps and fall-throughs.
-    ///
-    /// Event-order exactness: a block with no memory-touching
-    /// instructions charges its event up front (all its events are
-    /// fetches, plus a possible terminating branch — already in step
-    /// order). A block with memory accesses executes against a capture
-    /// buffer first, then emits one [`TraceSink::on_block`] whose
-    /// fetch records and [`MemRecord`]s interleave by instruction
-    /// index, followed by the terminator's live branch event — exactly
-    /// the step engine's order. Stores into cached text set the cache's
-    /// dirty flag; the engine checks it after every executed
-    /// instruction and abandons the packed entries mid-block (emitting
-    /// the executed prefix's event), so self-modifying code — even code
-    /// patching *later instructions of the same block* — refetches the
-    /// patched bytes just like the step engine. A step budget landing
-    /// inside a block finishes with per-instruction stepping, so
-    /// [`Exit::MaxSteps`] fires at exactly the same retired count.
+    /// Under [`TranslationMode::Uop`] a full-tier block executes its
+    /// *lowered micro-ops* ([`crate::uop`]) instead of re-dispatching
+    /// decoded [`Inst`]s, with arithmetic flags kept lazily in
+    /// [`LazyFlags`]; the pending state materializes at every boundary
+    /// where `flags` becomes observable — flag consumers, any fallback
+    /// off the micro-op path, and run exit (normal, `MaxSteps`, and
+    /// errors alike).
     ///
     /// # Errors
     ///
     /// See [`EmuError`].
-    pub fn run_superblocks<S: TraceSink + ?Sized>(
+    #[inline(always)]
+    fn run_translated<S: TraceSink + ?Sized>(
         &mut self,
         sink: &mut S,
         max_steps: u64,
+        mode: TranslationMode,
     ) -> Result<RunResult, EmuError> {
+        self.blocks
+            .ensure_span(self.icache_base, self.icache_index.len(), mode);
         let mut mems = std::mem::take(&mut self.mem_buf);
-        let r = self.run_superblocks_inner(sink, max_steps, &mut mems);
+        let r = self.run_translated_inner(sink, max_steps, mode, &mut mems);
+        self.materialize_flags();
         mems.clear();
         self.mem_buf = mems;
         r
     }
 
-    fn run_superblocks_inner<S: TraceSink + ?Sized>(
+    /// The one block-driver loop: reclaim → chain probe → lookup or
+    /// translate → install link → execute at the block's tier → `prev`
+    /// bookkeeping.
+    ///
+    /// A block the step budget lands inside runs at the step tier, so
+    /// [`Exit::MaxSteps`] fires at exactly the same retired count as
+    /// the step engine.
+    #[inline(always)]
+    fn run_translated_inner<S: TraceSink + ?Sized>(
         &mut self,
         sink: &mut S,
         max_steps: u64,
+        mode: TranslationMode,
         mems: &mut Vec<MemRecord>,
     ) -> Result<RunResult, EmuError> {
-        self.blocks.ensure_span(
-            self.icache_base,
-            self.icache_index.len(),
-            TranslationMode::Superblock,
-        );
         let mut steps = 0u64;
         // The block just executed, if its chain links are still valid —
         // the source end of the next transition's cached link.
@@ -1075,43 +988,42 @@ impl Machine {
                     i
                 }
             };
-            let (range, _, _) = self.blocks.block_info(idx);
-            let count = range.len() as u64;
-            if max_steps - steps < count {
-                // The budget lands inside this block: finish with exact
-                // per-instruction stepping so MaxSteps fires at the same
-                // retired count as the step engine.
-                while steps < max_steps {
-                    steps += 1;
-                    if let Some(exit) = self.step(sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
-                }
-                break;
+            let count = self.blocks.block_info(idx).0.len() as u64;
+            let budget = max_steps - steps;
+            let tier = if budget < count {
+                BlockTier::Step
+            } else {
+                self.blocks.tier(idx)
+            };
+            if tier != BlockTier::Full {
+                // Any pending lazy flags become architectural before a
+                // fallback path reads or rewrites them.
+                self.materialize_flags();
             }
-            if self.blocks.tier(idx) == BlockTier::Step {
-                // Degraded block: its packed entries are untrusted, so
-                // retire the same instruction count through the
+            let (executed, exit) = match tier {
+                // The packed entries are untrusted (or the budget ends
+                // inside them): retire the instructions through the
                 // interpreter's architectural fetch path instead.
-                for _ in 0..count {
-                    steps += 1;
-                    if let Some(exit) = self.step(sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
+                BlockTier::Step => {
+                    let r = self.run_steps(sink, count.min(budget))?;
+                    (r.steps, (r.exit != Exit::MaxSteps).then_some(r.exit))
                 }
-                prev = None;
-                continue;
-            }
-            let (executed, outcome) = self.exec_block_insts(idx, sink, mems);
-            steps += executed as u64;
-            if let Some(exit) = outcome? {
+                BlockTier::Full if mode == TranslationMode::Uop => {
+                    self.exec_block::<true, S>(idx, sink, mems)?
+                }
+                // Superblock mode, or a uop-mode block whose lowering is
+                // untrusted but whose decoded entries validated clean:
+                // the uop pool is never read.
+                BlockTier::Full | BlockTier::Decoded => {
+                    self.exec_block::<false, S>(idx, sink, mems)?
+                }
+            };
+            steps += executed;
+            if let Some(exit) = exit {
                 return Ok(RunResult { exit, steps });
             }
-            prev = if (executed as u64) < count {
-                None
-            } else {
-                Some(idx)
-            };
+            // A stepped or abandoned block leaves any chain state stale.
+            prev = (tier != BlockTier::Step && executed == count).then_some(idx);
         }
         Ok(RunResult {
             exit: Exit::MaxSteps,
@@ -1119,44 +1031,66 @@ impl Machine {
         })
     }
 
-    /// Executes one translated block's *decoded* instruction entries
-    /// with superblock event batching, returning how many instructions
-    /// were attempted (including one that exited or faulted) and the
-    /// outcome of the last attempt. Shared by the superblock engine and
-    /// the uop engine's decoded-tier fallback.
+    /// Executes pool entry `i` at `at` — its lowered micro-op when
+    /// `UOPS`, else its decoded instruction — returning the outcome and
+    /// the instruction's length.
+    #[inline(always)]
+    fn exec_entry<const UOPS: bool, S: TraceSink + ?Sized>(
+        &mut self,
+        i: usize,
+        at: u64,
+        sink: &mut S,
+    ) -> (Result<Option<Exit>, EmuError>, u8) {
+        if UOPS {
+            let op = self.blocks.uop(i);
+            (self.exec_uop(at, op, sink), op.len)
+        } else {
+            let (inst, len) = self.blocks.inst(i);
+            (self.exec_inst(at, inst, len, sink), len)
+        }
+    }
+
+    /// Executes one translated block's packed entries (micro-ops when
+    /// `UOPS`, decoded instructions otherwise) with superblock event
+    /// batching, returning how many instructions were attempted
+    /// (including one that exited) and the exit, if any.
     ///
     /// A block with no memory-touching instructions charges its event
     /// up front and executes with the live sink; a block with memory
     /// accesses executes against a capture buffer, then emits one
     /// prefix event with interleaved records followed by the
     /// terminator's branch — exactly the step engine's event order.
-    /// `executed < range.len()` means the block was abandoned mid-way
-    /// (SMC dirty, exit, or error) and any chain state is stale.
-    fn exec_block_insts<S: TraceSink + ?Sized>(
+    /// Stores into cached text set the cache's dirty flag; it is checked
+    /// after every executed instruction and the packed entries are
+    /// abandoned mid-block, so self-modifying code — even code patching
+    /// *later instructions of the same block* — refetches the patched
+    /// bytes just like the step engine. Fewer attempts than the block
+    /// holds means it was abandoned (SMC dirty or exit) and any chain
+    /// state is stale.
+    fn exec_block<const UOPS: bool, S: TraceSink + ?Sized>(
         &mut self,
         idx: u32,
         sink: &mut S,
         mems: &mut Vec<MemRecord>,
-    ) -> (u32, Result<Option<Exit>, EmuError>) {
+    ) -> Result<(u64, Option<Exit>), EmuError> {
         let (range, entry, has_mems) = self.blocks.block_info(idx);
+        let mut at = entry;
+        let mut executed = 0u32;
         if !has_mems {
             // No D-side events anywhere in the block: charge the
             // event up front and execute with the live sink (its
             // only other possible event, a terminating branch,
             // follows the fetches in step order too).
             sink.on_block(self.blocks.event(idx));
-            let mut at = entry;
-            let mut executed = 0u32;
             for i in range {
-                let (inst, len) = self.blocks.inst(i);
                 executed += 1;
-                match self.exec_inst(at, inst, len, sink) {
-                    Ok(None) => {}
-                    other => return (executed, other),
+                let (outcome, len) = self.exec_entry::<UOPS, S>(i, at, sink);
+                if let Some(exit) = outcome? {
+                    return Ok((executed as u64, Some(exit)));
                 }
                 at += len as u64;
             }
-            return (executed, Ok(None));
+            return Ok((executed as u64, None));
         }
         // Memory accesses mid-block: execute against a capture
         // buffer, then emit one event carrying the interleaved
@@ -1167,26 +1101,20 @@ impl Machine {
             inst: 0,
             branch: None,
         };
-        let mut at = entry;
-        let mut executed = 0u32;
         let mut outcome = Ok(None);
         for i in range {
-            let (inst, len) = self.blocks.inst(i);
             cap.inst = executed;
             executed += 1;
-            match self.exec_inst(at, inst, len, &mut cap) {
-                Ok(None) => {}
-                other => {
-                    outcome = other;
-                    break;
-                }
+            let (result, len) = self.exec_entry::<UOPS, _>(i, at, &mut cap);
+            if !matches!(result, Ok(None)) {
+                outcome = result;
+                break;
             }
             at += len as u64;
             // A store may have patched cached text — possibly this
-            // very block's later instructions. Abandon the packed
-            // entries; the prefix event reports exactly what
-            // retired, and the patched bytes retranslate next
-            // iteration.
+            // very block's later entries. Abandon them; the prefix
+            // event reports exactly what retired, and the patched bytes
+            // retranslate next iteration.
             if self.blocks.is_dirty() {
                 break;
             }
@@ -1207,215 +1135,7 @@ impl Machine {
         if let Some(ev) = branch {
             sink.on_branch(ev);
         }
-        (executed, outcome)
-    }
-
-    /// The uop engine: superblock translation and chaining, but the hot
-    /// loop executes *lowered micro-ops* ([`crate::uop`]) instead of
-    /// re-dispatching decoded [`Inst`]s — operands are already direct
-    /// register-file indices, immediates are sign-extended, effective
-    /// addresses are per-shape recipes, and the dispatch is one dense
-    /// jump table over a `#[repr(u8)]` tag. Arithmetic flags are lazy:
-    /// only micro-ops whose flags a later op actually consumes record
-    /// them (as pending operands in [`LazyFlags`]), the full
-    /// [`Flags`] — including the `pf` popcount — materializes at the
-    /// first consumer, and provably-dead flag writes are skipped
-    /// outright.
-    ///
-    /// Everything the superblock engine guarantees carries over
-    /// unchanged — event order (batched [`TraceSink::on_block`] with
-    /// interleaved memory records, then the live branch), SMC
-    /// self-invalidation with mid-block abandonment, chain links, spill
-    /// translation, and the exact [`Exit::MaxSteps`] fallback to
-    /// per-instruction stepping (the decoded pool stays populated
-    /// alongside the micro-ops for precisely that path). Pending lazy
-    /// flags materialize at every boundary where `flags` becomes
-    /// observable: flag consumers, the stepping fallback, and run exit.
-    ///
-    /// # Errors
-    ///
-    /// See [`EmuError`].
-    pub fn run_uops<S: TraceSink + ?Sized>(
-        &mut self,
-        sink: &mut S,
-        max_steps: u64,
-    ) -> Result<RunResult, EmuError> {
-        let mut mems = std::mem::take(&mut self.mem_buf);
-        let r = self.run_uops_inner(sink, max_steps, &mut mems);
-        // Whatever pending state the hot loop left becomes architectural
-        // before flags are observable to the caller — on normal exit,
-        // MaxSteps, and errors alike.
-        self.materialize_flags();
-        mems.clear();
-        self.mem_buf = mems;
-        r
-    }
-
-    fn run_uops_inner<S: TraceSink + ?Sized>(
-        &mut self,
-        sink: &mut S,
-        max_steps: u64,
-        mems: &mut Vec<MemRecord>,
-    ) -> Result<RunResult, EmuError> {
-        self.blocks.ensure_span(
-            self.icache_base,
-            self.icache_index.len(),
-            TranslationMode::Uop,
-        );
-        let mut steps = 0u64;
-        // The block just executed, if its chain links are still valid —
-        // the source end of the next transition's cached link.
-        let mut prev: Option<u32> = None;
-        while steps < max_steps {
-            // Reclaim invalidated pools only between blocks; any chain
-            // state died with them.
-            if self.blocks.reclaim() {
-                prev = None;
-            }
-            let rip = self.rip;
-            let idx = match prev.and_then(|p| self.blocks.linked(p, rip)) {
-                Some(i) => i,
-                None => {
-                    let i = match self.blocks.lookup(rip) {
-                        Some(i) => i,
-                        None => self.blocks.translate(&self.mem, rip)?,
-                    };
-                    if let Some(p) = prev {
-                        self.blocks.install_link(p, rip, i);
-                    }
-                    i
-                }
-            };
-            let (range, entry, has_mems) = self.blocks.block_info(idx);
-            let count = range.len() as u64;
-            if max_steps - steps < count {
-                // The budget lands inside this block: materialize any
-                // pending flags and finish with exact per-instruction
-                // stepping so MaxSteps fires at the same retired count
-                // as the step engine.
-                self.materialize_flags();
-                while steps < max_steps {
-                    steps += 1;
-                    if let Some(exit) = self.step(sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
-                }
-                break;
-            }
-            let tier = self.blocks.tier(idx);
-            if tier != BlockTier::Full {
-                // Degraded block: any pending lazy flags become
-                // architectural before a fallback path reads or
-                // rewrites them.
-                self.materialize_flags();
-                if tier == BlockTier::Step {
-                    // The packed entries are untrusted end to end;
-                    // retire the same instruction count through the
-                    // interpreter's architectural fetch path.
-                    for _ in 0..count {
-                        steps += 1;
-                        if let Some(exit) = self.step(sink)? {
-                            return Ok(RunResult { exit, steps });
-                        }
-                    }
-                    prev = None;
-                    continue;
-                }
-                // Decoded tier: the lowered micro-ops are untrusted but
-                // the decoded entries validated clean — execute them
-                // with full superblock batching; the uop pool is never
-                // read.
-                let (executed, outcome) = self.exec_block_insts(idx, sink, mems);
-                steps += executed as u64;
-                if let Some(exit) = outcome? {
-                    return Ok(RunResult { exit, steps });
-                }
-                prev = if (executed as u64) < count {
-                    None
-                } else {
-                    Some(idx)
-                };
-                continue;
-            }
-            if !has_mems {
-                // No D-side events anywhere in the block: charge the
-                // event up front and execute with the live sink.
-                sink.on_block(self.blocks.event(idx));
-                let mut at = entry;
-                for i in range {
-                    let op = self.blocks.uop(i);
-                    steps += 1;
-                    if let Some(exit) = self.exec_uop(at, op, sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
-                    at += op.len as u64;
-                }
-                prev = Some(idx);
-                continue;
-            }
-            // Memory accesses mid-block: execute against a capture
-            // buffer, then emit one event carrying the interleaved
-            // fetch + memory records, then the terminator's branch.
-            mems.clear();
-            let mut cap = CaptureSink {
-                mems: &mut *mems,
-                inst: 0,
-                branch: None,
-            };
-            let mut at = entry;
-            let mut executed = 0u32;
-            let mut outcome = Ok(None);
-            for i in range {
-                let op = self.blocks.uop(i);
-                cap.inst = executed;
-                steps += 1;
-                executed += 1;
-                match self.exec_uop(at, op, &mut cap) {
-                    Ok(None) => {}
-                    other => {
-                        outcome = other;
-                        break;
-                    }
-                }
-                at += op.len as u64;
-                // A store may have patched cached text — possibly this
-                // very block's later micro-ops. Abandon the packed
-                // entries; the prefix event reports exactly what
-                // retired, and the patched bytes retranslate (and
-                // re-lower) next iteration.
-                if self.blocks.is_dirty() {
-                    break;
-                }
-            }
-            let branch = cap.branch;
-            debug_assert!(
-                {
-                    let shapes = self.blocks.shapes(idx);
-                    mems.len() <= shapes.len()
-                        && mems
-                            .iter()
-                            .zip(shapes)
-                            .all(|(m, s)| m.inst == s.inst && m.write == s.write)
-                },
-                "captured records must match the translation-time shapes"
-            );
-            sink.on_block(self.blocks.prefix_event(idx, executed, mems));
-            if let Some(ev) = branch {
-                sink.on_branch(ev);
-            }
-            if let Some(exit) = outcome? {
-                return Ok(RunResult { exit, steps });
-            }
-            prev = if (executed as u64) < count {
-                None
-            } else {
-                Some(idx)
-            };
-        }
-        Ok(RunResult {
-            exit: Exit::MaxSteps,
-            steps,
-        })
+        outcome.map(|exit| (executed as u64, exit))
     }
 
     /// Executes one lowered micro-op at `rip`, advancing `self.rip`. The
@@ -2124,7 +1844,7 @@ mod tests {
         );
         assert_eq!(m.icache_base, 0x400000);
         // Pinned to the step engine: this test asserts the *decode*
-        // cache's internals (the block engine never consults it).
+        // cache's internals (the translation engines never consult it).
         let r = m.run_engine(&mut NullSink, 100, Engine::Step).unwrap();
         assert_eq!(r.exit, Exit::Exited(5));
         assert_eq!(
@@ -2135,16 +1855,21 @@ mod tests {
         assert!(m.icache_spill.is_empty(), "no spill for in-span code");
     }
 
-    /// Runs `elf` under one engine on a fresh machine, returning every
-    /// observable: exit, steps, output, final registers, and the counted
-    /// trace events.
+    /// Runs `elf` under one engine on a fresh machine — with an optional
+    /// injected translation fault armed for the `nth` translated block —
+    /// returning every observable: exit, steps, output, final registers,
+    /// and the counted trace events.
     fn observe(
         elf: &bolt_elf::Elf,
         engine: Engine,
+        fault: Option<(u64, InjectedFault)>,
         max_steps: u64,
     ) -> (RunResult, Machine, CountingSink) {
         let mut m = Machine::new();
         m.load_elf(elf);
+        if let Some((nth, kind)) = fault {
+            m.inject_translation_fault(nth, kind);
+        }
         let mut sink = CountingSink::default();
         let r = m.run_engine(&mut sink, max_steps, engine).unwrap();
         (r, m, sink)
@@ -2153,9 +1878,9 @@ mod tests {
     #[test]
     fn block_engines_match_step_engine_observably() {
         let elf = emitting_elf(42);
-        let (rs, ms, ss) = observe(&elf, Engine::Step, u64::MAX);
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-            let (rb, mb, sb) = observe(&elf, engine, u64::MAX);
+        let (rs, ms, ss) = observe(&elf, Engine::Step, None, u64::MAX);
+        for engine in [Engine::Superblock, Engine::Uop] {
+            let (rb, mb, sb) = observe(&elf, engine, None, u64::MAX);
             assert_eq!(rs, rb, "{engine}: exit and retired count identical");
             assert_eq!(ms.output, mb.output, "{engine}");
             assert_eq!(ms.regs, mb.regs, "{engine}");
@@ -2175,9 +1900,9 @@ mod tests {
     fn max_steps_boundary_identical_across_engines() {
         let elf = emitting_elf(7); // 5 instructions, one straight block
         for budget in 1..=5u64 {
-            let (rs, ms, ss) = observe(&elf, Engine::Step, budget);
-            for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-                let (rb, mb, sb) = observe(&elf, engine, budget);
+            let (rs, ms, ss) = observe(&elf, Engine::Step, None, budget);
+            for engine in [Engine::Superblock, Engine::Uop] {
+                let (rb, mb, sb) = observe(&elf, engine, None, budget);
                 assert_eq!(rs, rb, "{engine} budget {budget}: exit/steps");
                 assert_eq!(rs.steps, budget.min(5), "budget {budget}");
                 assert_eq!(ms.rip, mb.rip, "{engine} budget {budget}: same rip");
@@ -2189,8 +1914,8 @@ mod tests {
 
     /// Code with no flat text span (poked directly into memory) runs
     /// through the step engine's sorted spill decode cache — or, under
-    /// the block engines, through the block cache's sorted spill index
-    /// (the out-of-span satellite) — and every engine agrees.
+    /// the translation engines, through the block cache's sorted spill
+    /// index (the out-of-span satellite) — and every engine agrees.
     #[test]
     fn spill_region_code_runs_identically_under_all_engines() {
         let insts = [
@@ -2220,7 +1945,7 @@ mod tests {
         let (rs, rax_s, insts_s, spill_s) = run(Engine::Step);
         assert_eq!(rax_s, 7);
         assert_eq!(spill_s, 4, "step: every instruction in the spill vec");
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
+        for engine in [Engine::Superblock, Engine::Uop] {
             let (rb, rax_b, insts_b, spill_b) = run(engine);
             assert_eq!(rs, rb, "{engine}");
             assert_eq!((rax_s, insts_s), (rax_b, insts_b), "{engine}");
@@ -2342,7 +2067,7 @@ mod tests {
         };
         let (rs, out_s, log_s) = run(Engine::Step);
         assert!(log_s.iter().any(|e| matches!(e, E::M(..))), "mems present");
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
+        for engine in [Engine::Superblock, Engine::Uop] {
             let (r, out, log) = run(engine);
             assert_eq!(rs, r, "{engine}");
             assert_eq!(out_s, out, "{engine}");
@@ -2528,7 +2253,9 @@ mod tests {
         assert!(m.icache_spill.main.windows(2).all(|w| w[0].0 < w[1].0));
         m.rip = 0x500000;
         m.output.clear();
-        let r = m.run_engine(&mut NullSink, 100, Engine::Block).unwrap();
+        let r = m
+            .run_engine(&mut NullSink, 100, Engine::Superblock)
+            .unwrap();
         assert_eq!(r.exit, Exit::Exited(9));
         assert_eq!(m.output, vec![9]);
     }
@@ -2625,30 +2352,13 @@ mod tests {
         elf
     }
 
-    /// Runs `elf` under one engine with an optional injected
-    /// translation fault armed for the `nth` translated block.
-    fn observe_fault(
-        elf: &bolt_elf::Elf,
-        engine: Engine,
-        fault: Option<(u64, InjectedFault)>,
-    ) -> (RunResult, Machine, CountingSink) {
-        let mut m = Machine::new();
-        m.load_elf(elf);
-        if let Some((nth, kind)) = fault {
-            m.inject_translation_fault(nth, kind);
-        }
-        let mut sink = CountingSink::default();
-        let r = m.run_engine(&mut sink, u64::MAX, engine).unwrap();
-        (r, m, sink)
-    }
-
     /// A healthy image degrades nothing: every translated block runs at
-    /// full tier under every block engine.
+    /// full tier under every translation engine.
     #[test]
     fn clean_run_translates_every_block_at_full_tier() {
         let elf = tiered_elf();
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-            let (_, m, _) = observe_fault(&elf, engine, None);
+        for engine in [Engine::Superblock, Engine::Uop] {
+            let (_, m, _) = observe(&elf, engine, None, u64::MAX);
             let t = m.tier_counts();
             assert!(t.full > 0, "{engine}: blocks were translated");
             assert_eq!(t.degraded(), 0, "{engine}: nothing degraded");
@@ -2661,10 +2371,14 @@ mod tests {
     #[test]
     fn injected_uop_fault_degrades_to_decoded_tier_identically() {
         let elf = tiered_elf();
-        let (rs, ms, ss) = observe_fault(&elf, Engine::Step, None);
+        let (rs, ms, ss) = observe(&elf, Engine::Step, None, u64::MAX);
         for nth in 0..2u64 {
-            let (rb, mb, sb) =
-                observe_fault(&elf, Engine::Uop, Some((nth, InjectedFault::UopInvalid)));
+            let (rb, mb, sb) = observe(
+                &elf,
+                Engine::Uop,
+                Some((nth, InjectedFault::UopInvalid)),
+                u64::MAX,
+            );
             let t = mb.tier_counts();
             assert_eq!(t.decoded, 1, "block {nth} fell back to decoded");
             assert_eq!(t.step, 0);
@@ -2678,16 +2392,20 @@ mod tests {
     }
 
     /// An injected semantic-validation fault degrades exactly that
-    /// block to the step tier under every block engine, again with
+    /// block to the step tier under every translation engine, again with
     /// observables identical to pure stepping.
     #[test]
     fn injected_sem_fault_degrades_to_step_tier_identically() {
         let elf = tiered_elf();
-        let (rs, ms, ss) = observe_fault(&elf, Engine::Step, None);
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
+        let (rs, ms, ss) = observe(&elf, Engine::Step, None, u64::MAX);
+        for engine in [Engine::Superblock, Engine::Uop] {
             for nth in 0..2u64 {
-                let (rb, mb, sb) =
-                    observe_fault(&elf, engine, Some((nth, InjectedFault::SemInvalid)));
+                let (rb, mb, sb) = observe(
+                    &elf,
+                    engine,
+                    Some((nth, InjectedFault::SemInvalid)),
+                    u64::MAX,
+                );
                 let t = mb.tier_counts();
                 assert_eq!(t.step, 1, "{engine} block {nth}: fell back to step");
                 assert_eq!(t.decoded, 0, "{engine} block {nth}");
@@ -2714,7 +2432,7 @@ mod tests {
         let mut m = Machine::new();
         m.load_elf(&elf);
         m.inject_translation_fault(0, InjectedFault::SemInvalid);
-        m.run_engine(&mut NullSink, u64::MAX, Engine::Block)
+        m.run_engine(&mut NullSink, u64::MAX, Engine::Superblock)
             .unwrap();
         let after_first = m.tier_counts();
         assert_eq!(
@@ -2725,10 +2443,106 @@ mod tests {
         // counters keep accumulating on top of the first run's.
         m.rip = 0x400000;
         m.set_reg(Reg::Rsp, STACK_TOP - 64);
-        m.run_engine(&mut NullSink, u64::MAX, Engine::Superblock)
-            .unwrap();
+        m.run_engine(&mut NullSink, u64::MAX, Engine::Uop).unwrap();
         let after_second = m.tier_counts();
         assert_eq!(after_second.step, after_first.step);
         assert!(after_second.full > after_first.full);
+    }
+
+    /// A loop whose body stores and reloads through memory, runs four
+    /// iterations, emits the counter and exits. With `smc` the body also
+    /// rewrites eight bytes of its own text with the bytes already
+    /// there: semantically a no-op, but every iteration abandons the
+    /// executing block at the store and retranslates.
+    fn loop_elf(smc: bool) -> bolt_elf::Elf {
+        let base = 0x400000u64;
+        let insts = [
+            Inst::MovRI {
+                dst: Reg::R10,
+                imm: if smc { base as i64 } else { 0x600000 },
+            },
+            Inst::MovRI {
+                dst: Reg::Rdi,
+                imm: 0,
+            },
+            // loop head (label 2)
+            Inst::AluI {
+                op: AluOp::Add,
+                dst: Reg::Rdi,
+                imm: 1,
+            },
+            Inst::Load {
+                dst: Reg::R11,
+                mem: Mem::base(Reg::R10, 0),
+            },
+            Inst::Store {
+                mem: Mem::base(Reg::R10, 0),
+                src: Reg::R11,
+            },
+            Inst::AluI {
+                op: AluOp::Cmp,
+                dst: Reg::Rdi,
+                imm: 4,
+            },
+            Inst::Jcc {
+                cond: Cond::Ne,
+                target: Target::Label(Label(2)),
+                width: bolt_isa::JumpWidth::Near,
+            },
+            Inst::MovRI {
+                dst: Reg::Rax,
+                imm: 1,
+            },
+            Inst::Syscall,
+            Inst::MovRI {
+                dst: Reg::Rax,
+                imm: 60,
+            },
+            Inst::Syscall,
+        ];
+        let mut elf = bolt_elf::Elf::new(base);
+        elf.sections
+            .push(bolt_elf::Section::code(".text", base, asm(&insts, base)));
+        elf
+    }
+
+    /// The paths the three retired driver copies could silently disagree
+    /// on: every step budget — including ones landing inside a degraded
+    /// block — under every injected fault, on a branchy program, a
+    /// chained loop, and a loop that abandons its own block each
+    /// iteration (so `prev` is exercised after degraded and
+    /// SMC-abandoned blocks alike). Every observable must equal the
+    /// step engine's.
+    #[test]
+    fn budget_tier_sweep_matches_step_engine() {
+        for (what, elf) in [
+            ("tiered", tiered_elf()),
+            ("loop", loop_elf(false)),
+            ("smc-loop", loop_elf(true)),
+        ] {
+            let total = observe(&elf, Engine::Step, None, u64::MAX).0.steps;
+            let faults = [None]
+                .into_iter()
+                .chain((0..4).flat_map(|nth| {
+                    [InjectedFault::UopInvalid, InjectedFault::SemInvalid]
+                        .map(|kind| Some((nth, kind)))
+                }))
+                .collect::<Vec<_>>();
+            for budget in 1..=total {
+                let (rs, ms, ss) = observe(&elf, Engine::Step, None, budget);
+                for engine in [Engine::Superblock, Engine::Uop] {
+                    for &fault in &faults {
+                        let (rb, mb, sb) = observe(&elf, engine, fault, budget);
+                        let ctx = format!("{what}/{engine} budget {budget} fault {fault:?}");
+                        assert_eq!(rs, rb, "{ctx}: exit and retired count");
+                        assert_eq!(ms.rip, mb.rip, "{ctx}: rip");
+                        assert_eq!(ms.regs, mb.regs, "{ctx}: regs");
+                        assert_eq!(ms.flags, mb.flags, "{ctx}: flags");
+                        assert_eq!(ms.output, mb.output, "{ctx}: output");
+                        assert_eq!(format!("{ss:?}"), format!("{sb:?}"), "{ctx}: events");
+                    }
+                }
+            }
+        }
     }
 }

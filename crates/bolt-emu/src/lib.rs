@@ -46,6 +46,4 @@ pub use transval::{
     enable_sem_validation, sem_validation_enabled, validate_code, validate_translation, SemFinding,
     SemFindingKind,
 };
-pub use uop::{
-    enable_uop_validation, lower_into, uop_validation_enabled, validate_block, MicroOp, UopKind,
-};
+pub use uop::{lower_into, MicroOp, UopKind};

@@ -19,9 +19,8 @@
 //! The reference side is always a fresh decode of the block's bytes, so
 //! the check catches corruption anywhere downstream of the decoder: a
 //! cached instruction pool that drifted from the bytes, a micro-op
-//! lowering bug, a bad liveness mark, a wrong shape record. Structural
-//! validation (`uop::validate_block`) checks the pools against *each
-//! other*; this layer checks them against *meaning*.
+//! lowering bug, a bad liveness mark, a wrong shape record — whether or
+//! not the pools still agree with each other.
 //!
 //! Enabled per-translation via `BOLT_SEM_VALIDATE=1` /
 //! `bolt-run --validate-semantics` (each block proven once, when it is
@@ -40,7 +39,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// What kind of semantic disagreement a finding reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SemFindingKind {
-    /// Cached instruction count disagrees with the reference decode.
+    /// The translation's instruction count or per-instruction byte
+    /// lengths disagree with the reference decode.
     LengthMismatch,
     /// The cached block's bytes no longer decode.
     DecodeMismatch,
@@ -120,12 +120,21 @@ pub fn validate_translation(
         inst,
         detail,
     };
-    if reference.len() != cached.len() {
+    // The pools must pair up entry for entry, byte length included: the
+    // executor advances `rip` — and stamps branch events — from the
+    // translated side's lengths, which no symbolic observable carries.
+    let want = reference.iter().map(|r| r.1);
+    let lens_agree = match uops {
+        Some(uops) => uops.iter().map(|u| u.len).eq(want),
+        None => cached.iter().map(|c| c.1).eq(want),
+    };
+    if reference.len() != cached.len() || !lens_agree {
         return vec![finding(
             SemFindingKind::LengthMismatch,
             0,
             format!(
-                "reference decodes {} instructions, translation holds {}",
+                "reference decodes {} instructions, translation holds {}; \
+                 the pools' entry counts or byte lengths differ",
                 reference.len(),
                 cached.len()
             ),
@@ -325,7 +334,7 @@ fn rw(write: bool) -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide knob, mirroring the structural validator's.
+// Process-wide knob.
 
 /// 0 = unresolved, 1 = off, 2 = on.
 static SEM_VALIDATE: AtomicU8 = AtomicU8::new(0);
@@ -351,17 +360,13 @@ pub fn sem_validation_enabled() -> bool {
     }
 }
 
-/// Sweeps `code` (placed at `base`) through every translation tier —
-/// block, superblock, and uop — walking block to block and proving each
+/// Sweeps `code` (placed at `base`) through both translation tiers —
+/// superblock and uop — walking block to block and proving each
 /// translation against a fresh decode of its bytes. The offline entry
 /// point behind `bolt -verify-sem`.
 pub fn validate_code(code: &[u8], base: u64) -> Vec<SemFinding> {
     let mut out = Vec::new();
-    for mode in [
-        TranslationMode::Block,
-        TranslationMode::Superblock,
-        TranslationMode::Uop,
-    ] {
+    for mode in [TranslationMode::Superblock, TranslationMode::Uop] {
         let mut mem = Memory::new();
         mem.write(base, code);
         let mut cache = BlockCache::default();
@@ -433,7 +438,7 @@ mod tests {
         let (uops, shapes) = faithful(&insts);
         let f = validate_translation(0x400000, &insts, &insts, Some(&uops), Some(&shapes));
         assert!(f.is_empty(), "unexpected findings: {f:?}");
-        // Same without the uop pool (block/superblock tiers).
+        // Same without the uop pool (superblock tier).
         let f = validate_translation(0x400000, &insts, &insts, None, Some(&shapes));
         assert!(f.is_empty(), "unexpected findings: {f:?}");
     }
@@ -482,7 +487,7 @@ mod tests {
     fn offline_sweep_is_clean_on_real_encodings() {
         // A small function with a loop, flags consumed across
         // instructions, and stack traffic — encoded to real bytes and
-        // swept through all three tiers.
+        // swept through both tiers.
         let insts = [
             Inst::Push(Reg::Rbx),
             Inst::MovRI {

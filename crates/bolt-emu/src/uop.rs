@@ -1,7 +1,7 @@
 //! Translate-time lowering to pre-resolved micro-ops — the `--engine=uop`
-//! tier behind [`Machine::run_uops`].
+//! tier.
 //!
-//! The block and superblock engines eliminated the per-instruction fetch
+//! The superblock engine eliminated the per-instruction fetch
 //! probe and sink call, which left the interpreter's wide `match inst`
 //! in `exec_inst` as the dominant cost: every retired instruction
 //! re-matches the [`Inst`] enum, re-matches its nested `Mem`/`Target`
@@ -38,7 +38,6 @@
 //! the uop pool is simply a third per-instruction pool parallel to the
 //! decoded `insts`.
 //!
-//! [`Machine::run_uops`]: crate::Machine::run_uops
 //! [`BlockCache`]: crate::block::BlockCache
 //! [`Inst`]: bolt_isa::Inst
 
@@ -426,278 +425,6 @@ pub fn lower_into(pool: &mut Vec<MicroOp>, insts: &[(Inst, u8)]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Translate-time validation (`--validate-uops` / `BOLT_UOP_VALIDATE=1`).
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// 0 = not yet resolved, 1 = off, 2 = on.
-static UOP_VALIDATE: AtomicU8 = AtomicU8::new(0);
-
-/// Turns on translate-time micro-op validation for the process (the
-/// `--validate-uops` CLI surface). Every lowered block is then checked
-/// instruction-by-instruction against its source decode; a mismatch
-/// panics with the offending instruction.
-pub fn enable_uop_validation() {
-    UOP_VALIDATE.store(2, Ordering::Relaxed);
-}
-
-/// Whether validation is on — via [`enable_uop_validation`] or the
-/// `BOLT_UOP_VALIDATE` environment override (any value but `0`).
-pub fn uop_validation_enabled() -> bool {
-    match UOP_VALIDATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = std::env::var_os("BOLT_UOP_VALIDATE").is_some_and(|v| v != "0");
-            UOP_VALIDATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Structurally checks one lowered block against its source decode:
-/// pools parallel, every operand index / sign-extended immediate /
-/// effective-address recipe faithful, and the flags-liveness marks safe
-/// (re-derived forward from the shared [`flag_effect`] table,
-/// independently of `lower_into`'s backward pass: every writer whose
-/// flags some later reader, store barrier, or block exit may consume
-/// must be marked live). The *semantic* counterpart — symbolic
-/// execution of both sequences — is [`crate::transval`].
-pub fn validate_block(insts: &[(Inst, u8)], uops: &[MicroOp]) -> Result<(), String> {
-    if insts.len() != uops.len() {
-        return Err(format!(
-            "pool length mismatch: {} insts vs {} uops",
-            insts.len(),
-            uops.len()
-        ));
-    }
-    for (i, ((inst, len), uop)) in insts.iter().zip(uops).enumerate() {
-        check_uop(inst, *len, uop).map_err(|e| format!("uop {i} for `{inst}`: {e}"))?;
-    }
-
-    // Forward flags-liveness re-derivation: walking the block in
-    // execution order, any event that may consume the current flags —
-    // a reader, a store/push (SMC truncation point), or falling off the
-    // block's end into a chained successor — requires the most recent
-    // writer to be marked live. (Extra liveness is safe; a dead-marked
-    // writer whose flags are consumed is not.)
-    let mut last_writer: Option<usize> = None;
-    let demand = |w: Option<usize>, uops: &[MicroOp], what: &str| -> Result<(), String> {
-        match w {
-            Some(i) if !uops[i].fl => Err(format!(
-                "uop {i} for `{}` is marked flags-dead but {what} consumes its flags",
-                insts[i].0
-            )),
-            _ => Ok(()),
-        }
-    };
-    for (i, (inst, _)) in insts.iter().enumerate() {
-        let effect = flag_effect(inst);
-        if effect.reads {
-            demand(last_writer, uops, &format!("uop {i}"))?;
-        } else if matches!(inst, Inst::Push(_) | Inst::Store { .. }) {
-            demand(last_writer, uops, "a store barrier")?;
-        }
-        if effect.writes.is_some() {
-            last_writer = Some(i);
-        }
-    }
-    demand(last_writer, uops, "the block exit")
-}
-
-/// Asserts one micro-op faithfully encodes its source instruction.
-fn check_uop(inst: &Inst, len: u8, u: &MicroOp) -> Result<(), String> {
-    let kind = |want: UopKind| -> Result<(), String> {
-        if u.kind != want {
-            return Err(format!("kind is {:?}, expected {want:?}", u.kind));
-        }
-        Ok(())
-    };
-    let reg = |got: u8, want: u8, slot: &str| -> Result<(), String> {
-        if got != want {
-            return Err(format!("operand {slot} is r{got}, expected r{want}"));
-        }
-        Ok(())
-    };
-    let imm = |want: i64| -> Result<(), String> {
-        if u.imm != want {
-            return Err(format!("imm is {:#x}, expected {want:#x}", u.imm));
-        }
-        Ok(())
-    };
-    let addr = |t: &Target| -> Result<i64, String> {
-        t.addr()
-            .map(|a| a as i64)
-            .ok_or_else(|| "unresolved label target".to_string())
-    };
-    // Effective-address recipe: the three per-shape opcodes in
-    // [BaseDisp, BaseIndexScale, RipRel] order.
-    let mem = |m: &Mem, kinds: [UopKind; 3]| -> Result<(), String> {
-        match m {
-            Mem::BaseDisp { base, disp } => {
-                kind(kinds[0])?;
-                reg(u.b, base.num(), "b")?;
-                imm(*disp as i64)
-            }
-            Mem::BaseIndexScale {
-                base,
-                index,
-                scale,
-                disp,
-            } => {
-                kind(kinds[1])?;
-                reg(u.b, base.num(), "b")?;
-                reg(u.c, index.num(), "c")?;
-                if u.d != *scale {
-                    return Err(format!("scale is {}, expected {scale}", u.d));
-                }
-                imm(*disp as i64)
-            }
-            Mem::RipRel { target } => {
-                kind(kinds[2])?;
-                imm(addr(target)?)
-            }
-        }
-    };
-
-    if u.len != len {
-        return Err(format!("len is {}, expected {len}", u.len));
-    }
-    match inst {
-        Inst::Push(r) => kind(UopKind::Push).and_then(|_| reg(u.a, r.num(), "a")),
-        Inst::Pop(r) => kind(UopKind::Pop).and_then(|_| reg(u.a, r.num(), "a")),
-        Inst::MovRR { dst, src } => {
-            kind(UopKind::MovRR)?;
-            reg(u.a, dst.num(), "a")?;
-            reg(u.b, src.num(), "b")
-        }
-        Inst::MovRI { dst, imm: v } => {
-            kind(UopKind::MovRI)?;
-            reg(u.a, dst.num(), "a")?;
-            imm(*v)
-        }
-        Inst::MovRSym { dst, target } => {
-            kind(UopKind::MovRI)?;
-            reg(u.a, dst.num(), "a")?;
-            imm(addr(target)?)
-        }
-        Inst::Load { dst, mem: m } => {
-            reg(u.a, dst.num(), "a")?;
-            mem(m, [UopKind::LoadBD, UopKind::LoadBIS, UopKind::LoadAbs])
-        }
-        Inst::Store { mem: m, src } => {
-            reg(u.a, src.num(), "a")?;
-            mem(m, [UopKind::StoreBD, UopKind::StoreBIS, UopKind::StoreAbs])
-        }
-        Inst::Lea { dst, mem: m } => {
-            reg(u.a, dst.num(), "a")?;
-            // An absolute lea lowers to an immediate move.
-            mem(m, [UopKind::LeaBD, UopKind::LeaBIS, UopKind::MovRI])
-        }
-        Inst::Alu { op, dst, src } => {
-            kind(match op {
-                AluOp::Add => UopKind::AddRR,
-                AluOp::Sub => UopKind::SubRR,
-                AluOp::And => UopKind::AndRR,
-                AluOp::Or => UopKind::OrRR,
-                AluOp::Xor => UopKind::XorRR,
-                AluOp::Cmp => UopKind::CmpRR,
-            })?;
-            reg(u.a, dst.num(), "a")?;
-            reg(u.b, src.num(), "b")
-        }
-        Inst::AluI { op, dst, imm: v } => {
-            kind(match op {
-                AluOp::Add => UopKind::AddRI,
-                AluOp::Sub => UopKind::SubRI,
-                AluOp::And => UopKind::AndRI,
-                AluOp::Or => UopKind::OrRI,
-                AluOp::Xor => UopKind::XorRI,
-                AluOp::Cmp => UopKind::CmpRI,
-            })?;
-            reg(u.a, dst.num(), "a")?;
-            // The i32 immediate must arrive sign-extended.
-            imm(*v as i64)
-        }
-        Inst::Test { a, b } => {
-            kind(UopKind::Test)?;
-            reg(u.a, a.num(), "a")?;
-            reg(u.b, b.num(), "b")
-        }
-        Inst::Imul { dst, src } => {
-            kind(UopKind::Imul)?;
-            reg(u.a, dst.num(), "a")?;
-            reg(u.b, src.num(), "b")
-        }
-        Inst::Shift { op, dst, amount } => {
-            let c = amount & 63;
-            if c == 0 {
-                // Architecturally a no-op: must lower to one.
-                return kind(UopKind::Nop);
-            }
-            kind(match op {
-                ShiftOp::Shl => UopKind::Shl,
-                ShiftOp::Shr => UopKind::Shr,
-                ShiftOp::Sar => UopKind::Sar,
-            })?;
-            reg(u.a, dst.num(), "a")?;
-            if u.c != c {
-                return Err(format!("shift count is {}, expected {c}", u.c));
-            }
-            Ok(())
-        }
-        Inst::Setcc { cond, dst } => {
-            kind(UopKind::Setcc)?;
-            reg(u.a, dst.num(), "a")?;
-            if u.c != cond.cc() {
-                return Err(format!("cc is {}, expected {}", u.c, cond.cc()));
-            }
-            Ok(())
-        }
-        Inst::Movzx8 { dst, src } => {
-            kind(UopKind::Movzx8)?;
-            reg(u.a, dst.num(), "a")?;
-            reg(u.b, src.num(), "b")
-        }
-        Inst::Jcc { cond, target, .. } => {
-            kind(UopKind::Jcc)?;
-            if u.c != cond.cc() {
-                return Err(format!("cc is {}, expected {}", u.c, cond.cc()));
-            }
-            imm(addr(target)?)
-        }
-        Inst::Jmp { target, .. } => kind(UopKind::Jmp).and_then(|_| imm(addr(target)?)),
-        Inst::JmpInd { rm } => match rm {
-            Rm::Reg(r) => kind(UopKind::JmpIndReg).and_then(|_| reg(u.b, r.num(), "b")),
-            Rm::Mem(m) => mem(
-                m,
-                [
-                    UopKind::JmpIndMemBD,
-                    UopKind::JmpIndMemBIS,
-                    UopKind::JmpIndMemAbs,
-                ],
-            ),
-        },
-        Inst::Call { target } => kind(UopKind::Call).and_then(|_| imm(addr(target)?)),
-        Inst::CallInd { rm } => match rm {
-            Rm::Reg(r) => kind(UopKind::CallIndReg).and_then(|_| reg(u.b, r.num(), "b")),
-            Rm::Mem(m) => mem(
-                m,
-                [
-                    UopKind::CallIndMemBD,
-                    UopKind::CallIndMemBIS,
-                    UopKind::CallIndMemAbs,
-                ],
-            ),
-        },
-        Inst::Ret | Inst::RepzRet => kind(UopKind::Ret),
-        Inst::Nop { .. } => kind(UopKind::Nop),
-        Inst::Ud2 => kind(UopKind::Ud2),
-        Inst::Syscall => kind(UopKind::Syscall),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -849,103 +576,6 @@ mod tests {
         ]);
         assert!(ops[0].fl, "writer before a store stays live");
         assert!(ops[2].fl, "last writer live as usual");
-    }
-
-    /// Every lowered block must pass its own validator (here over a
-    /// block exercising one of each operand shape).
-    #[test]
-    fn validator_accepts_faithful_lowering() {
-        let insts = [
-            Inst::Push(Reg::Rbp),
-            Inst::MovRSym {
-                dst: Reg::Rdi,
-                target: Target::Addr(0x601000),
-            },
-            Inst::Load {
-                dst: Reg::Rdx,
-                mem: Mem::BaseIndexScale {
-                    base: Reg::R10,
-                    index: Reg::Rax,
-                    scale: 8,
-                    disp: -16,
-                },
-            },
-            Inst::AluI {
-                op: AluOp::Cmp,
-                dst: Reg::Rdx,
-                imm: -1,
-            },
-            Inst::Jcc {
-                cond: Cond::Ne,
-                target: Target::Addr(0x400040),
-                width: JumpWidth::Near,
-            },
-        ];
-        let with_len: Vec<(Inst, u8)> = insts
-            .iter()
-            .map(|&i| (i, bolt_isa::encoded_len(&i) as u8))
-            .collect();
-        let mut pool = Vec::new();
-        lower_into(&mut pool, &with_len);
-        validate_block(&with_len, &pool).expect("faithful lowering validates");
-    }
-
-    /// The validator rejects corrupted operands, immediates, and
-    /// flags-liveness marks.
-    #[test]
-    fn validator_catches_corruptions() {
-        let insts = [
-            Inst::AluI {
-                op: AluOp::Cmp,
-                dst: Reg::Rax,
-                imm: 4,
-            },
-            Inst::Jcc {
-                cond: Cond::E,
-                target: Target::Addr(0x400000),
-                width: JumpWidth::Near,
-            },
-        ];
-        let with_len: Vec<(Inst, u8)> = insts
-            .iter()
-            .map(|&i| (i, bolt_isa::encoded_len(&i) as u8))
-            .collect();
-        let mut pool = Vec::new();
-        lower_into(&mut pool, &with_len);
-
-        let mut bad = pool.clone();
-        bad[0].a = Reg::Rbx.num();
-        assert!(
-            validate_block(&with_len, &bad)
-                .unwrap_err()
-                .contains("operand a"),
-            "swapped register index caught"
-        );
-
-        let mut bad = pool.clone();
-        bad[0].imm = 5;
-        assert!(
-            validate_block(&with_len, &bad).unwrap_err().contains("imm"),
-            "corrupted immediate caught"
-        );
-
-        let mut bad = pool.clone();
-        bad[0].fl = false;
-        assert!(
-            validate_block(&with_len, &bad)
-                .unwrap_err()
-                .contains("flags-dead"),
-            "liveness violation caught: the jcc consumes the cmp's flags"
-        );
-
-        let mut bad = pool;
-        bad.pop();
-        assert!(
-            validate_block(&with_len, &bad)
-                .unwrap_err()
-                .contains("length mismatch"),
-            "pool divergence caught"
-        );
     }
 
     #[test]

@@ -2,19 +2,17 @@
 //! ignore the arithmetic flags, and which formula a writer's flags
 //! derive from.
 //!
-//! Three independent consumers need exactly this information and must
+//! Two independent consumers need exactly this information and must
 //! never disagree about it:
 //!
 //! * the uop tier's backward flags-liveness pass (`lower_into` in
 //!   `bolt-emu`), which decides which flag writes may be skipped;
-//! * the structural translation validator (`validate_block`), which
-//!   re-derives liveness forward and rejects unsafe marks;
 //! * the symbolic translation validator (`bolt-emu::symexec`), which
 //!   models each writer's flags as a symbolic term of its operands.
 //!
 //! Hoisting the table here means the ISA's flags semantics live in one
 //! documented place; an instruction added with the wrong entry fails
-//! all three consumers at once instead of drifting silently.
+//! both consumers at once instead of drifting silently.
 
 use crate::{AluOp, Inst};
 

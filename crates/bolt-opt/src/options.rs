@@ -44,13 +44,13 @@ pub struct BoltOptions {
     /// byte-identical at any worker count.
     pub shards: usize,
     /// Emulation engine for the measurement side
-    /// (`-engine=step|block|superblock|uop`). `None` (default) resolves
+    /// (`-engine=step|superblock|uop`). `None` (default) resolves
     /// to the `BOLT_ENGINE` environment override or per-instruction
     /// stepping. Like `shards`, rewriting never consults this; every
     /// engine produces byte-identical profiles, counters, and program
-    /// output — `block` is `bolt-emu`'s basic-block translation cache,
-    /// `superblock` additionally spans memory-touching instructions and
-    /// chains block transitions, `uop` further lowers each block to
+    /// output — `superblock` is `bolt-emu`'s translation cache of
+    /// chained blocks spanning memory-touching instructions, `uop`
+    /// further lowers each block to
     /// pre-resolved micro-ops with lazy flags, each faster than the
     /// last.
     pub engine: Option<bolt_emu::Engine>,

@@ -44,10 +44,10 @@
 //!
 //! ## Running the pipeline
 //!
-//! [`run_pipeline`] is the stable entry point: it builds the standard
-//! manager and runs it. Callers that want per-pass dyno attribution (the
-//! `-time-passes` surface) or a custom pass list construct a
-//! [`PassManager`] directly:
+//! [`PassManager::standard`] builds the Table 1 pipeline and
+//! [`PassManager::run`] runs it; per-pass dyno attribution (the
+//! `-time-passes` surface) and custom pass lists are configured on the
+//! manager before the run:
 //!
 //! ```ignore
 //! let mut manager = PassManager::standard(&opts);
@@ -89,7 +89,6 @@ pub use function_pass::{
 pub use layout::{BlockLayout, SplitMode};
 pub use manager::{LintMode, ManagerConfig, Pass, PassManager, PoisonPass};
 
-use bolt_ir::BinaryContext;
 use std::time::Duration;
 
 /// Options for the optimization pipeline (mirrors the BOLT command line
@@ -314,15 +313,6 @@ impl PipelineResult {
     pub fn aborted_by(&self) -> Option<&PassFailure> {
         self.failures.iter().find(|f| f.function.is_none())
     }
-}
-
-/// Runs the full Table 1 pipeline over the context.
-///
-/// A thin shim over [`PassManager::standard`] kept for the driver, the
-/// benches, and the tests; construct the manager directly to customize
-/// validation, per-pass dyno collection, or the pass list itself.
-pub fn run_pipeline(ctx: &mut BinaryContext, opts: &PassOptions) -> PipelineResult {
-    PassManager::standard(opts).run(ctx, opts)
 }
 
 /// The pass names and descriptions of paper Table 1 in pipeline order

@@ -374,9 +374,8 @@ impl TraceSink for CpuModel {
     /// LRU-order effect — only the first touch of each distinct
     /// page/line can miss, and D-side accesses in between touch
     /// *different* structures (L1D/dTLB) so they cannot disturb it.
-    /// The block engine's events carry no memory records and take the
-    /// pure-I-side bulk path; the superblock engine's interleaved
-    /// records are walked in exact program order (each probe lands at
+    /// Events without memory records take the pure-I-side bulk path;
+    /// interleaved records are walked in exact program order (each probe lands at
     /// its step-engine position relative to the shared L2/LLC levels),
     /// with the same bulk treatment applied to repeat fetches and to
     /// consecutive same-line D-side accesses (a push/pop run, a hot

@@ -9,10 +9,10 @@
 //! [`SemMutation`] plays the same role one layer down, for the
 //! *semantic* translation validator: each variant corrupts an emulator
 //! translation (the decoded instruction pool, the parallel micro-op
-//! pool, and the recorded memory shapes) **consistently**, so the
-//! structural cross-check (`bolt_emu::validate_block`) still accepts it
-//! — only comparing against the meaning of the original bytes, as the
-//! symbolic validator does, can catch it.
+//! pool, and the recorded memory shapes) **consistently**, so no
+//! cross-check of the pools against each other could notice — only
+//! comparing against the meaning of the original bytes, as the symbolic
+//! validator does, can catch it.
 
 use crate::FindingKind;
 use bolt_elf::{Elf, SymKind};
@@ -425,8 +425,7 @@ impl fmt::Display for SemMutation {
 /// `insts` and `uops` are the parallel pools, `shapes` the recorded
 /// memory shapes — returning a description of the corruption, or `None`
 /// when the block has no applicable site. The corruption is always
-/// consistent across the pools: `bolt_emu::validate_block` must keep
-/// accepting the result.
+/// consistent across the pools.
 pub fn apply_sem_mutation(
     m: SemMutation,
     insts: &mut [(Inst, u8)],

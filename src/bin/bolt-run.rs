@@ -40,7 +40,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bolt-run <app.elf> [--fdata <out.fdata>] [--ip] [--period N] \
          [--counters] [--max-steps N] [--shards N] [--threads N] \
-         [--engine step|block|superblock|uop] [--validate-uops] [--validate-semantics] \
+         [--engine step|superblock|uop] [--validate-semantics] \
          [--supervise] [--state-dir DIR] [--deadline-ms N] [--retries N] \
          [--backoff-ms N] [--seed N]\n\
          \n\
@@ -60,15 +60,15 @@ fn usage() -> ! {
          \x20            seed-partition the batch: write BASE+i into the\n\
          \x20            binary's `config` input-selection global for shard i,\n\
          \x20            so the shards split the input space\n\
-         --engine step|block|superblock|uop\n\
+         --engine step|superblock|uop\n\
          \x20            emulation engine (default: the BOLT_ENGINE env\n\
-         \x20            override, else per-instruction stepping). `block`\n\
-         \x20            executes through a basic-block translation cache;\n\
-         \x20            `superblock` additionally spans memory-touching\n\
-         \x20            instructions and chains block transitions; `uop`\n\
-         \x20            further lowers each block to pre-resolved micro-ops\n\
-         \x20            with lazily-materialized flags — byte-identical\n\
-         \x20            profiles/counters/output, just faster\n\
+         \x20            override, else per-instruction stepping).\n\
+         \x20            `superblock` executes through a translation cache\n\
+         \x20            of chained blocks spanning memory-touching\n\
+         \x20            instructions; `uop` further lowers each block to\n\
+         \x20            pre-resolved micro-ops with lazily-materialized\n\
+         \x20            flags — byte-identical profiles/counters/output,\n\
+         \x20            just faster\n\
          --supervise  run each shard as its own supervised OS process\n\
          \x20            writing a durable, checksummed artifact; crashes and\n\
          \x20            hangs are retried with deterministic backoff and\n\
@@ -85,20 +85,15 @@ fn usage() -> ! {
          --backoff-ms N    base retry backoff; delays are capped exponential\n\
          \x20            plus seeded jitter (default 100)\n\
          --seed N          seed for the deterministic backoff jitter\n\
-         --validate-uops\n\
-         \x20            (uop engine) symbolically check every lowered block\n\
-         \x20            against its source decode at translation time —\n\
-         \x20            operand indices, sign-extension, effective-address\n\
-         \x20            recipes, flags liveness; a violation aborts the run.\n\
-         \x20            Also enabled by BOLT_UOP_VALIDATE=1\n\
          --validate-semantics\n\
          \x20            (translation engines) symbolically prove every\n\
          \x20            translated block semantically equivalent to the step\n\
          \x20            semantics of a fresh decode of its bytes — final\n\
          \x20            registers, observable flags (incl. lazy-flags\n\
          \x20            materialization), ordered memory effects, and the\n\
-         \x20            terminator; a disagreement aborts the run. Also\n\
-         \x20            enabled by BOLT_SEM_VALIDATE=1"
+         \x20            terminator; a disagreeing block degrades to a\n\
+         \x20            lower execution tier instead of aborting the run.\n\
+         \x20            Also enabled by BOLT_SEM_VALIDATE=1"
     );
     std::process::exit(2)
 }
@@ -185,7 +180,6 @@ struct Cli {
     retries: u32,
     backoff_ms: u64,
     seed: u64,
-    validate_uops: bool,
     validate_semantics: bool,
     /// Hidden: run as the supervised worker for this shard index.
     shard_worker: Option<usize>,
@@ -214,7 +208,6 @@ fn parse_cli() -> Cli {
         retries: 2,
         backoff_ms: 100,
         seed: 0,
-        validate_uops: false,
         validate_semantics: false,
         shard_worker: None,
         artifact_out: None,
@@ -234,7 +227,6 @@ fn parse_cli() -> Cli {
             "--fdata" => cli.fdata = it.next().cloned(),
             "--ip" => cli.use_ip = true,
             "--counters" => cli.counters = true,
-            "--validate-uops" => cli.validate_uops = true,
             "--validate-semantics" => cli.validate_semantics = true,
             "--period" => cli.period = num(&mut it),
             "--max-steps" => cli.max_steps = Some(num(&mut it)),
@@ -272,9 +264,6 @@ fn parse_cli() -> Cli {
 
 fn main() -> ExitCode {
     let cli = parse_cli();
-    if cli.validate_uops {
-        bolt::emu::enable_uop_validation();
-    }
     if cli.validate_semantics {
         bolt::emu::enable_sem_validation();
     }
@@ -571,9 +560,6 @@ fn run_supervise_mode(cli: &Cli, elf_bytes: &[u8], elf: &bolt::elf::Elf) -> Exit
         }
         if let Some(base) = cli.shard_config {
             cmd.arg("--shard-config").arg(base.to_string());
-        }
-        if cli.validate_uops {
-            cmd.arg("--validate-uops");
         }
         if cli.validate_semantics {
             cmd.arg("--validate-semantics");

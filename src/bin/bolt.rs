@@ -34,14 +34,14 @@ fn usage() -> ! {
            \x20   (measurement-side emulation shard count, recorded on\n\
            \x20   BoltOptions for profiling harnesses; 0 = auto [BOLT_SHARDS\n\
            \x20   env or 1]. Rewriting is unaffected — see bolt-run --shards)\n\
-           -engine=step|block|superblock|uop\n\
+           -engine=step|superblock|uop\n\
            \x20   (measurement-side emulation engine, recorded on BoltOptions\n\
            \x20   for profiling harnesses; default follows the BOLT_ENGINE env\n\
            \x20   override or `step`. Byte-identical results under every\n\
-           \x20   engine — block translates basic blocks, superblock spans\n\
-           \x20   memory ops and chains blocks, uop additionally lowers to\n\
-           \x20   pre-resolved micro-ops with lazy flags, each faster than\n\
-           \x20   the last. See bolt-run --engine)\n\
+           \x20   engine — superblock translates chained blocks spanning\n\
+           \x20   memory ops, uop additionally lowers to pre-resolved\n\
+           \x20   micro-ops with lazy flags, each faster than the last.\n\
+           \x20   See bolt-run --engine)\n\
            -skip-unchanged\n\
            \x20   (skip repeated pipeline registrations of a pass whose earlier\n\
            \x20   instance reported zero changes this run, e.g. the second icf\n\

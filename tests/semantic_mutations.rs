@@ -1,10 +1,12 @@
 //! The semantic-mutation acceptance suite: every [`SemMutation`] kind
-//! corrupts a block translation in a way the *structural* validator
-//! (`bolt::emu::validate_block`) still accepts — the pools remain
-//! internally consistent — yet the *symbolic* validator
+//! corrupts a block translation while keeping its pools internally
+//! consistent, and the symbolic validator
 //! (`bolt::emu::validate_translation`) must catch it with the expected
-//! finding kind, because only the symbolic layer compares the
-//! translation against the meaning of the original bytes.
+//! finding kind, because it compares the translation against the
+//! meaning of the original bytes. Lowering bugs that leave the micro-op
+//! pool *inconsistent* with a faithful decoded pool — the defects the
+//! retired structural validator existed for — must be caught the same
+//! way.
 //!
 //! Also covers the clean direction (faithful translations of the same
 //! blocks prove equivalent with zero findings) and the lazy-flags
@@ -13,8 +15,8 @@
 //! elided, via the block-exit flags observable.
 
 use bolt::emu::{
-    lower_into, translation_shapes, validate_block, validate_code, validate_translation, MemShape,
-    MicroOp, SemFindingKind,
+    lower_into, translation_shapes, validate_code, validate_translation, MemShape, MicroOp,
+    SemFindingKind,
 };
 use bolt::verify::{apply_sem_mutation, SemMutation};
 use bolt_isa::{encode_at, encoded_len, AluOp, Cond, Inst, JumpWidth, Mem, Reg, Target};
@@ -110,10 +112,10 @@ fn site_block(m: SemMutation) -> Vec<(Inst, u8)> {
 }
 
 /// The tentpole acceptance property: each semantic corruption is
-/// field-plausible (structural validation still passes) yet the
+/// field-plausible (the pools stay consistent with each other) yet the
 /// symbolic validator reports the expected finding kind.
 #[test]
-fn every_mutation_passes_structural_but_fails_symbolic_validation() {
+fn every_mutation_fails_symbolic_validation() {
     let entry = 0x400100u64;
     for m in SemMutation::ALL {
         let reference = site_block(m);
@@ -130,11 +132,6 @@ fn every_mutation_passes_structural_but_fails_symbolic_validation() {
         let desc = apply_sem_mutation(m, &mut cached, &mut uops, &mut shapes)
             .unwrap_or_else(|| panic!("{m}: site block must contain an applicable site"));
 
-        // Structural validation (pools against each other) still accepts.
-        validate_block(&cached, &uops).unwrap_or_else(|e| {
-            panic!("{m} ({desc}): structural validator must keep accepting, got {e}")
-        });
-
         // Symbolic validation (translation against the bytes' meaning)
         // reports the expected kind.
         let findings = validate_translation(entry, &reference, &cached, Some(&uops), Some(&shapes));
@@ -142,6 +139,69 @@ fn every_mutation_passes_structural_but_fails_symbolic_validation() {
             findings.iter().any(|f| f.kind == m.expected_kind()),
             "{m} ({desc}): expected a {:?} finding, got {findings:?}",
             m.expected_kind()
+        );
+    }
+}
+
+/// Lowering bugs that corrupt *only* the micro-op pool: the decoded
+/// pool stays faithful, so the pools disagree with each other. Each of
+/// the defects the retired structural validator caught by comparing
+/// the pools field by field must surface as a symbolic finding of the
+/// right kind.
+#[test]
+fn uop_only_corruptions_fail_symbolic_validation() {
+    let entry = 0x400100u64;
+    let reference = with_len(&[
+        Inst::AluI {
+            op: AluOp::Cmp,
+            dst: Reg::Rax,
+            imm: 4,
+        },
+        Inst::Jcc {
+            cond: Cond::E,
+            target: Target::Addr(0x400000),
+            width: JumpWidth::Near,
+        },
+    ]);
+    let (faithful_uops, shapes) = faithful(&reference);
+    type Corruption = (&'static str, fn(&mut Vec<MicroOp>), SemFindingKind);
+    let corruptions: [Corruption; 5] = [
+        (
+            "swapped register index",
+            |u| u[0].a = Reg::Rbx.num(),
+            SemFindingKind::FlagMismatch,
+        ),
+        (
+            "corrupted immediate",
+            |u| u[0].imm = 5,
+            SemFindingKind::FlagMismatch,
+        ),
+        (
+            "live cmp marked flags-dead under its jcc",
+            |u| u[0].fl = false,
+            SemFindingKind::FlagMismatch,
+        ),
+        (
+            "truncated uop pool",
+            |u| {
+                u.pop();
+            },
+            SemFindingKind::LengthMismatch,
+        ),
+        (
+            "drifted instruction length",
+            |u| u[0].len += 1,
+            SemFindingKind::LengthMismatch,
+        ),
+    ];
+    for (what, corrupt, expected) in corruptions {
+        let mut uops = faithful_uops.clone();
+        corrupt(&mut uops);
+        let findings =
+            validate_translation(entry, &reference, &reference, Some(&uops), Some(&shapes));
+        assert!(
+            findings.iter().any(|f| f.kind == expected),
+            "{what}: expected a {expected:?} finding, got {findings:?}"
         );
     }
 }
@@ -214,7 +274,6 @@ fn elided_flag_writer_is_caught_at_the_chained_block_boundary() {
         &mut shapes,
     )
     .expect("the live shift is an applicable site");
-    validate_block(&cached, &uops).expect("structurally still consistent");
     let findings = validate_translation(a_entry, &block_a, &cached, Some(&uops), Some(&shapes));
     assert!(
         findings

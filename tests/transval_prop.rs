@@ -5,21 +5,19 @@
 //! initial register states, the symbolic sweep
 //! (`bolt::emu::validate_code`) proves every translation tier
 //! equivalent to step semantics — and concretely, running the very same
-//! bytes under all four engines must then agree on every observable
+//! bytes under all three engines must then agree on every observable
 //! (program output including flag probes, final registers, final
 //! flags). A symbolic "clean" verdict that concrete execution
 //! contradicts would fail here.
 //!
 //! Catching direction: applying a random applicable semantic mutation
 //! to a random block must flip the symbolic verdict to the mutation's
-//! expected finding kind while the structural validator still accepts
-//! the corrupted pools.
+//! expected finding kind.
 
 use bolt::elf::{Elf, Section};
 use bolt::emu::symexec::{sym_block_insts, SymState};
 use bolt::emu::{
-    lower_into, translation_shapes, validate_block, validate_code, validate_translation, Engine,
-    Machine, NullSink,
+    lower_into, translation_shapes, validate_code, validate_translation, Engine, Machine, NullSink,
 };
 use bolt::verify::{apply_sem_mutation, SemMutation};
 use bolt_isa::{encode_at, encoded_len, AluOp, Cond, Inst, Reg, ShiftOp, Target};
@@ -180,7 +178,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Soundness: symbolic "equivalent" verdicts are backed by concrete
-    /// agreement of all four engines on random programs and states.
+    /// agreement of all three engines on random programs and states.
     #[test]
     fn symbolic_clean_verdict_matches_concrete_execution(
         inits in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
@@ -194,8 +192,8 @@ proptest! {
         let insts = program(&inits, &body);
         let code = assemble(&insts, base);
 
-        // Symbolic verdict: all three translation tiers equivalent to
-        // step semantics on these bytes.
+        // Symbolic verdict: both translation tiers equivalent to step
+        // semantics on these bytes.
         let findings = validate_code(&code, base);
         prop_assert!(findings.is_empty(), "symbolic findings on a faithful program: {findings:?}");
 
@@ -204,7 +202,7 @@ proptest! {
         let mut elf = Elf::new(base);
         elf.sections.push(Section::code(".text", base, code));
         let mut legs = Vec::new();
-        for engine in [Engine::Step, Engine::Block, Engine::Superblock, Engine::Uop] {
+        for engine in [Engine::Step, Engine::Superblock, Engine::Uop] {
             let mut m = Machine::new();
             m.load_elf(&elf);
             let r = m.run_engine(&mut NullSink, 1_000_000, engine).expect("runs");
@@ -219,8 +217,7 @@ proptest! {
     }
 
     /// Catching: a random applicable semantic mutation on a random
-    /// block flips the symbolic verdict to the expected finding kind
-    /// while structural validation keeps accepting.
+    /// block flips the symbolic verdict to the expected finding kind.
     #[test]
     fn random_semantic_mutation_is_caught(
         body in proptest::collection::vec(
@@ -243,8 +240,6 @@ proptest! {
 
         let m = SemMutation::ALL[which];
         if let Some(desc) = apply_sem_mutation(m, &mut cached, &mut uops, &mut shapes) {
-            validate_block(&cached, &uops)
-                .unwrap_or_else(|e| panic!("{m} ({desc}): structural validator must accept: {e}"));
             let findings =
                 validate_translation(entry, &reference, &cached, Some(&uops), Some(&shapes));
             // In a random body the mutation can land in dead code (the
@@ -348,7 +343,7 @@ fn looping_program_sweeps_clean_and_agrees_concretely() {
     let mut elf = Elf::new(base);
     elf.sections.push(Section::code(".text", base, code));
     let mut outputs = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock, Engine::Uop] {
+    for engine in [Engine::Step, Engine::Superblock, Engine::Uop] {
         let mut m = Machine::new();
         m.load_elf(&elf);
         let r = m.run_engine(&mut NullSink, 10_000, engine).expect("runs");
