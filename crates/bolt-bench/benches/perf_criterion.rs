@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the reproduction's own algorithms:
 //! encoder/decoder throughput, block-layout algorithms, HFSort
 //! clustering, flow repair, the cache simulator, and the emulation
-//! engine tiers (step / block / superblock / uop).
+//! engine tiers (step / superblock / uop).
 
 use bolt_bench::*;
 use bolt_compiler::CompileOptions;

@@ -12,8 +12,7 @@
 
 use bolt_bench::*;
 use bolt_compiler::CompileOptions;
-use bolt_emu::{resolve_shards, Engine};
-use bolt_passes::resolve_threads;
+use bolt_emu::{Engine, Knobs};
 use bolt_sim::SimConfig;
 use bolt_workloads::{Scale, Workload};
 use std::time::Instant;
@@ -41,7 +40,7 @@ fn main() {
     // runs input size full/shards + i (the +i seed offset keeps shards
     // distinguishable), so the batch does roughly the work of one full
     // serial run, split N ways.
-    let shards = resolve_shards(0).max(8);
+    let shards = Knobs::get().shards(0).max(8);
     let full = read_config_word(&elf);
     let base = (full / shards as i64).max(1);
     println!(
@@ -54,7 +53,7 @@ fn main() {
 
     // On single-core runners the sharded leg still runs at least two
     // workers so the determinism assertion always means something.
-    let auto = resolve_threads(0);
+    let auto = Knobs::get().threads(0);
     let workers = auto.max(2);
     let mut results = Vec::new();
     for threads in [1usize, workers] {
@@ -135,15 +134,8 @@ fn main() {
     }
 
     // The merged profile drives BOLT exactly like a single-run profile.
-    // The measurement plan is derived from BoltOptions — the same path
-    // the `-shards=N` / `-threads=N` CLI flags populate.
     let bolted = bolt_with_profile(&elf, &sharded.0);
-    let opts = bolt_opt::BoltOptions {
-        shards,
-        threads: workers,
-        ..bolt_opt::BoltOptions::paper_default()
-    };
-    let plan = shard_plan_from(&opts);
+    let plan = shard_plan(shards, workers);
     let before = measure_batch_with(&elf, &cfg, &plan, seed_partition(&elf, base));
     let after = measure_batch_with(&bolted.elf, &cfg, &plan, seed_partition(&bolted.elf, base));
     for (b, a) in before.runs.iter().zip(&after.runs) {

@@ -6,7 +6,7 @@
 use bolt_bench::*;
 use bolt_compiler::CompileOptions;
 use bolt_emu::Engine;
-use bolt_passes::{resolve_threads, PassManager, PassOptions, TABLE1};
+use bolt_passes::{PassManager, PassOptions, TABLE1};
 use bolt_sim::SimConfig;
 use bolt_workloads::{Scale, Workload};
 use std::time::Instant;
@@ -105,7 +105,7 @@ fn main() {
     // still exercised (with at least two workers) so the determinism
     // assertion always means something; the speedup is only meaningful
     // when real parallelism is available.
-    let auto = resolve_threads(0);
+    let auto = bolt_emu::Knobs::get().threads(0);
     let parallel_threads = auto.max(2);
     println!("\nparallel per-function passes (-threads=N), same input context:");
     let ctx0 = prepare_ctx(&baseline, &profile);

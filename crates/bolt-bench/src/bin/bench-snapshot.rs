@@ -44,8 +44,11 @@ struct Leg {
     fingerprint: String,
 }
 
-fn run_leg(elf: &Elf, engine: Engine, reps: usize) -> Leg {
+fn run_leg(elf: &Elf, engine: Engine, reps: usize, validate: bool) -> Leg {
     let mut m = Machine::new();
+    if validate {
+        m.set_sem_validation(true);
+    }
     let mut null_ms = f64::INFINITY;
     let mut steps = 0u64;
     for _ in 0..reps {
@@ -166,7 +169,10 @@ fn main() {
     );
     let mut uop_wins = 0usize;
     for (wi, (name, elf)) in workloads.iter().enumerate() {
-        let legs: Vec<Leg> = ENGINES.iter().map(|&e| run_leg(elf, e, reps)).collect();
+        let legs: Vec<Leg> = ENGINES
+            .iter()
+            .map(|&e| run_leg(elf, e, reps, false))
+            .collect();
         for (e, leg) in ENGINES.iter().zip(&legs) {
             assert_eq!(
                 legs[0].fingerprint, leg.fingerprint,
@@ -459,9 +465,9 @@ fn main() {
     // Symbolic translation-validation overhead: re-run the two
     // translation engines on TAO with semantic validation enabled and
     // record the wall-clock cost against a just-measured baseline (the
-    // validator runs once per packed block, at translate time). This
-    // section is measured LAST by necessity: the knob is process-global
-    // and sticky-on, so everything timed above runs validation-free.
+    // validator runs once per packed block, at translate time).
+    // Validation is a setting of the leg's own machine, so each engine's
+    // baseline and validated runs sit back to back.
     let _ = writeln!(json, "  \"sem_validate\": {{");
     let tao = &workloads
         .iter()
@@ -470,13 +476,9 @@ fn main() {
         .1;
     let sem_engines = [Engine::Superblock, Engine::Uop];
     let sem_reps = reps.min(3);
-    let baseline: Vec<f64> = sem_engines
-        .iter()
-        .map(|&e| run_leg(tao, e, sem_reps).null_ms)
-        .collect();
-    bolt_emu::enable_sem_validation();
-    for (si, (&e, base_ms)) in sem_engines.iter().zip(&baseline).enumerate() {
-        let validated_ms = run_leg(tao, e, sem_reps).null_ms;
+    for (si, &e) in sem_engines.iter().enumerate() {
+        let base_ms = run_leg(tao, e, sem_reps, false).null_ms;
+        let validated_ms = run_leg(tao, e, sem_reps, true).null_ms;
         let pct = 100.0 * (validated_ms - base_ms) / base_ms.max(f64::MIN_POSITIVE);
         println!(
             "  {:<12} --engine={e:<10} sem-validate {validated_ms:>9.3} ms \

@@ -12,22 +12,20 @@
 
 use bolt_compiler::{compile_and_link, CompileOptions, MirProgram, SourceProfile};
 use bolt_elf::Elf;
-use bolt_emu::{run_batch, EmuError, Exit, Machine, ShardPlan, Tee, TraceSink};
+use bolt_emu::{EmuError, Exit, Knobs, Machine, ShardPlan, TraceSink};
 use bolt_ir::LineTable;
 use bolt_opt::{optimize, BoltOptions, BoltOutput};
-use bolt_passes::resolve_threads;
-use bolt_profile::{IpSampler, LbrSampler, Profile, ProfileMode, SampleTrigger};
-use bolt_sim::{Counters, CpuModel, SimConfig};
+use bolt_profile::{merge_shards, run_shards, Attach, Profile, ProfileMode};
+use bolt_sim::{Counters, SimConfig};
 
 /// Default emulation budget per run (overridable at runtime: the
-/// `BOLT_MAX_STEPS` environment knob, resolved through
-/// [`bolt_emu::resolve_max_steps`] by [`budget`]).
+/// `BOLT_MAX_STEPS` environment knob, resolved by [`budget`]).
 pub const MAX_STEPS: u64 = 2_000_000_000;
 
 /// The effective step budget: `BOLT_MAX_STEPS` when set, else
 /// [`MAX_STEPS`].
 pub fn budget() -> u64 {
-    bolt_emu::resolve_max_steps(None, MAX_STEPS)
+    Knobs::get().max_steps(0, MAX_STEPS)
 }
 /// Default LBR sampling period (instructions per sample).
 pub const SAMPLE_PERIOD: u64 = 997;
@@ -102,30 +100,14 @@ pub fn build(program: &MirProgram, opts: &CompileOptions) -> Elf {
         .elf
 }
 
-/// Runs a binary under the microarchitectural model.
+/// Runs a binary under the microarchitectural model (a one-shard
+/// [`measure_batch`]).
 pub fn measure(elf: &Elf, cfg: &SimConfig) -> RunResult {
-    try_measure(elf, cfg).unwrap_or_else(|e| panic!("measure: {e}"))
+    measure_batch(elf, cfg, &shard_plan(1, 1)).runs.remove(0)
 }
 
-/// [`measure`], reporting a non-exiting workload as a [`HarnessError`].
-pub fn try_measure(elf: &Elf, cfg: &SimConfig) -> Result<RunResult, HarnessError> {
-    let mut model = CpuModel::new(cfg.clone());
-    let (code, output, steps) = try_run_with(elf, &mut model)?;
-    Ok(RunResult {
-        exit_code: code,
-        output,
-        steps,
-        counters: model.counters(),
-    })
-}
-
-/// Runs a binary with an arbitrary sink attached.
-pub fn run_with<S: TraceSink + ?Sized>(elf: &Elf, sink: &mut S) -> (i64, Vec<i64>, u64) {
-    try_run_with(elf, sink).unwrap_or_else(|e| panic!("run_with: {e}"))
-}
-
-/// [`run_with`], reporting a non-exiting workload as a [`HarnessError`]
-/// instead of panicking.
+/// Runs a binary with an arbitrary sink attached, reporting a
+/// non-exiting workload as a [`HarnessError`].
 pub fn try_run_with<S: TraceSink + ?Sized>(
     elf: &Elf,
     sink: &mut S,
@@ -148,25 +130,14 @@ pub fn try_run_with<S: TraceSink + ?Sized>(
 }
 
 /// Builds a [`ShardPlan`] for the measurement wrappers, resolving both
-/// knobs: `shards == 0` follows the `BOLT_SHARDS` environment override
-/// (default 1), `threads == 0` follows `BOLT_THREADS` / available
-/// parallelism exactly like the optimizer passes.
+/// knobs through [`Knobs`]: `shards == 0` follows `BOLT_SHARDS` (default
+/// 1), `threads == 0` follows `BOLT_THREADS` / available parallelism
+/// exactly like the optimizer passes.
 pub fn shard_plan(shards: usize, threads: usize) -> ShardPlan {
-    ShardPlan::new(bolt_emu::resolve_shards(shards))
-        .with_threads(resolve_threads(threads))
+    let knobs = Knobs::get();
+    ShardPlan::new(knobs.shards(shards))
+        .with_threads(knobs.threads(threads))
         .with_max_steps(budget())
-}
-
-/// The measurement [`ShardPlan`] a [`BoltOptions`] describes — the
-/// `-shards=N` / `-threads=N` / `-engine=` CLI knobs resolved exactly
-/// like [`shard_plan`]. Harness code that already carries a
-/// `BoltOptions` (benches, drivers) derives its batch shape from here so
-/// the CLI flags, the environment overrides, and the library path can't
-/// drift.
-pub fn shard_plan_from(opts: &BoltOptions) -> ShardPlan {
-    let mut plan = shard_plan(opts.shards, opts.threads);
-    plan.engine = opts.engine;
-    plan
 }
 
 /// The observable result of one sharded batch measurement.
@@ -180,30 +151,44 @@ pub struct BatchResult {
     pub counters: Counters,
 }
 
-impl BatchResult {
-    fn collect(runs: Vec<RunResult>) -> BatchResult {
-        let counters = runs.iter().map(|r| &r.counters).sum();
-        BatchResult { runs, counters }
-    }
-}
-
-fn exit_code_of(
-    shard: usize,
-    r: &bolt_emu::RunResult,
+/// The harness view of the shared runner ([`run_shards`] +
+/// [`merge_shards`]): experiment code treats a faulting or non-exiting
+/// shard as a bug in the experiment itself, so the first one (by shard
+/// index) panics with its [`HarnessError`] under the caller's name.
+fn run_harness(
+    what: &str,
     elf: &Elf,
     plan: &ShardPlan,
-) -> Result<i64, HarnessError> {
-    match r.exit {
-        Exit::Exited(code) => Ok(code),
-        exit => Err(HarnessError::DidNotExit {
-            shard,
-            shards: plan.shards,
-            exit,
-            steps: r.steps,
-            budget: plan.max_steps,
-            entry: elf.entry,
-        }),
-    }
+    attach: &Attach,
+    prepare: impl Fn(usize, &mut Machine) + Sync,
+) -> (Profile, BatchResult) {
+    let shards = run_shards(elf, plan, attach, 0, prepare)
+        .unwrap_or_else(|e| panic!("{what}: {}", HarnessError::Emu(e)));
+    let merged = merge_shards(&shards);
+    let runs = shards
+        .into_iter()
+        .map(|s| {
+            let Exit::Exited(exit_code) = s.exit else {
+                let e = HarnessError::DidNotExit {
+                    shard: s.shard as usize,
+                    shards: plan.shards,
+                    exit: s.exit,
+                    steps: s.steps,
+                    budget: plan.max_steps,
+                    entry: elf.entry,
+                };
+                panic!("{what}: {e}");
+            };
+            RunResult {
+                exit_code,
+                output: s.output,
+                steps: s.steps,
+                counters: s.counters.unwrap_or_default(),
+            }
+        })
+        .collect();
+    let counters = merged.counters;
+    (merged.profile, BatchResult { runs, counters })
 }
 
 /// Runs `plan.shards` independent invocations of `elf` under the
@@ -218,30 +203,11 @@ pub fn measure_batch_with(
     plan: &ShardPlan,
     prepare: impl Fn(usize, &mut Machine) + Sync,
 ) -> BatchResult {
-    try_measure_batch_with(elf, cfg, plan, prepare).unwrap_or_else(|e| panic!("measure_batch: {e}"))
-}
-
-/// [`measure_batch_with`], reporting the first failed shard (by shard
-/// index) as a [`HarnessError`] instead of panicking.
-pub fn try_measure_batch_with(
-    elf: &Elf,
-    cfg: &SimConfig,
-    plan: &ShardPlan,
-    prepare: impl Fn(usize, &mut Machine) + Sync,
-) -> Result<BatchResult, HarnessError> {
-    let shards = run_batch(elf, plan, |_| CpuModel::new(cfg.clone()), prepare)?;
-    let runs = shards
-        .into_iter()
-        .map(|s| {
-            Ok(RunResult {
-                exit_code: exit_code_of(s.shard, &s.result, elf, plan)?,
-                output: s.output,
-                steps: s.result.steps,
-                counters: s.sink.counters(),
-            })
-        })
-        .collect::<Result<_, HarnessError>>()?;
-    Ok(BatchResult::collect(runs))
+    let attach = Attach {
+        sampler: None,
+        model: Some(cfg.clone()),
+    };
+    run_harness("measure_batch", elf, plan, &attach, prepare).1
 }
 
 /// [`measure_batch_with`] with no per-shard preparation (every shard
@@ -250,110 +216,27 @@ pub fn measure_batch(elf: &Elf, cfg: &SimConfig, plan: &ShardPlan) -> BatchResul
     measure_batch_with(elf, cfg, plan, |_, _| ())
 }
 
-/// [`measure_batch`], reporting failed shards as a [`HarnessError`].
-pub fn try_measure_batch(
-    elf: &Elf,
-    cfg: &SimConfig,
-    plan: &ShardPlan,
-) -> Result<BatchResult, HarnessError> {
-    try_measure_batch_with(elf, cfg, plan, |_, _| ())
-}
-
-/// Per-shard sink for sharded profiling: an LBR sampler and a CPU model
-/// fed by the same trace (what `profile_lbr` composes with [`Tee`], but
-/// owned so it can cross the batch's thread boundary).
-struct ProfilingSink {
-    sampler: LbrSampler,
-    model: CpuModel,
-}
-
-impl TraceSink for ProfilingSink {
-    #[inline]
-    fn on_inst(&mut self, addr: u64, len: u8) {
-        self.sampler.on_inst(addr, len);
-        self.model.on_inst(addr, len);
-    }
-
-    #[inline]
-    fn on_block(&mut self, ev: bolt_emu::BlockEvent<'_>) {
-        self.sampler.on_block(ev);
-        self.model.on_block(ev);
-    }
-
-    #[inline]
-    fn on_branch(&mut self, ev: bolt_emu::BranchEvent) {
-        self.sampler.on_branch(ev);
-        self.model.on_branch(ev);
-    }
-
-    #[inline]
-    fn on_mem(&mut self, addr: u64, len: u8, write: bool) {
-        self.sampler.on_mem(addr, len, write);
-        self.model.on_mem(addr, len, write);
-    }
-}
-
 /// Sharded [`profile_lbr`]: collects an LBR profile and microarch
 /// counters from `plan.shards` independent invocations, merging the
 /// per-shard profiles in shard-index order ([`Profile::merge`]) and
 /// summing the counters. Every shard gets a fresh sampler and model, so
-/// the merged profile is byte-identical at any worker count — and a
-/// one-shard batch equals a plain [`profile_lbr`] run exactly.
+/// the merged profile is byte-identical at any worker count.
 pub fn profile_lbr_batch_with(
     elf: &Elf,
     cfg: &SimConfig,
     plan: &ShardPlan,
     prepare: impl Fn(usize, &mut Machine) + Sync,
 ) -> (Profile, BatchResult) {
-    try_profile_lbr_batch_with(elf, cfg, plan, prepare)
-        .unwrap_or_else(|e| panic!("profile_lbr_batch: {e}"))
-}
-
-/// [`profile_lbr_batch_with`], reporting the first failed shard (by
-/// shard index) as a [`HarnessError`] instead of panicking.
-pub fn try_profile_lbr_batch_with(
-    elf: &Elf,
-    cfg: &SimConfig,
-    plan: &ShardPlan,
-    prepare: impl Fn(usize, &mut Machine) + Sync,
-) -> Result<(Profile, BatchResult), HarnessError> {
-    let shards = run_batch(
-        elf,
-        plan,
-        |_| ProfilingSink {
-            sampler: LbrSampler::new(SAMPLE_PERIOD, SampleTrigger::Instructions),
-            model: CpuModel::new(cfg.clone()),
-        },
-        prepare,
-    )?;
-    let mut profile = Profile::new(ProfileMode::Lbr);
-    let runs = shards
-        .into_iter()
-        .map(|s| {
-            profile.merge(&s.sink.sampler.profile);
-            Ok(RunResult {
-                exit_code: exit_code_of(s.shard, &s.result, elf, plan)?,
-                output: s.output,
-                steps: s.result.steps,
-                counters: s.sink.model.counters(),
-            })
-        })
-        .collect::<Result<_, HarnessError>>()?;
-    Ok((profile, BatchResult::collect(runs)))
+    let attach = Attach {
+        sampler: Some((ProfileMode::Lbr, SAMPLE_PERIOD)),
+        model: Some(cfg.clone()),
+    };
+    run_harness("profile_lbr_batch", elf, plan, &attach, prepare)
 }
 
 /// [`profile_lbr_batch_with`] with no per-shard preparation.
 pub fn profile_lbr_batch(elf: &Elf, cfg: &SimConfig, plan: &ShardPlan) -> (Profile, BatchResult) {
     profile_lbr_batch_with(elf, cfg, plan, |_, _| ())
-}
-
-/// [`profile_lbr_batch`], reporting failed shards as a [`HarnessError`].
-pub fn try_profile_lbr_batch(
-    elf: &Elf,
-    cfg: &SimConfig,
-    plan: &ShardPlan,
-) -> Result<(Profile, BatchResult), HarnessError> {
-    try_profile_lbr_batch_with(elf, cfg, plan, |_, _| ())
 }
 
 /// Returns a seed-partitioning prepare closure for the batch wrappers:
@@ -362,11 +245,7 @@ pub fn try_profile_lbr_batch(
 /// partitions the workload's input space by seed instead of running N
 /// identical invocations. Panics if the binary has no `config` symbol.
 pub fn seed_partition(elf: &Elf, base: i64) -> impl Fn(usize, &mut Machine) + Sync {
-    let addr = elf
-        .symbol("config")
-        .expect("seed-partitioned workload has a config global")
-        .value;
-    move |shard, m| m.mem.write_u64(addr, (base + shard as i64) as u64)
+    bolt_profile::seed_partition(elf, base).expect("seed-partitioned workload has a config global")
 }
 
 /// Builds a synthetic straight-line-heavy binary: a loop whose
@@ -457,30 +336,20 @@ pub fn straightline_elf(iters: i64) -> Elf {
     elf
 }
 
-/// Collects an LBR profile (and microarch counters) in one run.
+/// Collects an LBR profile (and microarch counters) in one run (a
+/// one-shard [`profile_lbr_batch`]).
 pub fn profile_lbr(elf: &Elf, cfg: &SimConfig) -> (Profile, RunResult) {
-    let mut sampler = LbrSampler::new(SAMPLE_PERIOD, SampleTrigger::Instructions);
-    let mut model = CpuModel::new(cfg.clone());
-    let (code, output, steps) = {
-        let mut tee = Tee(&mut sampler, &mut model);
-        run_with(elf, &mut tee)
-    };
-    (
-        sampler.profile,
-        RunResult {
-            exit_code: code,
-            output,
-            steps,
-            counters: model.counters(),
-        },
-    )
+    let (profile, mut batch) = profile_lbr_batch(elf, cfg, &shard_plan(1, 1));
+    (profile, batch.runs.remove(0))
 }
 
 /// Collects a plain IP-sample profile (non-LBR mode, paper section 5.1).
 pub fn profile_ip(elf: &Elf, period: u64) -> Profile {
-    let mut sampler = IpSampler::new(period);
-    let _ = run_with(elf, &mut sampler);
-    sampler.profile
+    let attach = Attach {
+        sampler: Some((ProfileMode::IpSamples, period)),
+        model: None,
+    };
+    run_harness("profile_ip", elf, &shard_plan(1, 1), &attach, |_, _| ()).0
 }
 
 /// Converts a binary profile to the aggregated source profile compiler
@@ -606,6 +475,9 @@ pub fn set_input_size(elf: &mut Elf, iterations: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bolt_emu::Tee;
+    use bolt_profile::{LbrSampler, SampleTrigger};
+    use bolt_sim::CpuModel;
     use bolt_workloads::{Scale, Workload};
 
     #[test]
@@ -635,15 +507,28 @@ mod tests {
         let program = Workload::Tao.build(Scale::Test);
         let elf = build(&program, &CompileOptions::default());
         let cfg = SimConfig::small();
-        let (serial_profile, serial_run) = profile_lbr(&elf, &cfg);
+        // The reference is a hand-composed serial run, not the runner.
+        let mut sampler = LbrSampler::new(SAMPLE_PERIOD, SampleTrigger::Instructions);
+        let mut model = CpuModel::new(cfg.clone());
+        let (exit_code, output, steps) =
+            try_run_with(&elf, &mut Tee(&mut sampler, &mut model)).expect("tao exits");
+        let serial_run = RunResult {
+            exit_code,
+            output,
+            steps,
+            counters: model.counters(),
+        };
         let (batch_profile, batch) = profile_lbr_batch(&elf, &cfg, &shard_plan(1, 1));
         assert_eq!(batch.runs.len(), 1);
-        assert_eq!(batch_profile, serial_profile);
+        assert_eq!(batch_profile, sampler.profile);
         assert_eq!(batch.runs[0], serial_run);
         assert_eq!(batch.counters, serial_run.counters);
+        assert_eq!(profile_lbr(&elf, &cfg), (batch_profile, serial_run.clone()));
 
+        // Modelling alone sees the same trace, so the same counters.
         let measured = measure_batch(&elf, &cfg, &shard_plan(1, 1));
-        assert_eq!(measured.runs[0], measure(&elf, &cfg));
+        assert_eq!(measured.runs[0], serial_run);
+        assert_eq!(measure(&elf, &cfg), serial_run);
     }
 
     #[test]
@@ -664,27 +549,36 @@ mod tests {
         assert_eq!(step, run(Engine::Uop), "uop engine identical");
     }
 
+    /// A shard that exhausts its budget is data, not a fault: the
+    /// shared runner reports it in the shard's artifact, and only the
+    /// harness wrapper (where a non-exiting workload is an experiment
+    /// bug) turns the first such shard into a panic naming the budget.
     #[test]
     fn exhausted_step_budget_is_a_structured_error_not_a_panic() {
         let elf = straightline_elf(1_000_000);
         let plan = ShardPlan::new(2).with_threads(1).with_max_steps(50);
-        let err = try_measure_batch(&elf, &SimConfig::small(), &plan).unwrap_err();
-        let HarnessError::DidNotExit {
-            shard,
-            shards,
-            exit,
-            steps,
-            budget,
-            ..
-        } = err
-        else {
-            panic!("unexpected error: {err}");
+        let attach = Attach {
+            sampler: None,
+            model: Some(SimConfig::small()),
         };
-        assert_eq!((shard, shards), (0, 2), "first failing shard reported");
-        assert_eq!(exit, Exit::MaxSteps);
-        assert_eq!(budget, 50);
-        assert!(steps >= 50, "ran up to the budget: {steps}");
-        assert!(err.to_string().contains("did not exit"));
+        let shards = run_shards(&elf, &plan, &attach, 0, |_, _| ()).expect("no emulator fault");
+        assert_eq!(shards.len(), 2);
+        assert_eq!((shards[0].shard, shards[0].exit), (0, Exit::MaxSteps));
+        assert!(
+            shards[0].steps >= 50,
+            "ran up to the budget: {:?}",
+            shards[0]
+        );
+        assert_eq!(merge_shards(&shards).exit, Exit::MaxSteps);
+
+        let panic = std::panic::catch_unwind(|| measure_batch(&elf, &SimConfig::small(), &plan))
+            .expect_err("the harness wrapper refuses a truncated measurement");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("shard 0/2 did not exit"), "{msg}");
+        assert!(
+            msg.contains("MaxSteps") && msg.contains("budget 50"),
+            "{msg}"
+        );
     }
 
     #[test]

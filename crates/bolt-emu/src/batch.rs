@@ -15,13 +15,8 @@
 //! identical at any worker count. Workers *reuse* one machine across
 //! their shards; [`Machine::load_elf`] fully resets it between runs.
 
-use crate::{resolve_engine, EmuError, Engine, Machine, RunResult, TraceSink};
+use crate::{EmuError, Engine, Knobs, Machine, RunResult, TraceSink};
 use bolt_elf::Elf;
-
-/// Hard ceiling on the shard count, mirroring the worker ceiling of
-/// `bolt-passes::resolve_threads`: a garbled `BOLT_SHARDS` request must
-/// degrade to something bounded.
-const MAX_SHARDS: usize = 4096;
 
 /// Describes a batch of independent emulation runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,15 +24,14 @@ pub struct ShardPlan {
     /// Number of independent invocations.
     pub shards: usize,
     /// Worker threads to spread the shards over. This is an *effective*
-    /// count (resolve knobs like `BOLT_THREADS` before building the
-    /// plan, e.g. via `bolt-passes::resolve_threads`); `0` or `1` runs
-    /// the batch serially on the calling thread. The batch result is
-    /// byte-identical at any value.
+    /// count (resolve `BOLT_THREADS` before building the plan, via
+    /// [`Knobs::threads`]); `0` or `1` runs the batch serially on the
+    /// calling thread. The batch result is byte-identical at any value.
     pub threads: usize,
     /// Per-shard step budget.
     pub max_steps: u64,
     /// Execution engine for every shard. `None` (the default) resolves
-    /// via [`resolve_engine`] — the `BOLT_ENGINE` environment override
+    /// via [`Knobs::engine`] — the `BOLT_ENGINE` environment override
     /// or per-instruction stepping. All engines produce
     /// byte-identical batch results; this only changes the wall clock.
     pub engine: Option<Engine>,
@@ -78,56 +72,6 @@ impl ShardPlan {
     }
 }
 
-/// Resolves a shard-count knob.
-///
-/// * `shards >= 1`: that many shards (clamped to a 4096 ceiling).
-/// * `shards == 0` (auto): the `BOLT_SHARDS` environment override if set
-///   and positive, else `1` (serial measurement, the paper's default) —
-///   unlike worker threads, the shard count changes *what* is measured
-///   (how the workload is partitioned), so it never silently follows
-///   machine parallelism.
-pub fn resolve_shards(shards: usize) -> usize {
-    if shards > 0 {
-        return shards.min(MAX_SHARDS);
-    }
-    if let Ok(v) = std::env::var("BOLT_SHARDS") {
-        match v.trim().parse::<usize>() {
-            Ok(0) => {}
-            Ok(n) => return n.min(MAX_SHARDS),
-            // Mirror resolve_threads: a set-but-garbled override fails
-            // loudly instead of silently de-sharding a CI leg.
-            Err(_) => panic!("BOLT_SHARDS must be a non-negative integer, got {v:?}"),
-        }
-    }
-    1
-}
-
-/// Resolves a per-shard step-budget knob.
-///
-/// * `explicit = Some(n)`: that budget, verbatim (a CLI flag wins over
-///   the environment).
-/// * `explicit = None`: the `BOLT_MAX_STEPS` environment override if
-///   set and positive, else `default`.
-///
-/// The env knob exists so a hung workload can be diagnosed without a
-/// rebuild: cap the budget, let the run die with a `DidNotExit` error
-/// that names the budget, and bisect from there. Mirrors
-/// [`resolve_shards`]: a set-but-garbled override fails loudly instead
-/// of silently running unbounded.
-pub fn resolve_max_steps(explicit: Option<u64>, default: u64) -> u64 {
-    if let Some(n) = explicit {
-        return n;
-    }
-    if let Ok(v) = std::env::var("BOLT_MAX_STEPS") {
-        match v.trim().parse::<u64>() {
-            Ok(0) => {}
-            Ok(n) => return n,
-            Err(_) => panic!("BOLT_MAX_STEPS must be a non-negative integer, got {v:?}"),
-        }
-    }
-    default
-}
-
 /// One completed shard: its index, run result, observable output, and
 /// the sink that consumed its trace.
 #[derive(Debug)]
@@ -165,7 +109,7 @@ where
 {
     let shards = plan.shards.max(1);
     let workers = plan.workers();
-    let engine = resolve_engine(plan.engine);
+    let engine = Knobs::get().engine(plan.engine);
 
     let run_range = |range: std::ops::Range<usize>| -> Result<Vec<ShardRun<S>>, EmuError> {
         let mut machine = Machine::new();
@@ -342,24 +286,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, EmuError::BadInstruction { rip: 0x400000 });
-    }
-
-    #[test]
-    fn resolve_shards_explicit_env_and_clamp() {
-        assert_eq!(resolve_shards(7), 7);
-        assert_eq!(resolve_shards(1_000_000), MAX_SHARDS);
-        // 0 with no env (or env handled by CI): at least one shard.
-        assert!(resolve_shards(0) >= 1);
-    }
-
-    #[test]
-    fn resolve_max_steps_explicit_wins_and_default_falls_through() {
-        assert_eq!(resolve_max_steps(Some(42), 7), 42);
-        assert_eq!(resolve_max_steps(Some(u64::MAX), 7), u64::MAX);
-        // With no env set (CI never sets BOLT_MAX_STEPS), the default
-        // flows through; with it set, any positive value is accepted —
-        // either way the result is positive.
-        assert!(resolve_max_steps(None, 7) > 0);
     }
 
     #[test]

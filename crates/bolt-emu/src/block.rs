@@ -271,6 +271,9 @@ pub(crate) struct BlockCache {
     /// Pending injected fault: `(translations remaining, kind)`. Fires
     /// once when the countdown hits zero.
     fault: Option<(u64, InjectedFault)>,
+    /// Prove every translation symbolically (see [`crate::transval`]).
+    /// Configuration, not state: [`clear`](Self::clear) leaves it alone.
+    pub(crate) sem_validate: bool,
 }
 
 impl Default for BlockCache {
@@ -292,6 +295,7 @@ impl Default for BlockCache {
             dirty: false,
             tiers: TierCounts::default(),
             fault: None,
+            sem_validate: crate::Knobs::get().sem_validate(),
         }
     }
 }
@@ -545,7 +549,7 @@ impl BlockCache {
         // per-instruction stepping, which never reads the pools.
         if injected == Some(InjectedFault::SemInvalid) {
             tier = BlockTier::Step;
-        } else if crate::transval::sem_validation_enabled() {
+        } else if self.sem_validate {
             let with_uops = self.mode == TranslationMode::Uop && tier == BlockTier::Full;
             if !self.validate_tier(mem, idx, with_uops).is_empty() {
                 tier = if with_uops && self.validate_tier(mem, idx, false).is_empty() {

@@ -170,10 +170,13 @@ impl TraceSink for NullSink {
     fn on_block(&mut self, _ev: BlockEvent<'_>) {}
 }
 
-/// Fans events out to two sinks (compose for more).
-pub struct Tee<'a, A: ?Sized, B: ?Sized>(pub &'a mut A, pub &'a mut B);
+/// Fans events out to two sinks (compose for more). The halves are
+/// held by value: `Tee(&mut a, &mut b)` borrows two sinks for one run,
+/// `Tee(a, b)` owns them (so one composite per shard can cross a batch's
+/// thread boundary), and an `Option` half is skipped while `None`.
+pub struct Tee<A, B>(pub A, pub B);
 
-impl<A: TraceSink + ?Sized, B: TraceSink + ?Sized> TraceSink for Tee<'_, A, B> {
+impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
     #[inline]
     fn on_inst(&mut self, addr: u64, len: u8) {
         self.0.on_inst(addr, len);
@@ -196,6 +199,61 @@ impl<A: TraceSink + ?Sized, B: TraceSink + ?Sized> TraceSink for Tee<'_, A, B> {
     fn on_mem(&mut self, addr: u64, len: u8, write: bool) {
         self.0.on_mem(addr, len, write);
         self.1.on_mem(addr, len, write);
+    }
+}
+
+/// A borrowed sink is a sink: every event forwards to the referent
+/// (including `on_block`, so its batched path is kept).
+impl<S: TraceSink + ?Sized> TraceSink for &mut S {
+    #[inline]
+    fn on_inst(&mut self, addr: u64, len: u8) {
+        (**self).on_inst(addr, len);
+    }
+
+    #[inline]
+    fn on_block(&mut self, ev: BlockEvent<'_>) {
+        (**self).on_block(ev);
+    }
+
+    #[inline]
+    fn on_branch(&mut self, ev: BranchEvent) {
+        (**self).on_branch(ev);
+    }
+
+    #[inline]
+    fn on_mem(&mut self, addr: u64, len: u8, write: bool) {
+        (**self).on_mem(addr, len, write);
+    }
+}
+
+/// An optional sink: `None` discards every event.
+impl<S: TraceSink> TraceSink for Option<S> {
+    #[inline]
+    fn on_inst(&mut self, addr: u64, len: u8) {
+        if let Some(s) = self {
+            s.on_inst(addr, len);
+        }
+    }
+
+    #[inline]
+    fn on_block(&mut self, ev: BlockEvent<'_>) {
+        if let Some(s) = self {
+            s.on_block(ev);
+        }
+    }
+
+    #[inline]
+    fn on_branch(&mut self, ev: BranchEvent) {
+        if let Some(s) = self {
+            s.on_branch(ev);
+        }
+    }
+
+    #[inline]
+    fn on_mem(&mut self, addr: u64, len: u8, write: bool) {
+        if let Some(s) = self {
+            s.on_mem(addr, len, write);
+        }
     }
 }
 
@@ -297,6 +355,14 @@ mod tests {
         t.on_inst(1, 1);
         assert_eq!(a.insts, 2);
         assert_eq!(b.insts, 2);
+
+        // Owned halves; a `None` half discards.
+        let mut owned = Tee(Some(CountingSink::default()), None::<CountingSink>);
+        owned.on_inst(0, 1);
+        let Tee(Some(kept), None) = owned else {
+            panic!("halves keep their shape");
+        };
+        assert_eq!(kept.insts, 1);
     }
 
     #[test]

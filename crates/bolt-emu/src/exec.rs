@@ -202,27 +202,6 @@ impl fmt::Display for Engine {
     }
 }
 
-/// Resolves an engine knob.
-///
-/// * `Some(engine)`: that engine.
-/// * `None` (auto): the `BOLT_ENGINE` environment override (`step`,
-///   `superblock`, or `uop`) if set, else [`Engine::Step`]. Like
-///   `BOLT_THREADS` / `BOLT_SHARDS`, a set-but-garbled override (or the
-///   retired `block`) fails loudly, quoting [`Engine::VALID`], instead
-///   of silently de-fanging a CI leg.
-pub fn resolve_engine(engine: Option<Engine>) -> Engine {
-    if let Some(e) = engine {
-        return e;
-    }
-    if let Ok(v) = std::env::var("BOLT_ENGINE") {
-        match v.trim().parse() {
-            Ok(e) => return e,
-            Err(msg) => panic!("BOLT_ENGINE: {msg}"),
-        }
-    }
-    Engine::Step
-}
-
 /// The superblock engine's capture sink: records the executing block's
 /// memory accesses (with their execute-time-resolved addresses, tagged
 /// by instruction index) and its terminating branch, for delivery as
@@ -861,9 +840,9 @@ impl Machine {
     }
 
     /// Runs until exit, error, or `max_steps` instructions, under the
-    /// engine [`resolve_engine`] picks (the `BOLT_ENGINE` environment
-    /// override, defaulting to per-instruction stepping). All engines
-    /// are observationally identical — see [`Engine`].
+    /// process default engine ([`Knobs::engine`](crate::Knobs::engine):
+    /// the `BOLT_ENGINE` override, else per-instruction stepping). All
+    /// engines are observationally identical — see [`Engine`].
     ///
     /// # Errors
     ///
@@ -873,7 +852,7 @@ impl Machine {
         sink: &mut S,
         max_steps: u64,
     ) -> Result<RunResult, EmuError> {
-        self.run_engine(sink, max_steps, resolve_engine(None))
+        self.run_engine(sink, max_steps, crate::Knobs::get().engine(None))
     }
 
     /// [`run`](Machine::run) with an explicit engine choice.
@@ -1488,6 +1467,16 @@ impl Machine {
     /// of a [`RunResult`].
     pub fn tier_counts(&self) -> TierCounts {
         self.blocks.tier_counts()
+    }
+
+    /// Turns per-translation symbolic validation on or off for this
+    /// machine (`bolt-run --validate-semantics`): every block the
+    /// translation engines pack is proven equivalent to a fresh decode
+    /// of its bytes, and a disagreeing block degrades a tier. Defaults
+    /// to [`Knobs::sem_validate`](crate::Knobs::sem_validate); survives
+    /// [`load_elf`](Machine::load_elf).
+    pub fn set_sem_validation(&mut self, on: bool) {
+        self.blocks.sem_validate = on;
     }
 
     /// Arms a deterministic injected translation fault: the `nth`

@@ -16,6 +16,7 @@ mod batch;
 mod block;
 mod events;
 mod exec;
+mod knobs;
 mod memory;
 mod spill;
 pub mod supervise;
@@ -30,20 +31,16 @@ mod uop;
 pub(crate) const MAX_INST_LEN: u64 = 16;
 
 pub use artifact::ArtifactError;
-pub use batch::{resolve_max_steps, resolve_shards, run_batch, ShardPlan, ShardRun};
+pub use batch::{run_batch, ShardPlan, ShardRun};
 pub use block::{translation_shapes, BlockTier, InjectedFault, MemShape, TierCounts};
 pub use events::{
     BlockEvent, BranchEvent, BranchKind, CountingSink, MemRecord, NullSink, Tee, TraceSink,
 };
-pub use exec::{
-    resolve_engine, EmuError, Engine, Exit, Flags, Machine, RunResult, RETURN_SENTINEL, STACK_TOP,
-};
+pub use exec::{EmuError, Engine, Exit, Flags, Machine, RunResult, RETURN_SENTINEL, STACK_TOP};
+pub use knobs::Knobs;
 pub use memory::Memory;
 pub use supervise::{
     run_supervised, ShardEvent, ShardEventKind, SuperviseOutcome, SupervisePlan, SuperviseReport,
 };
-pub use transval::{
-    enable_sem_validation, sem_validation_enabled, validate_code, validate_translation, SemFinding,
-    SemFindingKind,
-};
+pub use transval::{validate_code, validate_translation, SemFinding, SemFindingKind};
 pub use uop::{lower_into, MicroOp, UopKind};

@@ -22,10 +22,12 @@
 //! lowering bug, a bad liveness mark, a wrong shape record — whether or
 //! not the pools still agree with each other.
 //!
-//! Enabled per-translation via `BOLT_SEM_VALIDATE=1` /
-//! `bolt-run --validate-semantics` (each block proven once, when it is
-//! translated), or offline over raw code bytes via [`validate_code`]
-//! (the `bolt -verify-sem` sweep).
+//! Enabled per machine via
+//! [`Machine::set_sem_validation`](crate::Machine::set_sem_validation)
+//! (`bolt-run --validate-semantics`; the default follows
+//! `BOLT_SEM_VALIDATE`, see [`crate::Knobs`]) — each block proven once,
+//! when it is translated — or offline over raw code bytes via
+//! [`validate_code`] (the `bolt -verify-sem` sweep).
 
 use crate::block::{BlockCache, MemShape, TranslationMode};
 use crate::exec::EmuError;
@@ -34,7 +36,6 @@ use crate::symexec::{sym_block_insts, sym_block_uops, SymState};
 use crate::uop::MicroOp;
 use bolt_isa::Inst;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// What kind of semantic disagreement a finding reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -330,33 +331,6 @@ fn rw(write: bool) -> &'static str {
         "write"
     } else {
         "read"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Process-wide knob.
-
-/// 0 = unresolved, 1 = off, 2 = on.
-static SEM_VALIDATE: AtomicU8 = AtomicU8::new(0);
-
-/// Turns on per-translation semantic validation for the whole process
-/// (`bolt-run --validate-semantics`). Sticky: there is no off switch,
-/// so measurement baselines must be taken before enabling.
-pub fn enable_sem_validation() {
-    SEM_VALIDATE.store(2, Ordering::Relaxed);
-}
-
-/// Whether per-translation semantic validation is on, resolving the
-/// `BOLT_SEM_VALIDATE` environment knob on first use.
-pub fn sem_validation_enabled() -> bool {
-    match SEM_VALIDATE.load(Ordering::Relaxed) {
-        0 => {
-            let on = std::env::var("BOLT_SEM_VALIDATE").is_ok_and(|v| v != "0" && !v.is_empty());
-            SEM_VALIDATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        1 => false,
-        _ => true,
     }
 }
 

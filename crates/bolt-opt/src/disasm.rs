@@ -52,7 +52,7 @@ pub fn disassemble_all_with_threads(
     elf: &Elf,
     threads: usize,
 ) -> usize {
-    let n_threads = bolt_passes::resolve_threads(threads);
+    let n_threads = bolt_emu::Knobs::get().threads(threads);
     let results: Vec<Result<bolt_ir::BinaryFunction, NonSimpleReason>> =
         if n_threads <= 1 || funcs.len() < 32 {
             funcs

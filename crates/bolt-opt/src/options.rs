@@ -31,29 +31,10 @@ pub struct BoltOptions {
     pub non_lbr_tuned: bool,
     /// Worker threads for per-function work — disassembly sharding and
     /// the per-function pure passes (`-threads=N`). `0` (default)
-    /// resolves to the `BOLT_THREADS` environment override or
-    /// `available_parallelism`; `1` forces the serial path. Output is
-    /// byte-identical at any value.
+    /// resolves through `bolt_emu::Knobs::threads` (the `BOLT_THREADS`
+    /// environment override, else available parallelism); `1` forces
+    /// the serial path. Output is byte-identical at any value.
     pub threads: usize,
-    /// Emulation shards for the *measurement* side (`-shards=N`): how
-    /// many independent invocations the profiling/measuring harnesses
-    /// (`bolt-run --shards`, `bolt-bench`'s `measure_batch` /
-    /// `profile_lbr_batch`) split a workload into. `0` (default)
-    /// resolves to the `BOLT_SHARDS` environment override or `1`.
-    /// Rewriting itself never consults this; merged batch output is
-    /// byte-identical at any worker count.
-    pub shards: usize,
-    /// Emulation engine for the measurement side
-    /// (`-engine=step|superblock|uop`). `None` (default) resolves
-    /// to the `BOLT_ENGINE` environment override or per-instruction
-    /// stepping. Like `shards`, rewriting never consults this; every
-    /// engine produces byte-identical profiles, counters, and program
-    /// output — `superblock` is `bolt-emu`'s translation cache of
-    /// chained blocks spanning memory-touching instructions, `uop`
-    /// further lowers each block to
-    /// pre-resolved micro-ops with lazy flags, each faster than the
-    /// last.
-    pub engine: Option<bolt_emu::Engine>,
     /// Skip repeated pipeline registrations of a pass whose earlier
     /// instance reported zero changes this run (`-skip-unchanged`), e.g.
     /// the second `icf` on small binaries. Skipped instances are marked

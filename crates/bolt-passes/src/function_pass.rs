@@ -26,12 +26,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// sharding in the integration tests.
 const PARALLEL_THRESHOLD: usize = 8;
 
-/// Hard ceiling on workers, applied to explicit `-threads=N` /
-/// `BOLT_THREADS` values as well as auto-detection: a pathological
-/// request (`-threads=100000`) must degrade to a bounded worker pool,
-/// never one OS thread per function.
-const MAX_THREADS: usize = 64;
-
 /// A pass expressible as a pure per-function kernel.
 ///
 /// The kernel must read and write *only* the function it is handed —
@@ -45,36 +39,6 @@ pub trait FunctionPass: Sync {
     /// Applicability checks (`is_simple`, folded functions, …) belong
     /// inside the kernel so serial and sharded runs agree exactly.
     fn run_on_function(&self, func: &mut BinaryFunction) -> u64;
-}
-
-/// Resolves a worker-count knob to an effective thread count.
-///
-/// * `threads >= 1`: that many workers (`1` forces the serial path).
-/// * `threads == 0` (auto): the `BOLT_THREADS` environment override if
-///   set and positive, else [`std::thread::available_parallelism`]
-///   (capped at 8, like disassembly sharding).
-///
-/// Every source is clamped to a 64-worker ceiling — the result is
-/// byte-identical at any count, so an oversized request only costs
-/// wall clock, never correctness.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads > 0 {
-        return threads.min(MAX_THREADS);
-    }
-    if let Ok(v) = std::env::var("BOLT_THREADS") {
-        match v.trim().parse::<usize>() {
-            // An explicit 0 requests auto-detection, like `-threads=0`.
-            Ok(0) => {}
-            Ok(n) => return n.min(MAX_THREADS),
-            // A set-but-garbled override must fail loudly: silently
-            // falling back to auto would let a CI typo turn the forced
-            // serial leg into a parallel run.
-            Err(_) => panic!("BOLT_THREADS must be a non-negative integer, got {v:?}"),
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1)
 }
 
 /// The outcome of one sharded kernel sweep: the total change count plus
@@ -133,7 +97,7 @@ fn run_one(
 }
 
 /// Runs `pass` over every function in `ctx`, sharded across `n_threads`
-/// scoped workers (`n_threads` as returned by [`resolve_threads`]).
+/// scoped workers (an effective count, see `bolt_emu::Knobs::threads`).
 /// Each kernel invocation is isolated with `catch_unwind`, so a
 /// panicking kernel poisons only its own function (see [`KernelRun`]).
 pub fn run_function_pass(
@@ -272,19 +236,5 @@ mod tests {
                 "threads={n}: siblings untouched"
             );
         }
-    }
-
-    #[test]
-    fn explicit_thread_counts_win_over_auto() {
-        assert_eq!(resolve_threads(1), 1);
-        assert_eq!(resolve_threads(5), 5);
-        assert!(resolve_threads(0) >= 1);
-    }
-
-    #[test]
-    fn pathological_thread_counts_are_clamped() {
-        assert_eq!(resolve_threads(100_000), 64);
-        assert_eq!(resolve_threads(64), 64);
-        assert_eq!(resolve_threads(65), 64);
     }
 }

@@ -83,8 +83,7 @@ pub mod uce;
 
 pub use dyno::DynoStats;
 pub use function_pass::{
-    panic_message, resolve_threads, run_function_pass, run_function_pass_with, FunctionPass,
-    KernelRun,
+    panic_message, run_function_pass, run_function_pass_with, FunctionPass, KernelRun,
 };
 pub use layout::{BlockLayout, SplitMode};
 pub use manager::{LintMode, ManagerConfig, Pass, PassManager, PoisonPass};

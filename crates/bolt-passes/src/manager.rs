@@ -17,7 +17,7 @@
 //! distinguished in validation messages and timing output as e.g.
 //! `icf(2)`.
 
-use crate::function_pass::{panic_message, resolve_threads, run_function_pass_with, FunctionPass};
+use crate::function_pass::{panic_message, run_function_pass_with, FunctionPass};
 use crate::reorder_functions;
 use crate::{
     dyno, fixup, frame, icf, icp, inline_small, layout, peephole, plt, ro_loads, sctc, uce,
@@ -100,9 +100,9 @@ pub struct ManagerConfig {
     /// sweep per pass boundary; off by default.
     pub collect_dyno: bool,
     /// Worker-thread count for per-function passes (`-threads=N`).
-    /// `0` (the default) resolves to the `BOLT_THREADS` environment
-    /// override or [`std::thread::available_parallelism`]; `1` forces
-    /// the serial path. The pipeline result is byte-identical at any
+    /// `0` (the default) resolves through `bolt_emu::Knobs::threads`
+    /// (`BOLT_THREADS`, else available parallelism); `1` forces the
+    /// serial path. The pipeline result is byte-identical at any
     /// value — see [`crate::function_pass`].
     pub threads: usize,
     /// Skip a *repeated* registration of a pass when its most recent
@@ -235,7 +235,7 @@ impl PassManager {
     /// serially. The [`PipelineResult`] is byte-identical at any thread
     /// count.
     pub fn run(&mut self, ctx: &mut BinaryContext, opts: &PassOptions) -> PipelineResult {
-        let n_threads = resolve_threads(self.config.threads);
+        let n_threads = bolt_emu::Knobs::get().threads(self.config.threads);
         let mut result = PipelineResult::default();
         let mut occurrences: HashMap<&'static str, u32> = HashMap::new();
         // Change count of each pass name's most recent executed instance

@@ -13,11 +13,16 @@
 //!   the call graph, and repairs flow-equation violations by attributing
 //!   surplus flow to the never-recorded fall-through path (section 5.2);
 //! * [`infer_edges_from_counts`] / [`infer_callgraph_from_samples`] are the
-//!   non-LBR inference paths compared in section 6.5 / Figure 11.
+//!   non-LBR inference paths compared in section 6.5 / Figure 11;
+//! * [`shard_artifact`] is the one measurement path over all of it:
+//!   [`run_shards`] attaches samplers and the counter model to a
+//!   sharded batch, [`merge_shards`] reduces the resulting
+//!   [`ShardArtifact`]s in shard order.
 
 mod attach;
 mod profile;
 mod sampler;
+pub mod shard_artifact;
 
 pub use attach::{
     attach_profile, attach_profile_opts, infer_callgraph_from_samples, infer_edges_from_counts,
@@ -25,3 +30,4 @@ pub use attach::{
 };
 pub use profile::{BranchRecord, FallthroughRecord, FdataError, Profile, ProfileMode};
 pub use sampler::{IpSampler, LbrSampler, SampleTrigger, LBR_DEPTH};
+pub use shard_artifact::{merge_shards, run_shards, seed_partition, Attach, Merged, ShardArtifact};

@@ -19,7 +19,7 @@ use std::time::Instant;
 
 /// Symbolically validates every emitted function of `elf`: each
 /// function's bytes are translated block by block under every
-/// translation tier (block, superblock, uop) and each translation is
+/// translation tier (superblock, uop) and each translation is
 /// proven semantically equivalent to a fresh decode of its bytes. A
 /// clean report means the emulator's translation layers preserve step
 /// semantics on exactly the code this binary will run.

@@ -22,15 +22,11 @@
 //! #   byte-identical to the in-process path.
 //! ```
 
-use bolt::elf::read_elf;
-use bolt::emu::{
-    resolve_engine, resolve_max_steps, resolve_shards, run_batch, run_supervised, BranchEvent,
-    Engine, Exit, ShardPlan, SupervisePlan, TraceSink,
-};
-use bolt::passes::resolve_threads;
-use bolt::profile::{IpSampler, LbrSampler, Profile, ProfileMode, SampleTrigger};
-use bolt::shard_artifact::ShardArtifact;
-use bolt::sim::{Counters, CpuModel, SimConfig};
+use bolt::elf::{read_elf, Elf};
+use bolt::emu::{run_supervised, Engine, Exit, Knobs, Machine, ShardPlan, SupervisePlan};
+use bolt::profile::ProfileMode;
+use bolt::shard_artifact::{merge_shards, run_shards, seed_partition, Attach, ShardArtifact};
+use bolt::sim::SimConfig;
 use bolt::verify::{ArtifactMutation, CrashMode, CrashSpec, XorShift64};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -98,70 +94,6 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// The per-invocation sink: any combination of an LBR sampler, an IP
-/// sampler, and the counter model (owned, so one instance per shard can
-/// cross the batch's thread boundary).
-#[derive(Default)]
-struct RunSink {
-    lbr: Option<LbrSampler>,
-    ip: Option<IpSampler>,
-    model: Option<CpuModel>,
-}
-
-impl TraceSink for RunSink {
-    #[inline]
-    fn on_inst(&mut self, addr: u64, len: u8) {
-        if let Some(s) = &mut self.lbr {
-            s.on_inst(addr, len);
-        }
-        if let Some(s) = &mut self.ip {
-            s.on_inst(addr, len);
-        }
-        if let Some(m) = &mut self.model {
-            m.on_inst(addr, len);
-        }
-    }
-
-    #[inline]
-    fn on_block(&mut self, ev: bolt::emu::BlockEvent<'_>) {
-        if let Some(s) = &mut self.lbr {
-            s.on_block(ev);
-        }
-        if let Some(s) = &mut self.ip {
-            s.on_block(ev);
-        }
-        if let Some(m) = &mut self.model {
-            m.on_block(ev);
-        }
-    }
-
-    #[inline]
-    fn on_branch(&mut self, ev: BranchEvent) {
-        if let Some(s) = &mut self.lbr {
-            s.on_branch(ev);
-        }
-        if let Some(s) = &mut self.ip {
-            s.on_branch(ev);
-        }
-        if let Some(m) = &mut self.model {
-            m.on_branch(ev);
-        }
-    }
-
-    #[inline]
-    fn on_mem(&mut self, addr: u64, len: u8, write: bool) {
-        if let Some(s) = &mut self.lbr {
-            s.on_mem(addr, len, write);
-        }
-        if let Some(s) = &mut self.ip {
-            s.on_mem(addr, len, write);
-        }
-        if let Some(m) = &mut self.model {
-            m.on_mem(addr, len, write);
-        }
-    }
-}
-
 /// Everything parsed from the command line.
 struct Cli {
     input: String,
@@ -169,7 +101,8 @@ struct Cli {
     use_ip: bool,
     period: u64,
     counters: bool,
-    max_steps: Option<u64>,
+    /// 0 = auto, like `shards` and `threads`.
+    max_steps: u64,
     shards: usize,
     threads: usize,
     shard_config: Option<i64>,
@@ -187,6 +120,28 @@ struct Cli {
     artifact_out: Option<String>,
     /// Hidden: what the worker samples ("lbr" | "ip" | "none").
     worker_profile: Option<String>,
+    /// Hidden: which attempt at its shard the worker is (the fault
+    /// injector keys off shard *and* attempt).
+    attempt: u32,
+}
+
+impl Cli {
+    /// What this process samples, in the `--worker-profile` spelling.
+    fn profile_kind(&self) -> &str {
+        match (&self.worker_profile, &self.fdata, self.use_ip) {
+            (Some(kind), ..) => kind,
+            (None, None, _) => "none",
+            (None, Some(_), false) => "lbr",
+            (None, Some(_), true) => "ip",
+        }
+    }
+}
+
+/// A malformed command line: one line on stderr, exit 2, before the
+/// input is read.
+fn bad_flag(flag: &str, problem: &str) -> ! {
+    eprintln!("bolt-run: {flag} {problem}");
+    std::process::exit(2)
 }
 
 fn parse_cli() -> Cli {
@@ -197,7 +152,7 @@ fn parse_cli() -> Cli {
         use_ip: false,
         period: 997,
         counters: false,
-        max_steps: None,
+        max_steps: 0,
         shards: 0,
         threads: 0,
         shard_config: None,
@@ -212,45 +167,45 @@ fn parse_cli() -> Cli {
         shard_worker: None,
         artifact_out: None,
         worker_profile: None,
+        attempt: 0,
     };
     let mut input = None;
 
-    fn num<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> T {
-        it.next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage())
-    }
-
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        // A value-taking flag at the end of the line is a usage error,
+        // never a silently dropped option.
+        let mut value = || {
+            it.next()
+                .unwrap_or_else(|| bad_flag(a, "requires a value"))
+                .as_str()
+        };
+        fn num<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+            v.parse()
+                .unwrap_or_else(|_| bad_flag(flag, &format!("expects a number, got {v:?}")))
+        }
         match a.as_str() {
-            "--fdata" => cli.fdata = it.next().cloned(),
+            "--fdata" => cli.fdata = Some(value().into()),
             "--ip" => cli.use_ip = true,
             "--counters" => cli.counters = true,
             "--validate-semantics" => cli.validate_semantics = true,
-            "--period" => cli.period = num(&mut it),
-            "--max-steps" => cli.max_steps = Some(num(&mut it)),
-            "--shards" => cli.shards = num(&mut it),
-            "--threads" => cli.threads = num(&mut it),
-            "--shard-config" => cli.shard_config = Some(num(&mut it)),
+            "--period" => cli.period = num(a, value()),
+            "--max-steps" => cli.max_steps = num(a, value()),
+            "--shards" => cli.shards = num(a, value()),
+            "--threads" => cli.threads = num(a, value()),
+            "--shard-config" => cli.shard_config = Some(num(a, value())),
             "--supervise" => cli.supervise = true,
-            "--state-dir" => cli.state_dir = it.next().cloned(),
-            "--deadline-ms" => cli.deadline_ms = num(&mut it),
-            "--retries" => cli.retries = num(&mut it),
-            "--backoff-ms" => cli.backoff_ms = num(&mut it),
-            "--seed" => cli.seed = num(&mut it),
-            "--shard-worker" => cli.shard_worker = Some(num(&mut it)),
-            "--artifact-out" => cli.artifact_out = it.next().cloned(),
-            "--worker-profile" => cli.worker_profile = it.next().cloned(),
+            "--state-dir" => cli.state_dir = Some(value().into()),
+            "--deadline-ms" => cli.deadline_ms = num(a, value()),
+            "--retries" => cli.retries = num(a, value()),
+            "--backoff-ms" => cli.backoff_ms = num(a, value()),
+            "--seed" => cli.seed = num(a, value()),
+            "--shard-worker" => cli.shard_worker = Some(num(a, value())),
+            "--artifact-out" => cli.artifact_out = Some(value().into()),
+            "--worker-profile" => cli.worker_profile = Some(value().into()),
+            "--attempt" => cli.attempt = num(a, value()),
             "--engine" => {
-                let Some(arg) = it.next() else { usage() };
-                cli.engine = match arg.parse() {
-                    Ok(e) => Some(e),
-                    Err(msg) => {
-                        eprintln!("bolt-run: --engine: {msg}");
-                        std::process::exit(2);
-                    }
-                };
+                cli.engine = Some(value().parse().unwrap_or_else(|e: String| bad_flag(a, &e)));
             }
             s if s.starts_with('-') => usage(),
             _ if input.is_none() => input = Some(a.clone()),
@@ -264,9 +219,6 @@ fn parse_cli() -> Cli {
 
 fn main() -> ExitCode {
     let cli = parse_cli();
-    if cli.validate_semantics {
-        bolt::emu::enable_sem_validation();
-    }
 
     let bytes = match std::fs::read(&cli.input) {
         Ok(b) => b,
@@ -285,222 +237,157 @@ fn main() -> ExitCode {
         }
     };
 
+    // Every knob resolves *here*, once. The supervisor forwards the
+    // results to its workers as explicit flags, so a worker re-resolving
+    // them gets the same plan (and the run fingerprint describes what
+    // the workers will actually do).
+    let knobs = Knobs::get();
+    let plan = ShardPlan::new(knobs.shards(cli.shards))
+        .with_threads(knobs.threads(cli.threads))
+        .with_max_steps(knobs.max_steps(cli.max_steps, u64::MAX))
+        .with_engine(knobs.engine(cli.engine));
+
     if let Some(shard) = cli.shard_worker {
-        return run_worker(&cli, &elf, shard);
+        return run_worker(&cli, &elf, &plan, shard);
     }
-    if cli.supervise {
-        return run_supervise_mode(&cli, &bytes, &elf);
-    }
-    run_in_process(&cli, &elf)
-}
-
-/// Resolves the address of the `config` input-selection global when
-/// `--shard-config` is in play.
-fn config_addr(cli: &Cli, elf: &bolt::elf::Elf) -> Result<Option<u64>, ()> {
-    match cli.shard_config {
-        Some(_) => match elf.symbol("config") {
-            Some(s) => Ok(Some(s.value)),
-            None => {
-                eprintln!(
-                    "bolt-run: --shard-config given but {} has no `config` global",
-                    cli.input
-                );
-                Err(())
-            }
-        },
-        None => Ok(None),
-    }
-}
-
-/// The original single-process path: shards across threads in this
-/// process, merged in shard-index order.
-fn run_in_process(cli: &Cli, elf: &bolt::elf::Elf) -> ExitCode {
-    let profiling = cli.fdata.is_some();
-    let mut plan = ShardPlan::new(resolve_shards(cli.shards))
-        .with_threads(resolve_threads(cli.threads))
-        .with_max_steps(resolve_max_steps(cli.max_steps, u64::MAX));
-    plan.engine = cli.engine;
-    let make_sink = |_: usize| RunSink {
-        lbr: (profiling && !cli.use_ip)
-            .then(|| LbrSampler::new(cli.period, SampleTrigger::Instructions)),
-        ip: (profiling && cli.use_ip).then(|| IpSampler::new(cli.period)),
-        model: cli.counters.then(|| CpuModel::new(SimConfig::server())),
-    };
-
-    // Seed partitioning: shard i gets `config = BASE + i`.
-    let Ok(addr) = config_addr(cli, elf) else {
-        return ExitCode::FAILURE;
-    };
-    let prepare = |shard: usize, m: &mut bolt::emu::Machine| {
-        if let (Some(addr), Some(base)) = (addr, cli.shard_config) {
-            m.mem.write_u64(addr, (base + shard as i64) as u64);
-        }
-    };
-
-    let runs = match run_batch(elf, &plan, make_sink, prepare) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bolt-run: execution failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Merge per-shard observations in shard-index order.
-    let mut merge = Merge::new(cli);
-    for r in &runs {
-        let profile = r.sink.lbr.as_ref().map(|s| &s.profile);
-        let ip_profile = r.sink.ip.as_ref().map(|s| &s.profile);
-        let counters = r.sink.model.as_ref().map(|m| m.counters());
-        merge.shard(
-            r.shard,
-            plan.shards,
-            plan.max_steps,
-            &r.output,
-            r.result.exit,
-            r.result.steps,
-            profile.or(ip_profile),
-            counters.as_ref(),
-        );
-    }
-    if plan.shards > 1 {
-        eprintln!(
-            "bolt-run: {} instructions over {} shards ({} workers), exit {:?}",
-            merge.total_steps,
-            plan.shards,
-            plan.workers(),
-            merge.worst_exit
-        );
+    let outcome = if cli.supervise {
+        run_supervise_mode(&cli, &bytes, &elf, &plan)
     } else {
-        eprintln!(
-            "bolt-run: {} instructions, exit {:?}",
-            merge.total_steps, merge.worst_exit
-        );
+        // The original single-process path: shards across threads in
+        // this process.
+        run(&cli, &elf, &plan, 0).map(|shards| (shards, 0))
+    };
+    match outcome {
+        Ok((shards, quarantined)) => report(&cli, &plan, &shards, quarantined),
+        Err(code) => code,
     }
-    merge.finish(0)
 }
 
-/// The merge state shared by the in-process and supervised paths. Both
-/// feed shards in index order, so the printed output words, the merged
-/// profile (and therefore the fdata bytes), and the summed counters are
-/// byte-identical between the two paths.
-struct Merge<'a> {
-    cli: &'a Cli,
-    profile: Profile,
-    total: Counters,
-    total_steps: u64,
-    worst_exit: Exit,
-}
-
-impl<'a> Merge<'a> {
-    fn new(cli: &'a Cli) -> Merge<'a> {
-        let mode = if cli.use_ip {
-            ProfileMode::IpSamples
-        } else {
-            ProfileMode::Lbr
-        };
-        Merge {
-            cli,
-            profile: Profile::new(mode),
-            total: Counters::default(),
-            total_steps: 0,
-            worst_exit: Exit::Exited(0),
+/// The one measurement call: shards `first_shard..first_shard +
+/// plan.shards` of this run through the shared runner, with whatever the
+/// command line attaches. In-process runs all of them; a supervised
+/// worker runs its one.
+fn run(
+    cli: &Cli,
+    elf: &Elf,
+    plan: &ShardPlan,
+    first_shard: usize,
+) -> Result<Vec<ShardArtifact>, ExitCode> {
+    let attach = Attach {
+        sampler: match cli.profile_kind() {
+            "lbr" => Some((ProfileMode::Lbr, cli.period)),
+            "ip" => Some((ProfileMode::IpSamples, cli.period)),
+            _ => None,
+        },
+        model: cli.counters.then(SimConfig::server),
+    };
+    let seed = shard_seed(cli, elf)?;
+    let prepare = |shard: usize, m: &mut Machine| {
+        if cli.validate_semantics {
+            m.set_sem_validation(true);
         }
-    }
+        if let Some(seed) = &seed {
+            seed(shard, m);
+        }
+    };
+    run_shards(elf, plan, &attach, first_shard, prepare).map_err(|e| {
+        eprintln!("bolt-run: execution failed: {e}");
+        ExitCode::FAILURE
+    })
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn shard(
-        &mut self,
-        shard: usize,
-        shards: usize,
-        budget: u64,
-        output: &[i64],
-        exit: Exit,
-        steps: u64,
-        profile: Option<&Profile>,
-        counters: Option<&Counters>,
-    ) {
-        for v in output {
+/// `--shard-config BASE` seed partitioning (shard i runs with `config =
+/// BASE + i`); an error if the binary has no `config` global to seed.
+fn shard_seed(
+    cli: &Cli,
+    elf: &Elf,
+) -> Result<Option<impl Fn(usize, &mut Machine) + Sync>, ExitCode> {
+    let seed = cli.shard_config.map(|base| seed_partition(elf, base));
+    if let Some(None) = seed {
+        eprintln!(
+            "bolt-run: --shard-config given but {} has no `config` global",
+            cli.input
+        );
+        return Err(ExitCode::FAILURE);
+    }
+    Ok(seed.flatten())
+}
+
+/// Prints a merged run — the same function for in-process and
+/// supervised shards, fed in index order, so the printed output words,
+/// the fdata bytes and the summed counters are byte-identical between
+/// the two paths — and maps the outcome to the exit-code taxonomy: 0 =
+/// full clean merge, 3 = merged but `quarantined` shards are missing
+/// from it, else the first non-clean shard exit decides (1 for a
+/// nonzero program exit, FAILURE for a shard that never exited).
+fn report(cli: &Cli, plan: &ShardPlan, shards: &[ShardArtifact], quarantined: usize) -> ExitCode {
+    for s in shards {
+        for v in &s.output {
             println!("{v}");
         }
-        if let Some(p) = profile {
-            self.profile.merge(p);
-        }
-        if let Some(c) = counters {
-            self.total.merge(c);
-        }
-        self.total_steps += steps;
         // A shard that never reached the exit syscall gets its own
         // diagnostic line — the batch still reports the other shards.
-        if !matches!(exit, Exit::Exited(_)) {
+        if !matches!(s.exit, Exit::Exited(_)) {
             eprintln!(
-                "bolt-run: shard {shard}/{shards} did not exit: {exit:?} after {steps} steps \
-                 (budget {budget}; raise with --max-steps or BOLT_MAX_STEPS)"
+                "bolt-run: shard {}/{} did not exit: {:?} after {} steps \
+                 (budget {}; raise with --max-steps or BOLT_MAX_STEPS)",
+                s.shard, plan.shards, s.exit, s.steps, plan.max_steps
             );
-        }
-        // The batch fails if any shard does: the first non-clean exit
-        // (by shard index) decides the process status.
-        if self.worst_exit == Exit::Exited(0) && exit != Exit::Exited(0) {
-            self.worst_exit = exit;
         }
     }
+    let merged = merge_shards(shards);
+    let over = match plan.shards {
+        1 => String::new(),
+        n => format!(" over {n} shards ({} workers)", plan.workers()),
+    };
+    eprintln!(
+        "bolt-run: {} instructions{over}, exit {:?}",
+        merged.steps, merged.exit
+    );
+    if cli.counters {
+        let total = &merged.counters;
+        eprintln!("  cycles            {:>14.0}", total.cycles);
+        eprintln!("  ipc               {:>14.2}", total.ipc());
+        eprintln!("  branch-misses     {:>14}", total.branch_mispredicts);
+        eprintln!("  L1-icache-misses  {:>14}", total.l1i_misses);
+        eprintln!("  L1-dcache-misses  {:>14}", total.l1d_misses);
+        eprintln!("  iTLB-misses       {:>14}", total.itlb_misses);
+        eprintln!("  LLC-misses        {:>14}", total.llc_misses);
+    }
+    if let Some(path) = &cli.fdata {
+        if let Err(e) = std::fs::write(path, merged.profile.to_fdata()) {
+            eprintln!("bolt-run: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!(
+            "bolt-run: wrote {path} ({} samples)",
+            merged.profile.num_samples
+        );
+    }
 
-    /// Prints the counter block, writes the fdata file, and maps the
-    /// outcome to the exit-code taxonomy: 0 = full clean merge, 3 =
-    /// merged but `quarantined` shards are missing from it, else the
-    /// worst shard exit decides (1 for a nonzero program exit,
-    /// FAILURE for a shard that never exited).
-    fn finish(self, quarantined: usize) -> ExitCode {
-        if self.cli.counters {
-            let total = &self.total;
-            eprintln!("  cycles            {:>14.0}", total.cycles);
-            eprintln!("  ipc               {:>14.2}", total.ipc());
-            eprintln!("  branch-misses     {:>14}", total.branch_mispredicts);
-            eprintln!("  L1-icache-misses  {:>14}", total.l1i_misses);
-            eprintln!("  L1-dcache-misses  {:>14}", total.l1d_misses);
-            eprintln!("  iTLB-misses       {:>14}", total.itlb_misses);
-            eprintln!("  LLC-misses        {:>14}", total.llc_misses);
-        }
-        if let Some(path) = &self.cli.fdata {
-            if let Err(e) = std::fs::write(path, self.profile.to_fdata()) {
-                eprintln!("bolt-run: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "bolt-run: wrote {path} ({} samples)",
-                self.profile.num_samples
-            );
-        }
-
-        if quarantined > 0 {
-            return ExitCode::from(3);
-        }
-        match self.worst_exit {
-            Exit::Exited(0) => ExitCode::SUCCESS,
-            Exit::Exited(_) => ExitCode::from(1),
-            _ => ExitCode::FAILURE,
-        }
+    if quarantined > 0 {
+        return ExitCode::from(3);
+    }
+    match merged.exit {
+        Exit::Exited(0) => ExitCode::SUCCESS,
+        Exit::Exited(_) => ExitCode::from(1),
+        _ => ExitCode::FAILURE,
     }
 }
 
 /// Supervised mode: one OS process per shard, durable artifacts,
-/// deadline/retry/quarantine, resume from the state directory.
-fn run_supervise_mode(cli: &Cli, elf_bytes: &[u8], elf: &bolt::elf::Elf) -> ExitCode {
-    // Resolve every knob *here*, in the supervisor, and forward the
-    // results as explicit worker flags — workers must not re-resolve
-    // environment overrides (the fingerprint below must describe what
-    // the workers will actually do).
-    let shards = resolve_shards(cli.shards);
-    let procs = resolve_threads(cli.threads);
-    let engine = resolve_engine(cli.engine);
-    let max_steps = resolve_max_steps(cli.max_steps, u64::MAX);
-    let profile_kind = match (&cli.fdata, cli.use_ip) {
-        (None, _) => "none",
-        (Some(_), false) => "lbr",
-        (Some(_), true) => "ip",
-    };
-    if config_addr(cli, elf).is_err() {
-        return ExitCode::FAILURE;
-    }
+/// deadline/retry/quarantine, resume from the state directory. Returns
+/// the usable shards in index order plus how many are missing.
+fn run_supervise_mode(
+    cli: &Cli,
+    elf_bytes: &[u8],
+    elf: &Elf,
+    plan: &ShardPlan,
+) -> Result<(Vec<ShardArtifact>, usize), ExitCode> {
+    let (shards, max_steps) = (plan.shards, plan.max_steps);
+    let engine = Knobs::get().engine(plan.engine);
+    let profile_kind = cli.profile_kind();
+    shard_seed(cli, elf)?;
 
     // Run identity: any knob that changes worker output is part of the
     // fingerprint, so artifacts from a different configuration are
@@ -523,21 +410,18 @@ fn run_supervise_mode(cli: &Cli, elf_bytes: &[u8], elf: &bolt::elf::Elf) -> Exit
         .state_dir
         .clone()
         .unwrap_or_else(|| format!("{}.supervise", cli.input));
-    let mut plan = SupervisePlan::new(shards, PathBuf::from(&state_dir), fingerprint);
-    plan.procs = procs;
-    plan.deadline = Duration::from_millis(cli.deadline_ms);
-    plan.max_attempts = cli.retries.saturating_add(1);
-    plan.backoff_base = Duration::from_millis(cli.backoff_ms);
-    plan.seed = cli.seed;
+    let mut supervise = SupervisePlan::new(shards, PathBuf::from(&state_dir), fingerprint);
+    supervise.procs = plan.threads;
+    supervise.deadline = Duration::from_millis(cli.deadline_ms);
+    supervise.max_attempts = cli.retries.saturating_add(1);
+    supervise.backoff_base = Duration::from_millis(cli.backoff_ms);
+    supervise.seed = cli.seed;
 
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("bolt-run: cannot locate own executable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = run_supervised(&plan, |shard, attempt, artifact| {
+    let exe = std::env::current_exe().map_err(|e| {
+        eprintln!("bolt-run: cannot locate own executable: {e}");
+        ExitCode::FAILURE
+    })?;
+    let outcome = run_supervised(&supervise, |shard, attempt, artifact| {
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg(&cli.input)
             .arg("--shard-worker")
@@ -552,9 +436,8 @@ fn run_supervise_mode(cli: &Cli, elf_bytes: &[u8], elf: &bolt::elf::Elf) -> Exit
             .arg(max_steps.to_string())
             .arg("--engine")
             .arg(engine.to_string())
-            // The fault injector keys off shard *and* attempt; the
-            // attempt number only exists here.
-            .env("BOLT_SHARD_ATTEMPT", attempt.to_string());
+            .arg("--attempt")
+            .arg(attempt.to_string());
         if cli.counters {
             cmd.arg("--counters");
         }
@@ -566,86 +449,54 @@ fn run_supervise_mode(cli: &Cli, elf_bytes: &[u8], elf: &bolt::elf::Elf) -> Exit
         }
         cmd
     });
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("bolt-run: supervision failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcome = outcome.map_err(|e| {
+        eprintln!("bolt-run: supervision failed: {e}");
+        ExitCode::FAILURE
+    })?;
     eprint!("{}", outcome.report.render());
 
-    // Merge surviving artifacts in shard-index order — the same order
-    // the in-process path merges in, so the result is byte-identical.
-    let mut merge = Merge::new(cli);
+    // Surviving artifacts in shard-index order — the order the
+    // in-process path produces them in.
+    let mut usable = Vec::new();
     let mut quarantined = outcome.report.quarantined.len();
-    let mut usable = 0usize;
     for (shard, path) in outcome.artifacts.iter().enumerate() {
         let Some(path) = path else { continue };
         // Framing was already validated by the supervisor; decoding
         // the payload can still fail (e.g. a version-compatible but
         // semantically bad payload) — such a shard is as lost as a
         // quarantined one.
-        let art = match ShardArtifact::read(path) {
-            Ok(a) => a,
+        match ShardArtifact::read(path) {
+            Ok(art) if art.shard as usize == shard => usable.push(art),
+            Ok(art) => {
+                eprintln!(
+                    "bolt-run: shard {shard} artifact claims to be shard {}; rejected",
+                    art.shard
+                );
+                quarantined += 1;
+            }
             Err(e) => {
                 eprintln!("bolt-run: shard {shard} artifact rejected at merge: {e}");
                 quarantined += 1;
-                continue;
             }
-        };
-        if art.shard as usize != shard {
-            eprintln!(
-                "bolt-run: shard {shard} artifact claims to be shard {}; rejected",
-                art.shard
-            );
-            quarantined += 1;
-            continue;
         }
-        usable += 1;
-        merge.shard(
-            shard,
-            shards,
-            max_steps,
-            &art.output,
-            art.exit,
-            art.steps,
-            art.profile.as_ref(),
-            art.counters.as_ref(),
-        );
     }
-    if usable == 0 {
+    if usable.is_empty() {
         eprintln!("bolt-run: no usable shard artifacts; nothing merged");
-        return ExitCode::from(1);
+        return Err(ExitCode::from(1));
     }
-    if shards > 1 {
-        eprintln!(
-            "bolt-run: {} instructions over {} shards ({} workers), exit {:?}",
-            merge.total_steps, shards, procs, merge.worst_exit
-        );
-    } else {
-        eprintln!(
-            "bolt-run: {} instructions, exit {:?}",
-            merge.total_steps, merge.worst_exit
-        );
-    }
-    merge.finish(quarantined)
+    Ok((usable, quarantined))
 }
 
 /// Hidden worker mode: runs exactly one shard and writes its durable
 /// artifact atomically. Exits 0 iff a valid artifact was written; the
 /// emulated program's own exit status travels *inside* the artifact.
-fn run_worker(cli: &Cli, elf: &bolt::elf::Elf, shard: usize) -> ExitCode {
+fn run_worker(cli: &Cli, elf: &Elf, plan: &ShardPlan, shard: usize) -> ExitCode {
     let Some(out) = &cli.artifact_out else {
         eprintln!("bolt-run: --shard-worker requires --artifact-out");
         return ExitCode::from(2);
     };
     let out = PathBuf::from(out);
-    let attempt: u32 = std::env::var("BOLT_SHARD_ATTEMPT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let injected = CrashSpec::from_env().action_for(shard as u32, attempt);
+    let injected = CrashSpec::from_env().action_for(shard as u32, cli.attempt);
 
     // Faults that manifest before any work: the supervisor must cope
     // with workers that die, stall, or emit junk without ever running
@@ -653,7 +504,7 @@ fn run_worker(cli: &Cli, elf: &bolt::elf::Elf, shard: usize) -> ExitCode {
     let mut rng = XorShift64::new(
         (shard as u64 + 1)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(u64::from(attempt)),
+            .wrapping_add(u64::from(cli.attempt)),
     );
     match injected {
         Some(CrashMode::Abort) => std::process::abort(),
@@ -673,46 +524,16 @@ fn run_worker(cli: &Cli, elf: &bolt::elf::Elf, shard: usize) -> ExitCode {
         _ => {}
     }
 
-    let max_steps = resolve_max_steps(cli.max_steps, u64::MAX);
-    let mut plan = ShardPlan::new(1).with_threads(1).with_max_steps(max_steps);
-    plan.engine = cli.engine;
-    let profile_kind = cli.worker_profile.as_deref().unwrap_or("none");
-    let make_sink = |_: usize| RunSink {
-        lbr: (profile_kind == "lbr")
-            .then(|| LbrSampler::new(cli.period, SampleTrigger::Instructions)),
-        ip: (profile_kind == "ip").then(|| IpSampler::new(cli.period)),
-        model: cli.counters.then(|| CpuModel::new(SimConfig::server())),
+    // This worker *is* global shard `shard` of the run: a one-shard
+    // batch at that index (so the config global gets BASE + shard).
+    let plan = ShardPlan {
+        shards: 1,
+        threads: 1,
+        ..plan.clone()
     };
-    let Ok(addr) = config_addr(cli, elf) else {
-        return ExitCode::FAILURE;
-    };
-    // This worker *is* global shard `shard` of the run: the config
-    // global gets BASE + shard even though the local batch has 1 shard.
-    let prepare = |_: usize, m: &mut bolt::emu::Machine| {
-        if let (Some(addr), Some(base)) = (addr, cli.shard_config) {
-            m.mem.write_u64(addr, (base + shard as i64) as u64);
-        }
-    };
-    let runs = match run_batch(elf, &plan, make_sink, prepare) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bolt-run: shard {shard}: execution failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let run = &runs[0];
-    let art = ShardArtifact {
-        shard: shard as u32,
-        exit: run.result.exit,
-        steps: run.result.steps,
-        output: run.output.clone(),
-        profile: run
-            .sink
-            .lbr
-            .as_ref()
-            .map(|s| s.profile.clone())
-            .or_else(|| run.sink.ip.as_ref().map(|s| s.profile.clone())),
-        counters: run.sink.model.as_ref().map(|m| m.counters()),
+    let art = match run(cli, elf, &plan, shard) {
+        Ok(mut arts) => arts.remove(0),
+        Err(code) => return code,
     };
 
     // Faults that manifest in the artifact bytes after a real run: a

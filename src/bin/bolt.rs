@@ -30,18 +30,6 @@ fn usage() -> ! {
            \x20   0 = auto [the default, available parallelism capped at 8],\n\
            \x20   1 forces the serial path, values above 64 are clamped,\n\
            \x20   output is byte-identical at any value)\n\
-           -shards=N\n\
-           \x20   (measurement-side emulation shard count, recorded on\n\
-           \x20   BoltOptions for profiling harnesses; 0 = auto [BOLT_SHARDS\n\
-           \x20   env or 1]. Rewriting is unaffected — see bolt-run --shards)\n\
-           -engine=step|superblock|uop\n\
-           \x20   (measurement-side emulation engine, recorded on BoltOptions\n\
-           \x20   for profiling harnesses; default follows the BOLT_ENGINE env\n\
-           \x20   override or `step`. Byte-identical results under every\n\
-           \x20   engine — superblock translates chained blocks spanning\n\
-           \x20   memory ops, uop additionally lowers to pre-resolved\n\
-           \x20   micro-ops with lazy flags, each faster than the last.\n\
-           \x20   See bolt-run --engine)\n\
            -skip-unchanged\n\
            \x20   (skip repeated pipeline registrations of a pass whose earlier\n\
            \x20   instance reported zero changes this run, e.g. the second icf\n\
@@ -55,7 +43,7 @@ fn usage() -> ! {
            \x20   pinpointing the pass that broke an invariant)\n\
            -verify-sem\n\
            \x20   (symbolic translation validation: every emitted function's\n\
-           \x20   bytes are translated under each emulation tier — block,\n\
+           \x20   bytes are translated under each translation tier —\n\
            \x20   superblock, uop — and each translation is proven\n\
            \x20   semantically equivalent to a fresh decode of its bytes;\n\
            \x20   any finding fails the run)\n\
@@ -116,8 +104,19 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "-o" => output = it.next().cloned(),
-            "-b" => fdata = it.next().cloned(),
+            "-o" | "-b" => {
+                // A value-taking flag at the end of the line is a usage
+                // error, not a silently absent output/profile.
+                let Some(value) = it.next() else {
+                    eprintln!("bolt: {a} requires a value");
+                    return ExitCode::from(2);
+                };
+                if a == "-o" {
+                    output = Some(value.clone());
+                } else {
+                    fdata = Some(value.clone());
+                }
+            }
             "-dyno-stats" => opts.dyno_stats = true,
             "-time-passes" => opts.time_passes = true,
             "-skip-unchanged" => opts.skip_unchanged = true,
@@ -145,27 +144,10 @@ fn main() -> ExitCode {
                     Err(_) => usage(),
                 };
             }
-            s if s.starts_with("-shards=") => {
-                // 0 = auto (BOLT_SHARDS env override or 1), matching
-                // BoltOptions::shards.
-                opts.shards = match s["-shards=".len()..].parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => usage(),
-                };
-            }
             s if s.starts_with("-poison-pass=") => {
                 opts.poison_nth = match s["-poison-pass=".len()..].parse::<usize>() {
                     Ok(n) => Some(n),
                     Err(_) => usage(),
-                };
-            }
-            s if s.starts_with("-engine=") => {
-                opts.engine = match s["-engine=".len()..].parse::<bolt::emu::Engine>() {
-                    Ok(e) => Some(e),
-                    Err(msg) => {
-                        eprintln!("bolt: -engine=: {msg}");
-                        std::process::exit(2);
-                    }
                 };
             }
             s if s.starts_with("-reorder-blocks=") => {

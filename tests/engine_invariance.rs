@@ -466,14 +466,10 @@ fn max_steps_budget_lands_identically_inside_superblocks() {
 /// its observables. The acceptance property is therefore twofold: the
 /// runs complete with output matching the step engine, *and* the tier
 /// counters show zero degraded blocks — every translation proved clean
-/// at full tier.
-///
-/// The knob is process-global and sticky-on by design; other tests in
-/// this binary may also translate under validation afterwards, which is
-/// harmless — their translations must prove clean anyway.
+/// at full tier. Validation is a setting of the machines this test
+/// builds, so nothing else in the binary is affected.
 #[test]
 fn all_workloads_translate_clean_under_semantic_validation() {
-    bolt::emu::enable_sem_validation();
     let interp = build(Workload::Interp);
     let straightline = bolt_bench::straightline_elf(40);
     let workloads: [(&str, &Elf); 4] = [
@@ -493,6 +489,7 @@ fn all_workloads_translate_clean_under_semantic_validation() {
         };
         for engine in [Engine::Superblock, Engine::Uop] {
             let mut m = Machine::new();
+            m.set_sem_validation(true);
             m.load_elf(elf);
             let r = m
                 .run_engine(&mut NullSink, u64::MAX, engine)
@@ -565,24 +562,28 @@ fn default_pipeline_under_verify_each_is_clean_on_tao() {
 /// some other engine or being silently ignored: `block` is no longer an
 /// engine and the structural micro-op validator's flag no longer
 /// exists. Both are usage errors (exit 2) caught before the input is
-/// even read.
+/// even read — as are `bolt`'s retired `-engine=` / `-shards=` flags and
+/// any value-taking flag left without its value (never a silently
+/// dropped option: `bolt-run app.elf --fdata` must not run unprofiled).
 #[test]
 fn retired_engine_and_validator_spellings_are_usage_errors() {
     let err = "block".parse::<Engine>().expect_err("block is retired");
     assert!(err.contains(Engine::VALID), "{err}");
     assert_eq!(Engine::VALID, "step|superblock|uop");
 
-    let bolt_run = |args: &[&str]| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bolt-run"))
+    let spawn = |exe: &str, args: &[&str]| {
+        let out = std::process::Command::new(exe)
             .arg("unread.elf")
             .args(args)
             .output()
-            .expect("bolt-run spawns");
+            .expect("the tool spawns");
         (
             out.status.code(),
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
+    let bolt_run = |args: &[&str]| spawn(env!("CARGO_BIN_EXE_bolt-run"), args);
+    let bolt = |args: &[&str]| spawn(env!("CARGO_BIN_EXE_bolt"), args);
     let (code, stderr) = bolt_run(&["--engine", "block"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "one-line diagnostic: {stderr}");
@@ -593,4 +594,68 @@ fn retired_engine_and_validator_spellings_are_usage_errors() {
     let (code, stderr) = bolt_run(&[&retired_flag]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.starts_with("usage: bolt-run"), "{stderr}");
+
+    for flag in [
+        "--fdata",
+        "--state-dir",
+        "--artifact-out",
+        "--worker-profile",
+        "--period",
+    ] {
+        let (code, stderr) = bolt_run(&["--counters", flag]);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: one line: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains("requires a value"),
+            "{stderr}"
+        );
+    }
+
+    for retired in ["-engine=uop", "-shards=8"] {
+        let (code, stderr) = bolt(&["-o", "unwritten.elf", retired]);
+        assert_eq!(code, Some(2), "{retired}: {stderr}");
+        assert!(stderr.starts_with("usage: bolt "), "{retired}: {stderr}");
+        assert!(
+            !stderr.contains("-engine") && !stderr.contains("-shards"),
+            "usage no longer offers the measurement-side flags: {stderr}"
+        );
+    }
+    for args in [&["-o", "unwritten.elf", "-b"][..], &["-o"][..]] {
+        let (code, stderr) = bolt(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: one line: {stderr}");
+        assert!(stderr.contains("requires a value"), "{stderr}");
+    }
+}
+
+/// `--max-steps 0` means "auto" like `--shards 0`, `--threads 0` and
+/// `BOLT_MAX_STEPS=0` — not a zero-step budget that reports `did not
+/// exit: MaxSteps after 0 steps (budget 0 …)`.
+#[test]
+fn max_steps_zero_is_auto_not_a_zero_budget() {
+    let dir = std::env::temp_dir().join(format!("bolt-max-steps-0-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("tao.elf");
+    std::fs::write(&path, write_elf(tao_fixture()).expect("serializes")).unwrap();
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bolt-run"))
+            .arg(&path)
+            .args(args)
+            .env_remove("BOLT_MAX_STEPS")
+            .output()
+            .expect("bolt-run spawns");
+        (
+            out.status.code(),
+            out.stdout,
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let plain = run(&[]);
+    let zero = run(&["--max-steps", "0"]);
+    assert!(!zero.2.contains("did not exit"), "{}", zero.2);
+    assert!(zero.2.contains("exit Exited("), "{}", zero.2);
+    assert_eq!(zero, plain, "an explicit 0 is the absent flag");
+    let capped = run(&["--max-steps", "1000"]);
+    assert!(capped.2.contains("budget 1000"), "{}", capped.2);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,13 +5,15 @@
 
 use bolt::compiler::{compile_and_link, CompileOptions};
 use bolt::elf::Elf;
-use bolt::emu::{run_batch, CountingSink, Machine, NullSink, ShardPlan};
+use bolt::emu::{run_batch, CountingSink, Machine, NullSink, ShardPlan, Tee};
+use bolt::profile::{LbrSampler, ProfileMode, SampleTrigger};
+use bolt::shard_artifact::{merge_shards, run_shards, Attach, ShardArtifact};
 use bolt::workloads::{Scale, Workload};
 use bolt_bench::{
     measure, measure_batch, profile_lbr, profile_lbr_batch, profile_lbr_batch_with, seed_partition,
-    shard_plan,
+    shard_plan, try_run_with, RunResult, SAMPLE_PERIOD,
 };
-use bolt_sim::SimConfig;
+use bolt_sim::{CpuModel, SimConfig};
 use std::sync::OnceLock;
 
 /// A compiler-like workload binary (it has the `config` input-selection
@@ -30,7 +32,7 @@ fn clang_fixture() -> &'static Elf {
 /// the CI matrix's `BOLT_SHARDS` leg but never drops below 4, so the
 /// batch paths stay exercised even on the serial leg.
 fn suite_shards() -> usize {
-    bolt::emu::resolve_shards(0).max(4)
+    bolt::emu::Knobs::get().shards(0).max(4)
 }
 
 #[test]
@@ -70,13 +72,26 @@ fn sharded_profile_identical_at_1_and_8_workers() {
 fn one_shard_batch_equals_serial_single_run() {
     let elf = clang_fixture();
     let cfg = SimConfig::small();
-    let (serial_profile, serial_run) = profile_lbr(elf, &cfg);
+    // The serial reference is composed by hand on one machine: the
+    // harness's own `profile_lbr`/`measure` are one-shard batches.
+    let mut sampler = LbrSampler::new(SAMPLE_PERIOD, SampleTrigger::Instructions);
+    let mut model = CpuModel::new(cfg.clone());
+    let (exit_code, output, steps) =
+        try_run_with(elf, &mut Tee(&mut sampler, &mut model)).expect("workload exits");
+    let serial_run = RunResult {
+        exit_code,
+        output,
+        steps,
+        counters: model.counters(),
+    };
     let (batch_profile, batch) = profile_lbr_batch(elf, &cfg, &shard_plan(1, 8));
-    assert_eq!(batch_profile.to_fdata(), serial_profile.to_fdata());
-    assert_eq!(batch.runs, vec![serial_run]);
+    assert_eq!(batch_profile.to_fdata(), sampler.profile.to_fdata());
+    assert_eq!(batch.runs, vec![serial_run.clone()]);
+    assert_eq!(profile_lbr(elf, &cfg), (batch_profile, serial_run.clone()));
 
     let measured = measure_batch(elf, &cfg, &shard_plan(1, 1));
-    assert_eq!(measured.runs[0], measure(elf, &cfg));
+    assert_eq!(measured.runs, vec![serial_run.clone()]);
+    assert_eq!(measure(elf, &cfg), serial_run);
     assert_eq!(measured.counters, measured.runs[0].counters);
 }
 
@@ -139,4 +154,58 @@ fn machine_reuse_across_shards_leaks_nothing() {
     fresh.run(&mut NullSink, u64::MAX).expect("shard B runs");
     assert_eq!(reused.output, fresh.output);
     assert_eq!(reused.regs, fresh.regs);
+}
+
+/// The one shard runner behind `bolt-run` and the harness: N shards run
+/// in one call, written and read back as durable artifacts, merge to
+/// exactly what the in-memory shards merge to (the supervised path vs
+/// the in-process one) — and the same N shards run as N one-shard calls
+/// at `first_shard = i` (what each supervised worker does) are the same
+/// artifacts: fdata bytes, counters, output words, steps.
+#[test]
+fn shared_runner_is_invariant_under_artifact_round_trip_and_worker_split() {
+    let elf = clang_fixture();
+    let shards = suite_shards();
+    let attach = Attach {
+        sampler: Some((ProfileMode::Lbr, SAMPLE_PERIOD)),
+        model: Some(SimConfig::small()),
+    };
+    let seed = seed_partition(elf, 1);
+    let plan = ShardPlan::new(shards).with_threads(2);
+    let in_process = run_shards(elf, &plan, &attach, 0, &seed).expect("batch runs");
+    assert_eq!(in_process.len(), shards);
+    let merged = merge_shards(&in_process);
+    assert!(merged.profile.num_samples > 0 && merged.counters.instructions > 0);
+    assert_eq!(
+        merged.steps,
+        in_process.iter().map(|s| s.steps).sum::<u64>()
+    );
+
+    let dir = std::env::temp_dir().join(format!("bolt-shared-runner-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let read_back: Vec<ShardArtifact> = in_process
+        .iter()
+        .map(|s| {
+            let path = dir.join(format!("shard-{}.bolta", s.shard));
+            s.write(&path).expect("artifact writes");
+            ShardArtifact::read(&path).expect("artifact reads back")
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(read_back, in_process);
+    let supervised = merge_shards(&read_back);
+    assert_eq!(supervised, merged);
+    assert_eq!(supervised.profile.to_fdata(), merged.profile.to_fdata());
+
+    let one = ShardPlan::new(1);
+    let workers: Vec<ShardArtifact> = (0..shards)
+        .map(|i| {
+            run_shards(elf, &one, &attach, i, &seed)
+                .expect("worker runs")
+                .remove(0)
+        })
+        .collect();
+    assert_eq!(workers, in_process, "shard i alone == shard i of the batch");
+    let distinct: std::collections::HashSet<_> = workers.iter().map(|s| &s.output).collect();
+    assert!(distinct.len() > 1, "the global index reached the seed");
 }
