@@ -8,9 +8,13 @@
 //! moved code (paper section 3.4).
 
 use bolt_elf::{sections, Elf, Section, SymKind};
-use bolt_ir::{emit_units, BinaryContext, BlockId, EmitBlock, EmitError, EmitInst, EmitUnit};
+use bolt_ir::{
+    emit_units, BinaryContext, BlockId, EmitBlock, EmitError, EmitInst, EmitResult, EmitUnit,
+    ExceptionTable, LineTable,
+};
 use bolt_isa::{Inst, Label, Target};
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// Base address of the rewritten hot text.
 pub const BOLT_TEXT_BASE: u64 = 0x100_0000;
@@ -25,6 +29,51 @@ pub struct RewriteStats {
     pub hot_text_size: u64,
     pub cold_text_size: u64,
     pub patched_jump_table_entries: usize,
+    /// Wall clock of the three rewrite steps (`-time-passes`): emitting
+    /// the functions, assembling the output ELF around them, rebuilding
+    /// the line and exception tables.
+    pub emit_time: Duration,
+    pub assemble_time: Duration,
+    pub tables_time: Duration,
+}
+
+/// The line and exception tables of the rewritten binary (paper section
+/// 3.4): entries inside `moved` code go, `result`'s for its new home come.
+fn rebuild_tables(
+    ctx: &BinaryContext,
+    mut moved: Vec<(u64, u64)>,
+    result: &EmitResult,
+) -> (LineTable, ExceptionTable) {
+    // Sorted and merged into disjoint `[start, end)` ranges, the moved
+    // functions answer "is this address inside one?" by binary search.
+    moved.sort_unstable();
+    moved.dedup_by(|next, last| {
+        let joins = next.0 <= last.1;
+        if joins {
+            last.1 = last.1.max(next.1);
+        }
+        joins
+    });
+    let inside_moved = |a: u64| -> bool {
+        let after = moved.partition_point(|r| r.0 <= a);
+        after > 0 && a < moved[after - 1].1
+    };
+    let kept = ctx.lines.entries.iter().filter(|e| !inside_moved(e.0));
+    let new = result
+        .line_entries
+        .iter()
+        .map(|(a, li)| (*a, li.file, li.line));
+    let mut lines = LineTable {
+        files: ctx.lines.files.clone(),
+        entries: kept.copied().chain(new).collect(),
+    };
+    lines.normalize();
+    let mut eh = ctx.exceptions.clone();
+    eh.entries.retain(|cs, _| !inside_moved(*cs));
+    for (call_addr, pad_label) in &result.eh_entries {
+        eh.add(*call_addr, result.label_addrs[pad_label]);
+    }
+    (lines, eh)
 }
 
 /// Rewrites `elf` according to the optimized `ctx`, emitting functions in
@@ -40,6 +89,7 @@ pub fn rewrite_binary(
     order: &[usize],
 ) -> Result<(Elf, RewriteStats), EmitError> {
     let mut stats = RewriteStats::default();
+    let started = Instant::now();
 
     // Which functions get re-emitted.
     let emitted: Vec<usize> = order
@@ -50,17 +100,11 @@ pub fn rewrite_binary(
     stats.emitted_functions = emitted.len();
     stats.skipped_functions = ctx.functions.len() - emitted.len();
 
-    // Label allocation.
-    let mut next_label = 0u32;
-    let mut fresh = || {
-        let l = Label(next_label);
-        next_label += 1;
-        l
-    };
+    // Label allocation: one per emitted block, in emission order.
     let mut block_labels: HashMap<(usize, BlockId), Label> = HashMap::new();
     for &fi in &emitted {
         for &b in &ctx.functions[fi].layout {
-            block_labels.insert((fi, b), fresh());
+            block_labels.insert((fi, b), Label(block_labels.len() as u32));
         }
     }
     // Old entry address -> new entry label (through ICF folds).
@@ -70,10 +114,7 @@ pub fn rewrite_binary(
         is_emitted[fi] = true;
     }
     for (i, f) in ctx.functions.iter().enumerate() {
-        let mut k = i;
-        while let Some(next) = ctx.functions[k].folded_into {
-            k = next;
-        }
+        let k = bolt_passes::icf::resolve_fold(ctx, i);
         if is_emitted[k] {
             let entry = ctx.functions[k].entry();
             entry_label_of_addr.insert(f.address, block_labels[&(k, entry)]);
@@ -129,26 +170,28 @@ pub fn rewrite_binary(
         units.push(unit);
     }
 
-    let extern_labels = HashMap::new();
-    let result = emit_units(&units, BOLT_TEXT_BASE, BOLT_COLD_BASE, &extern_labels)?;
+    let result = emit_units(&units, BOLT_TEXT_BASE, BOLT_COLD_BASE, &HashMap::new())?;
     stats.hot_text_size = result.text.len() as u64;
     stats.cold_text_size = result.cold.len() as u64;
+    stats.emit_time = started.elapsed();
 
     // ---- assemble the output ELF ----
     let mut out = elf.clone();
 
-    // Patch jump tables in read-only data.
+    // Patch jump tables in read-only data; a table lies in one section.
+    let holds = |s: &Section, a| s.is_alloc() && !s.is_exec() && s.addr_range().contains(&a);
     for &fi in &emitted {
         for jt in &ctx.functions[fi].jump_tables {
+            let Some(sec) = out.sections.iter_mut().find(|s| holds(s, jt.addr)) else {
+                continue;
+            };
             for (k, target) in jt.targets.iter().enumerate() {
-                let new_addr = result.label_addrs[&block_labels[&(fi, *target)]];
                 let entry_addr = jt.addr + 8 * k as u64;
-                for sec in out.sections.iter_mut() {
-                    if sec.is_alloc() && !sec.is_exec() && sec.addr_range().contains(&entry_addr) {
-                        let off = (entry_addr - sec.addr) as usize;
-                        sec.data[off..off + 8].copy_from_slice(&new_addr.to_le_bytes());
-                        stats.patched_jump_table_entries += 1;
-                    }
+                if holds(sec, entry_addr) {
+                    let new_addr = result.label_addrs[&block_labels[&(fi, *target)]];
+                    let off = (entry_addr - sec.addr) as usize;
+                    sec.data[off..off + 8].copy_from_slice(&new_addr.to_le_bytes());
+                    stats.patched_jump_table_entries += 1;
                 }
             }
         }
@@ -206,36 +249,6 @@ pub fn rewrite_binary(
         }
     }
 
-    // Rebuild the line table: keep entries outside moved functions, add
-    // the new ones.
-    let moved_ranges: Vec<(u64, u64)> = emitted
-        .iter()
-        .map(|&fi| {
-            let f = &ctx.functions[fi];
-            (f.address, f.address + f.size)
-        })
-        .collect();
-    let inside_moved = |a: u64| -> bool { moved_ranges.iter().any(|&(s, e)| a >= s && a < e) };
-    let mut lines = ctx.lines.clone();
-    lines.entries.retain(|e| !inside_moved(e.0));
-    for (addr, li) in &result.line_entries {
-        lines.push(*addr, li.file, li.line);
-    }
-    lines.normalize();
-    if let Some(sec) = out.section_mut(sections::LINES) {
-        sec.data = lines.to_bytes();
-    }
-
-    // Rebuild the exception table.
-    let mut eh = ctx.exceptions.clone();
-    eh.entries.retain(|cs, _| !inside_moved(*cs));
-    for (call_addr, pad_label) in &result.eh_entries {
-        eh.add(*call_addr, result.label_addrs[pad_label]);
-    }
-    if let Some(sec) = out.section_mut(sections::EH) {
-        sec.data = eh.to_bytes();
-    }
-
     // Entry point follows _start if it moved.
     if let Some(&fi) = ctx.by_name.get("_start") {
         let f = &ctx.functions[fi];
@@ -248,5 +261,155 @@ pub fn rewrite_binary(
     // Relocations in the output would describe the old text; drop them.
     out.relocations.clear();
 
+    let tables_started = Instant::now();
+    stats.assemble_time = tables_started - started - stats.emit_time;
+
+    // Rebuild the line and exception tables for the moved functions.
+    let moved = emitted.iter().map(|&fi| &ctx.functions[fi]);
+    let moved = moved.map(|f| (f.address, f.address + f.size)).collect();
+    let (lines, eh) = rebuild_tables(ctx, moved, &result);
+    if let Some(sec) = out.section_mut(sections::LINES) {
+        sec.data = lines.to_bytes();
+    }
+    if let Some(sec) = out.section_mut(sections::EH) {
+        sec.data = eh.to_bytes();
+    }
+    stats.tables_time = tables_started.elapsed();
+
     Ok((out, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bolt_ir::LineInfo;
+
+    /// The rebuild this file used to do: every table entry tested against
+    /// every moved range in turn. Kept as the reference the sorted-range
+    /// rebuild must match byte for byte.
+    fn rebuild_tables_quadratic(
+        ctx: &BinaryContext,
+        moved: &[(u64, u64)],
+        result: &EmitResult,
+    ) -> (LineTable, ExceptionTable) {
+        let inside_moved = |a: u64| -> bool { moved.iter().any(|&(s, e)| a >= s && a < e) };
+        let mut lines = ctx.lines.clone();
+        lines.entries.retain(|e| !inside_moved(e.0));
+        for (addr, li) in &result.line_entries {
+            lines.push(*addr, li.file, li.line);
+        }
+        lines.normalize();
+        let mut eh = ctx.exceptions.clone();
+        eh.entries.retain(|cs, _| !inside_moved(*cs));
+        for (call_addr, pad_label) in &result.eh_entries {
+            eh.add(*call_addr, result.label_addrs[pad_label]);
+        }
+        (lines, eh)
+    }
+
+    /// A context with a line entry and a call site on every address of
+    /// `0x0FF0..0x1100`, so each range boundary below is hit exactly.
+    fn dense_ctx() -> BinaryContext {
+        let mut ctx = BinaryContext::new();
+        let file = ctx.lines.intern_file("dense.cpp");
+        for addr in 0x0FF0..0x1100u64 {
+            ctx.lines.push(addr, file, addr as u32 & 0xFF);
+            ctx.exceptions.add(addr, 0x5000 + addr);
+        }
+        ctx
+    }
+
+    /// New-home entries plus three that land on addresses surviving in the
+    /// old tables: a second line for `0x1020` (both stay), an exact copy
+    /// of `0x1021`'s (dropped), a new landing pad for `0x1022` (replaces).
+    fn emitted() -> EmitResult {
+        let mut result = EmitResult::default();
+        let at = |line| LineInfo { file: 0, line };
+        result.line_entries = vec![
+            (BOLT_TEXT_BASE, at(7)),
+            (BOLT_TEXT_BASE + 4, at(8)),
+            (0x1020, at(9)),
+            (0x1021, at(0x21)),
+        ];
+        result.label_addrs.insert(Label(0), BOLT_COLD_BASE);
+        result.eh_entries = vec![(BOLT_TEXT_BASE + 4, Label(0)), (0x1022, Label(0))];
+        result
+    }
+
+    fn assert_same_tables(ctx: &BinaryContext, moved: &[(u64, u64)]) {
+        let result = emitted();
+        let (lines, eh) = rebuild_tables(ctx, moved.to_vec(), &result);
+        let (ref_lines, ref_eh) = rebuild_tables_quadratic(ctx, moved, &result);
+        assert_eq!(lines.to_bytes(), ref_lines.to_bytes(), "lines, {moved:x?}");
+        assert_eq!(eh.to_bytes(), ref_eh.to_bytes(), "eh, {moved:x?}");
+    }
+
+    #[test]
+    fn table_rebuild_matches_the_quadratic_reference_at_every_boundary() {
+        let ctx = dense_ctx();
+        // Moved and unmoved functions interleaved, given out of address
+        // order as a function order would: a gap, two adjacent ranges, a
+        // zero-size function between and inside ranges, a range starting
+        // where the table starts and one running past its end.
+        let moved = [
+            (0x1040, 0x1050),
+            (0x1000, 0x1010),
+            (0x1010, 0x1020),
+            (0x1030, 0x1030),
+            (0x1048, 0x1048),
+            (0x0FF0, 0x0FF8),
+            (0x10F0, 0x1200),
+            (0x1060, 0x1061),
+        ];
+        assert_same_tables(&ctx, &moved);
+        let (lines, eh) = rebuild_tables(&ctx, moved.to_vec(), &emitted());
+        // `addr == start` goes, `addr == end` stays; adjacent ranges leave
+        // no survivor between them; a zero-size function moves nothing.
+        for (addr, kept) in [
+            (0x0FFF, true),
+            (0x1000, false),
+            (0x100F, false),
+            (0x1010, false),
+            (0x101F, false),
+            (0x1020, true),
+            (0x1030, true),
+            (0x1048, false),
+            (0x1050, true),
+            (0x1060, false),
+            (0x1061, true),
+            (0x10FF, false),
+        ] {
+            assert_eq!(lines.lookup(addr).is_some(), kept, "line at {addr:#x}");
+            assert_eq!(eh.landing_pad_for(addr).is_some(), kept, "eh at {addr:#x}");
+        }
+        assert_eq!(lines.lookup(BOLT_TEXT_BASE + 4), Some((0, 8)));
+        let at = |addr| lines.entries.iter().filter(move |e| e.0 == addr).count();
+        assert_eq!((at(0x1020), at(0x1021)), (2, 1));
+        assert_eq!(eh.landing_pad_for(0x1022), Some(BOLT_COLD_BASE));
+        assert_eq!(eh.landing_pad_for(BOLT_TEXT_BASE + 4), Some(BOLT_COLD_BASE));
+    }
+
+    #[test]
+    fn table_rebuild_matches_the_quadratic_reference_on_seeded_ranges() {
+        let ctx = dense_ctx();
+        assert_same_tables(&ctx, &[]);
+        // Overlapping, nested, empty and duplicate ranges in any order
+        // (a xorshift stream; 200 range sets of up to 12 ranges).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..200 {
+            let moved: Vec<(u64, u64)> = (0..next(13))
+                .map(|_| {
+                    let start = 0x0FE8 + next(0x130);
+                    (start, start + next(0x28))
+                })
+                .collect();
+            assert_same_tables(&ctx, &moved);
+        }
+    }
 }

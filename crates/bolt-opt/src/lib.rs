@@ -44,4 +44,6 @@ pub use driver::{
 };
 pub use emit::{rewrite_binary, RewriteStats, BOLT_COLD_BASE, BOLT_TEXT_BASE};
 pub use options::BoltOptions;
-pub use report::{bad_layout_report, find_bad_layout, timing_report, BadLayoutCase};
+pub use report::{
+    bad_layout_report, find_bad_layout, rewrite_timing_report, timing_report, BadLayoutCase,
+};

@@ -132,6 +132,33 @@ pub fn timing_report(pipeline: &bolt_passes::PipelineResult) -> String {
     out
 }
 
+/// Renders the rows `-time-passes` prints under the pass table: the
+/// rewrite stage (emit and link, paper Figure 3 stages 7–8) split into
+/// its three steps, each with its share of the stage.
+pub fn rewrite_timing_report(stats: &crate::RewriteStats) -> String {
+    let total = stats.emit_time + stats.assemble_time + stats.tables_time;
+    let total_secs = total.as_secs_f64().max(f64::MIN_POSITIVE);
+    let mut out = String::from("BOLT rewrite timing (wall clock):\n");
+    for (step, time) in [
+        ("emit", stats.emit_time),
+        ("elf-assembly", stats.assemble_time),
+        ("table-rebuild", stats.tables_time),
+    ] {
+        out.push_str(&format!(
+            "  {:<20} {:>12} {:>6.1}%\n",
+            step,
+            format!("{time:.3?}"),
+            100.0 * time.as_secs_f64() / total_secs,
+        ));
+    }
+    out.push_str(&format!(
+        "  {:<20} {:>12}\n",
+        "total",
+        format!("{total:.3?}")
+    ));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,5 +206,33 @@ mod tests {
         f.block_mut(b0).push(Inst::Ret);
         ctx.add_function(f);
         assert!(find_bad_layout(&ctx).is_empty());
+    }
+
+    /// CI parses these rows (the `table-rebuild` share is its tripwire
+    /// against a quadratic rebuild), so their names and columns are pinned.
+    #[test]
+    fn rewrite_timing_rows_are_pinned() {
+        use std::time::Duration;
+        let stats = crate::RewriteStats {
+            emit_time: Duration::from_millis(30),
+            assemble_time: Duration::from_millis(5),
+            tables_time: Duration::from_millis(15),
+            ..Default::default()
+        };
+        let report = rewrite_timing_report(&stats);
+        let rows: Vec<Vec<&str>> = report
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            report.lines().next(),
+            Some("BOLT rewrite timing (wall clock):")
+        );
+        assert_eq!(rows[1], ["emit", "30.000ms", "60.0%"]);
+        assert_eq!(rows[2], ["elf-assembly", "5.000ms", "10.0%"]);
+        assert_eq!(rows[3], ["table-rebuild", "15.000ms", "30.0%"]);
+        assert_eq!(rows[4], ["total", "50.000ms"]);
+        // An unmeasured rewrite renders without dividing by zero.
+        assert!(rewrite_timing_report(&Default::default()).contains("0.0%"));
     }
 }

@@ -5,157 +5,158 @@
 //! section 4: ~3% size reduction on HHVM beyond the linker's ICF).
 
 use bolt_ir::{BinaryContext, BinaryFunction};
-use bolt_isa::{Inst, Mem, Rm, Target};
-use std::collections::hash_map::DefaultHasher;
+use bolt_isa::{Inst, JumpWidth, Mem, Rm, Target};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-/// A normalized rendering of a function body where intra-function targets
-/// become block ordinals and cross-function targets become function
-/// indices, making two structurally identical bodies compare equal.
-fn normalize(ctx: &BinaryContext, func: &BinaryFunction) -> Option<Vec<u8>> {
-    use std::io::Write;
-    let mut out = Vec::new();
+/// One element of a normalized function body. Intra-function targets are
+/// block ordinals and cross-function targets function indices, so two
+/// structurally identical bodies are equal element for element.
+#[derive(PartialEq, Eq, Hash)]
+enum Key {
+    /// Block header: layout ordinal and landing-pad flag.
+    Block(u32, bool),
+    /// An instruction, its target (which follows as its own element)
+    /// zeroed and its jump width — the emitter's choice — canonical.
+    Inst(Inst),
+    /// A block of this function: a branch or jump-table target.
+    Local(u32),
+    /// The entry of the function with this index.
+    Func(usize),
+    /// Any other address.
+    Addr(u64),
+    /// A CFG successor.
+    Succ(u32),
+    /// Start of a jump table.
+    Table,
+}
+
+/// Streams the normalized body of `func` into `emit`; `None` if an
+/// instruction names a block the function does not have.
+fn normalize(ctx: &BinaryContext, func: &BinaryFunction, mut emit: impl FnMut(Key)) -> Option<()> {
     // Block ordinal by id.
     let mut ordinal = vec![u32::MAX; func.blocks.len()];
     for (i, id) in func.layout.iter().enumerate() {
         ordinal[id.index()] = i as u32;
     }
-    let norm_target = |t: Target, out: &mut Vec<u8>| -> Option<()> {
-        match t {
-            Target::Label(l) => {
-                // Intra-function block reference.
-                out.push(0xB0);
-                out.extend_from_slice(&ordinal.get(l.0 as usize).copied()?.to_le_bytes());
-            }
-            Target::Addr(a) => {
-                if let Some(fi) = ctx.function_at(a) {
-                    let callee = &ctx.functions[fi];
-                    if a == callee.address {
-                        // Cross-function reference: use the final fold
-                        // target so ICF converges transitively.
-                        let resolved = callee.folded_into.unwrap_or(fi);
-                        out.push(0xF0);
-                        out.extend_from_slice(&(resolved as u64).to_le_bytes());
-                        return Some(());
-                    }
-                    if !ordinal.is_empty() && fi == ctx.function_at(func.address)? {
-                        // Address inside ourselves (shouldn't happen after
-                        // CFG construction) — treat as opaque.
-                    }
-                }
-                out.push(0xA0);
-                out.extend_from_slice(&a.to_le_bytes());
-            }
-        }
-        Some(())
-    };
     for &id in &func.layout {
         let b = func.block(id);
-        let _ = write!(
-            out,
-            "[{}:{}]",
-            ordinal[id.index()],
-            u8::from(b.is_landing_pad)
-        );
+        emit(Key::Block(ordinal[id.index()], b.is_landing_pad));
         for inst in &b.insts {
-            // Discriminant + operands, with targets normalized.
             let mut i = inst.inst;
-            match &mut i {
-                Inst::Jcc { target, .. }
-                | Inst::Jmp { target, .. }
-                | Inst::Call { target }
-                | Inst::MovRSym { target, .. } => {
-                    let t = *target;
-                    *target = Target::Addr(0);
-                    let _ = write!(out, "{i}");
-                    norm_target(t, &mut out)?;
-                    continue;
+            let target = match &mut i {
+                Inst::Jcc { target, width, .. } | Inst::Jmp { target, width } => {
+                    *width = JumpWidth::Near;
+                    Some(target)
                 }
-                Inst::Load { mem, .. } | Inst::Store { mem, .. } | Inst::Lea { mem, .. } => {
-                    if let Mem::RipRel { target } = mem {
-                        let t = *target;
-                        *target = Target::Addr(0);
-                        let _ = write!(out, "{i}");
-                        norm_target(t, &mut out)?;
-                        continue;
+                Inst::Call { target } | Inst::MovRSym { target, .. } => Some(target),
+                Inst::Load { mem, .. }
+                | Inst::Store { mem, .. }
+                | Inst::Lea { mem, .. }
+                | Inst::JmpInd { rm: Rm::Mem(mem) }
+                | Inst::CallInd { rm: Rm::Mem(mem) } => match mem {
+                    Mem::RipRel { target } => Some(target),
+                    _ => None,
+                },
+                _ => None,
+            };
+            let target = target.map(|t| std::mem::replace(t, Target::Addr(0)));
+            emit(Key::Inst(i));
+            match target {
+                Some(Target::Label(l)) => emit(Key::Local(*ordinal.get(l.0 as usize)?)),
+                Some(Target::Addr(a)) => emit(match ctx.function_at(a) {
+                    // Cross-function reference: use the fold target so
+                    // ICF converges transitively.
+                    Some(fi) if ctx.functions[fi].address == a => {
+                        Key::Func(ctx.functions[fi].folded_into.unwrap_or(fi))
                     }
-                }
-                Inst::JmpInd { rm } | Inst::CallInd { rm } => {
-                    if let Rm::Mem(Mem::RipRel { target }) = rm {
-                        let t = *target;
-                        *target = Target::Addr(0);
-                        let _ = write!(out, "{i}");
-                        norm_target(t, &mut out)?;
-                        continue;
-                    }
-                }
-                _ => {}
+                    _ => Key::Addr(a),
+                }),
+                None => {}
             }
-            let _ = write!(out, "{i}");
         }
-        // Successor structure (normalized).
         for e in &b.succs {
-            out.push(0xE0);
-            out.extend_from_slice(&ordinal[e.block.index()].to_le_bytes());
+            emit(Key::Succ(ordinal[e.block.index()]));
         }
     }
     // Jump tables: same target ordinals in the same order fold fine.
     for jt in &func.jump_tables {
-        out.push(0xD0);
+        emit(Key::Table);
         for t in &jt.targets {
-            out.extend_from_slice(&ordinal[t.index()].to_le_bytes());
+            emit(Key::Local(ordinal[t.index()]));
         }
     }
-    Some(out)
+    Some(())
+}
+
+/// A multiply-rotate hasher: equality is checked inside a bucket, so the
+/// hash only has to be quick and spread well.
+struct BodyHasher(u64);
+
+impl Hasher for BodyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let mixed = self.0.rotate_left(5) ^ u64::from_le_bytes(word);
+            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
 }
 
 /// Runs one ICF fixpoint; returns the number of functions folded.
 pub fn run_icf(ctx: &mut BinaryContext) -> u64 {
+    // `(hash, address, index)` per candidate, sorted: possible twins are
+    // adjacent, lowest address first. The hash leaves callee identity
+    // out, so the folds below do not change it and one pass computes it.
+    let mut candidates = Vec::new();
+    for (i, f) in ctx.functions.iter().enumerate() {
+        let mut h = BodyHasher(0);
+        let feed = |k: Key| match k {
+            Key::Func(_) => {}
+            k => k.hash(&mut h),
+        };
+        let eligible = f.may_transform() && f.folded_into.is_none() && f.name != "_start";
+        if eligible && normalize(ctx, f, feed).is_some() {
+            candidates.push((h.finish(), f.address, i));
+        }
+    }
+    candidates.sort_unstable();
     let mut folded = 0;
     // Iterate: folding can enable more folds (mutually recursive twins).
     for _round in 0..3 {
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut bodies: HashMap<usize, Vec<u8>> = HashMap::new();
-        for (i, f) in ctx.functions.iter().enumerate() {
-            if !f.may_transform() || f.folded_into.is_some() || f.name == "_start" {
-                continue;
-            }
-            let Some(body) = normalize(ctx, f) else {
-                continue;
-            };
-            let mut h = DefaultHasher::new();
-            body.hash(&mut h);
-            buckets.entry(h.finish()).or_default().push(i);
-            bodies.insert(i, body);
-        }
-        let mut any = false;
-        let mut keys: Vec<u64> = buckets.keys().copied().collect();
-        keys.sort_unstable();
-        for k in keys {
-            let group = &buckets[&k];
-            if group.len() < 2 {
-                continue;
-            }
-            // Keep the lowest-address function; fold exact matches into it.
-            let mut sorted = group.clone();
-            sorted.sort_by_key(|&i| ctx.functions[i].address);
-            let keeper = sorted[0];
-            for &other in &sorted[1..] {
-                if bodies[&other] != bodies[&keeper] {
-                    continue; // hash collision
+        // Bodies are built and compared only inside a bucket, all under
+        // the same fold state: the round's folds apply together below.
+        let mut folds: Vec<(usize, usize)> = Vec::new();
+        let buckets = candidates.chunk_by(|a, b| a.0 == b.0);
+        for bucket in buckets.filter(|b| b.len() > 1) {
+            // Keep the lowest-address function of each distinct body.
+            let mut keepers: HashMap<Vec<Key>, usize> = HashMap::new();
+            for &(_, _, i) in bucket {
+                let mut body = Vec::new();
+                let live = ctx.functions[i].folded_into.is_none();
+                if live && normalize(ctx, &ctx.functions[i], |k| body.push(k)).is_some() {
+                    match keepers.entry(body) {
+                        Entry::Occupied(keeper) => folds.push((i, *keeper.get())),
+                        Entry::Vacant(first) => drop(first.insert(i)),
+                    }
                 }
-                let name = ctx.functions[other].name.clone();
-                let exec = ctx.functions[other].exec_count;
-                ctx.functions[other].folded_into = Some(keeper);
-                ctx.functions[keeper].icf_aliases.push(name);
-                ctx.functions[keeper].exec_count += exec;
-                folded += 1;
-                any = true;
             }
         }
-        if !any {
+        if folds.is_empty() {
             break;
+        }
+        folded += folds.len() as u64;
+        for (other, keeper) in folds {
+            let name = ctx.functions[other].name.clone();
+            let exec = ctx.functions[other].exec_count;
+            ctx.functions[other].folded_into = Some(keeper);
+            ctx.functions[keeper].icf_aliases.push(name);
+            ctx.functions[keeper].exec_count += exec;
         }
     }
     ctx.reindex();
@@ -173,8 +174,8 @@ pub fn resolve_fold(ctx: &BinaryContext, mut idx: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_ir::{BasicBlock, SuccEdge};
-    use bolt_isa::{AluOp, Cond, JumpWidth, Label, Reg};
+    use bolt_ir::{BasicBlock, BlockId, SuccEdge};
+    use bolt_isa::{AluOp, Cond, Label, Reg};
 
     fn twin(name: &str, addr: u64, imm: i32) -> BinaryFunction {
         let mut f = BinaryFunction::new(name, addr);
@@ -262,5 +263,46 @@ mod tests {
         let folded = run_icf(&mut ctx);
         assert_eq!(folded, 2, "both the twins and their callers fold");
         assert_eq!(ctx.functions[3].folded_into, Some(2));
+    }
+
+    /// The hash leaves callees out, so callers of different functions
+    /// share a bucket: the bucket is partitioned by body, not compared
+    /// member by member with its lowest-address function.
+    #[test]
+    fn bucket_mates_fold_among_themselves() {
+        let mut ctx = BinaryContext::new();
+        ctx.add_function(twin("x", 0x1000, 5));
+        ctx.add_function(twin("y", 0x2000, 6));
+        for (name, addr, callee) in [
+            ("calls_x", 0x3000u64, 0x1000u64),
+            ("calls_y", 0x4000, 0x2000),
+            ("calls_y_too", 0x5000, 0x2000),
+        ] {
+            let mut f = BinaryFunction::new(name, addr);
+            f.size = 8;
+            let b0 = f.add_block(BasicBlock::new());
+            f.block_mut(b0).push(Inst::Call {
+                target: Target::Addr(callee),
+            });
+            f.block_mut(b0).push(Inst::Ret);
+            ctx.add_function(f);
+        }
+        assert_eq!(run_icf(&mut ctx), 1);
+        assert_eq!(ctx.functions[2].folded_into, None);
+        assert_eq!(ctx.functions[4].folded_into, Some(3));
+    }
+
+    /// Jump width is the emitter's choice and never was part of the key.
+    #[test]
+    fn jump_width_does_not_separate_twins() {
+        let mut ctx = BinaryContext::new();
+        ctx.add_function(twin("near", 0x1000, 5));
+        let mut short = twin("short", 0x2000, 5);
+        let Inst::Jcc { width, .. } = &mut short.block_mut(BlockId(0)).insts[1].inst else {
+            panic!("the twin's second instruction is its branch");
+        };
+        *width = JumpWidth::Short;
+        ctx.add_function(short);
+        assert_eq!(run_icf(&mut ctx), 1);
     }
 }

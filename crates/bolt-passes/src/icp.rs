@@ -8,7 +8,7 @@
 //! site; BOLT uses its dataflow framework for exactly this (paper
 //! section 4), and so do we.
 
-use bolt_ir::{dataflow, BasicBlock, BinaryContext, BlockId, RegSet, SuccEdge};
+use bolt_ir::{dataflow, BasicBlock, BinaryContext, BlockId, SuccEdge};
 use bolt_isa::{AluOp, Cond, Inst, JumpWidth, Label, Reg, Rm, Target};
 
 /// Runs the pass; returns the number of call sites promoted.
@@ -21,16 +21,11 @@ pub fn run_icp(ctx: &mut BinaryContext, threshold: f64) -> u64 {
         if !func.may_transform() || func.folded_into.is_some() {
             continue;
         }
-        let facts = dataflow::solve(func, &dataflow::Liveness);
         for &id in &func.layout {
-            let live = dataflow::live_before_each(func, id, &facts);
             for (k, inst) in func.block(id).insts.iter().enumerate() {
-                let Inst::CallInd {
-                    rm: Rm::Reg(target_reg),
-                } = inst.inst
-                else {
+                if !matches!(inst.inst, Inst::CallInd { rm: Rm::Reg(_) }) {
                     continue;
-                };
+                }
                 let Some(targets) = ctx.indirect_call_targets.get(&inst.addr) else {
                     continue;
                 };
@@ -44,14 +39,6 @@ pub fn run_icp(ctx: &mut BinaryContext, threshold: f64) -> u64 {
                 if (hot_count as f64) < threshold * total as f64 {
                     continue;
                 }
-                // Need a dead scratch register != the target register.
-                let live_here: RegSet = live[k];
-                let scratch = Reg::CALLER_SAVED
-                    .iter()
-                    .find(|r| **r != target_reg && !live_here.contains(**r));
-                if scratch.is_none() {
-                    continue;
-                }
                 let hot_addr = ctx.functions[hot_fi].address;
                 plans.push((fi, id, k, hot_addr));
             }
@@ -59,7 +46,11 @@ pub fn run_icp(ctx: &mut BinaryContext, threshold: f64) -> u64 {
     }
 
     // Apply plans per function, later instruction indices first so earlier
-    // indices stay valid.
+    // indices stay valid. Liveness is solved here only, per planned site;
+    // planning needs none: a promotion leaves liveness unchanged at every
+    // other site (its guard writes the scratch register before reading
+    // it), so a site without a dead scratch register is refused just the
+    // same when its turn comes.
     plans.sort_by_key(|p| std::cmp::Reverse((p.0, p.1, p.2)));
     for (fi, id, k, hot_addr) in plans {
         if promote(ctx, fi, id, k, hot_addr) {
@@ -84,7 +75,7 @@ pub fn run_icp(ctx: &mut BinaryContext, threshold: f64) -> u64 {
 ///   ...tail...
 /// ```
 fn promote(ctx: &mut BinaryContext, fi: usize, id: BlockId, k: usize, hot_addr: u64) -> bool {
-    // Recompute scratch (conservatively) at application time.
+    // Need a dead scratch register != the target register.
     let func = &ctx.functions[fi];
     let facts = dataflow::solve(func, &dataflow::Liveness);
     let live = dataflow::live_before_each(func, id, &facts);
@@ -275,5 +266,61 @@ mod tests {
         let mut ctx = icp_ctx(true);
         ctx.indirect_call_targets.clear();
         assert_eq!(run_icp(&mut ctx, 0.51), 0);
+    }
+
+    /// Liveness is solved only where a promotion is planned. The witness
+    /// is a function `dataflow::solve` cannot survive — a successor edge
+    /// to a block it does not have — holding an indirect call the profile
+    /// says nothing about: the pass must leave it alone instead of
+    /// panicking, while the profiled site next door is promoted with the
+    /// scratch register the eager solve picks.
+    #[test]
+    fn liveness_is_solved_only_for_functions_with_a_profiled_indirect_call() {
+        let mut ctx = icp_ctx(true);
+        let mut unprofiled = BinaryFunction::new("unprofiled", 0x2000);
+        unprofiled.size = 32;
+        let b = unprofiled.add_block(BasicBlock::new());
+        unprofiled.block_mut(b).insts.push(
+            BinaryInst::new(Inst::CallInd {
+                rm: Rm::Reg(Reg::R11),
+            })
+            .at(0x2004),
+        );
+        unprofiled.block_mut(b).push(Inst::Ret);
+        unprofiled.block_mut(b).succs = vec![SuccEdge::cold(BlockId(7))];
+        let poisoned = ctx.add_function(unprofiled);
+        let solved = std::panic::catch_unwind(|| {
+            dataflow::solve(&ctx.functions[poisoned], &dataflow::Liveness)
+        });
+        assert!(solved.is_err(), "the witness must be fatal to the solver");
+
+        // What the eager pass computed for the profiled site.
+        let caller = &ctx.functions[2];
+        let facts = dataflow::solve(caller, &dataflow::Liveness);
+        let live = dataflow::live_before_each(caller, BlockId(0), &facts);
+        let expected = *Reg::CALLER_SAVED
+            .iter()
+            .find(|r| **r != Reg::R11 && !live[0].contains(**r))
+            .expect("a dead caller-saved register exists");
+
+        let untouched = ctx.functions[poisoned].clone();
+        assert_eq!(run_icp(&mut ctx, 0.51), 1);
+        assert_eq!(ctx.functions[poisoned].blocks, untouched.blocks);
+        let head = ctx.functions[2].block(BlockId(0));
+        let guard: Vec<Inst> = head.insts.iter().map(|i| i.inst).collect();
+        assert_eq!(
+            guard[..2],
+            [
+                Inst::MovRSym {
+                    dst: expected,
+                    target: Target::Addr(0x9000),
+                },
+                Inst::Alu {
+                    op: AluOp::Cmp,
+                    dst: Reg::R11,
+                    src: expected,
+                },
+            ]
+        );
     }
 }

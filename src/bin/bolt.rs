@@ -9,7 +9,7 @@
 
 use bolt::elf::{read_elf, write_elf};
 use bolt::hfsort::Algorithm;
-use bolt::opt::{optimize, timing_report, BoltOptions};
+use bolt::opt::{optimize, rewrite_timing_report, timing_report, BoltOptions};
 use bolt::passes::{BlockLayout, PassOptions, SplitMode};
 use bolt::profile::Profile;
 use std::process::ExitCode;
@@ -238,6 +238,7 @@ fn main() -> ExitCode {
     }
     if opts.time_passes {
         eprint!("{}", timing_report(&out.pipeline));
+        eprint!("{}", rewrite_timing_report(&out.rewrite_stats));
     }
     // Degraded runs always report what was demoted or quarantined;
     // -time-passes additionally confirms a clean run.
