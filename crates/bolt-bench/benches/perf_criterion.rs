@@ -195,15 +195,29 @@ fn bench_cache_sim(c: &mut Criterion) {
             black_box(h)
         })
     });
-    // The memoized last-line fast path: consecutive same-line accesses
-    // (a hot loop's data, a basic block's fetches) skip the set scan.
-    c.bench_function("cache_sim_1m_memo_hits", |b| {
+    // A hit on a set's most recently used way — one compare, no state
+    // change — is what nearly every access of an emulated program is.
+    // Here: consecutive same-line accesses (a hot loop's data, a basic
+    // block's fetches).
+    c.bench_function("cache_sim_1m_mru_way_hits", |b| {
         b.iter(|| {
             let mut cache = Cache::new(32 << 10, 8, 64);
             let mut h = 0u64;
             for i in 0..1_000_000u64 {
                 // 64 consecutive accesses per line before moving on.
                 h ^= u64::from(cache.access((i / 64 * 64) & 0xF_FFFF));
+            }
+            black_box(h)
+        })
+    });
+    // The same hit when two lines in distinct sets take turns (a stack
+    // line and a data line): each stays the first way of its own set.
+    c.bench_function("cache_sim_1m_two_set_alternation", |b| {
+        b.iter(|| {
+            let mut cache = Cache::new(32 << 10, 8, 64);
+            let mut h = 0u64;
+            for i in 0..1_000_000u64 {
+                h ^= u64::from(cache.access(0x7FFF_0000 + (i % 2) * 0x140));
             }
             black_box(h)
         })

@@ -22,6 +22,8 @@ impl BranchOutcome {
     }
 }
 
+const RAS_ENTRIES: usize = 32;
+
 /// A gshare conditional-branch direction predictor with a branch target
 /// buffer for indirect targets and a return-address stack.
 #[derive(Debug, Clone)]
@@ -32,8 +34,12 @@ pub struct BranchPredictor {
     history_bits: u32,
     /// BTB: (tag, target) per entry, direct-mapped.
     btb: Vec<(u64, u64)>,
-    ras: Vec<u64>,
-    ras_max: usize,
+    /// Return-address stack: a ring holding the `ras_len` most recent
+    /// unreturned call sites, the newest at `ras_top - 1` (mod the
+    /// size), so a call deeper than the ring overwrites the oldest.
+    ras: [u64; RAS_ENTRIES],
+    ras_top: usize,
+    ras_len: usize,
     pub cond_branches: u64,
     pub cond_mispredicts: u64,
     pub btb_fetch_misses: u64,
@@ -53,8 +59,9 @@ impl BranchPredictor {
             history: 0,
             history_bits,
             btb: vec![(u64::MAX, 0); btb_entries],
-            ras: Vec::new(),
-            ras_max: 32,
+            ras: [0; RAS_ENTRIES],
+            ras_top: 0,
+            ras_len: 0,
             cond_branches: 0,
             cond_mispredicts: 0,
             btb_fetch_misses: 0,
@@ -145,7 +152,7 @@ impl BranchPredictor {
                 self.returns += 1;
                 // A return is predicted correctly iff the RAS top matches
                 // the call site it returns past.
-                let predicted = self.ras.pop();
+                let predicted = self.pop_ras();
                 // `ev.to` is the return address = call site + call length;
                 // accept any target within 16 bytes of the recorded call.
                 let ok = predicted
@@ -171,10 +178,18 @@ impl BranchPredictor {
     }
 
     fn push_ras(&mut self, call_pc: u64) {
-        if self.ras.len() == self.ras_max {
-            self.ras.remove(0);
+        self.ras[self.ras_top] = call_pc;
+        self.ras_top = (self.ras_top + 1) % RAS_ENTRIES;
+        self.ras_len = (self.ras_len + 1).min(RAS_ENTRIES);
+    }
+
+    fn pop_ras(&mut self) -> Option<u64> {
+        if self.ras_len == 0 {
+            return None;
         }
-        self.ras.push(call_pc);
+        self.ras_len -= 1;
+        self.ras_top = (self.ras_top + RAS_ENTRIES - 1) % RAS_ENTRIES;
+        Some(self.ras[self.ras_top])
     }
 
     /// Total mispredictions across branch classes (flushes only, not BTB
@@ -297,5 +312,31 @@ mod tests {
             kind: BranchKind::Return,
         });
         assert!(mis.mispredicted);
+    }
+
+    /// The RAS keeps the 32 innermost call sites: recursion 40 deep
+    /// overwrites the 8 outermost, and exactly those returns mispredict.
+    #[test]
+    fn ras_overflow_loses_exactly_the_outermost_returns() {
+        let mut p = BranchPredictor::default();
+        let site = |depth: u64| 0x400000 + depth * 0x100;
+        for depth in 0..40 {
+            p.observe(BranchEvent {
+                from: site(depth),
+                to: site(depth + 1),
+                taken: true,
+                kind: BranchKind::Call,
+            });
+        }
+        for depth in (0..40).rev() {
+            let outcome = p.observe(BranchEvent {
+                from: site(depth + 1) + 0x40,
+                to: site(depth) + 5,
+                taken: true,
+                kind: BranchKind::Return,
+            });
+            assert_eq!(outcome.mispredicted, depth < 8, "return to depth {depth}");
+        }
+        assert_eq!((p.returns, p.return_mispredicts), (40, 8));
     }
 }

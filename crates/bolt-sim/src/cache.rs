@@ -4,25 +4,23 @@
 ///
 /// Used for every level of the hierarchy (L1I, L1D, L2, LLC) and — with a
 /// "line size" of one page — for the TLBs.
+///
+/// Each set keeps its tags in recency order, most recently used first, so
+/// the order *is* the LRU state: a hit on way 0 — nearly every access of
+/// an emulated program — is one compare and changes nothing, a deeper hit
+/// moves its tag to the front, and a miss drops the last way, which is an
+/// invalid slot while the set has one (they only ever sit at the tail)
+/// and the least recently used line otherwise.
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// log2 of the line size.
     line_shift: u32,
-    sets: usize,
+    /// Number of sets minus one (the set count is a power of two).
+    set_mask: usize,
     ways: usize,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
+    /// `tags[set * ways..][..ways]`, most recently used first;
+    /// `u64::MAX` = invalid.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
-    tick: u64,
-    /// Memoized most-recent access: the line and its slot. The entry
-    /// most recently accessed cannot have been evicted since (an
-    /// eviction would itself be a newer access that re-aims the memo),
-    /// so a repeat access is a guaranteed hit that skips the set scan —
-    /// the common case for consecutive same-line accesses (an emulated
-    /// loop's data, a basic block's fetches).
-    last_line: u64,
-    last_slot: usize,
     pub accesses: u64,
     pub misses: u64,
 }
@@ -44,73 +42,43 @@ impl Cache {
             lines as usize >= ways,
             "cache must have at least one set ({size_bytes} bytes, {ways} ways)"
         );
-        let sets = lines as usize / ways;
         Cache {
             line_shift: line_bytes.trailing_zeros(),
-            sets,
+            set_mask: lines as usize / ways - 1,
             ways,
-            tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
-            tick: 0,
-            last_line: u64::MAX,
-            last_slot: 0,
+            tags: vec![u64::MAX; lines as usize],
             accesses: 0,
             misses: 0,
         }
     }
 
     /// Accesses the line containing `addr`; returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        if line == self.last_line {
-            // Memoized fast path: identical bookkeeping to a slow-path
-            // hit (tick, access count, LRU stamp), minus the set scan.
-            self.tick += 1;
-            self.accesses += 1;
-            self.stamps[self.last_slot] = self.tick;
-            return true;
-        }
-        self.tick += 1;
         self.accesses += 1;
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.ways;
-        let slots = &mut self.tags[base..base + self.ways];
-        if let Some(way) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.tick;
-            self.last_line = line;
-            self.last_slot = base + way;
+        let base = (line as usize & self.set_mask) * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
+        if set[0] == line {
             return true;
         }
-        self.misses += 1;
-        // Evict LRU.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.ways {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
+        match set.iter().position(|&t| t == line) {
+            Some(way) => {
+                set[..=way].rotate_right(1);
+                true
             }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
+            None => {
+                self.misses += 1;
+                set.rotate_right(1);
+                set[0] = line;
+                false
             }
         }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
-        self.last_line = line;
-        self.last_slot = base + victim;
-        false
     }
 
     /// The line size in bytes.
     pub fn line_bytes(&self) -> u64 {
         1 << self.line_shift
-    }
-
-    /// Number of sets (used by batched charging to prove two resident
-    /// lines cannot interact through LRU state).
-    pub fn sets(&self) -> usize {
-        self.sets
     }
 
     /// Miss rate over all accesses so far.
@@ -132,6 +100,8 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn hits_and_misses() {
@@ -182,26 +152,102 @@ mod tests {
         let _ = Cache::new(1000, 2, 64);
     }
 
-    /// The last-line memo must be observationally identical to the
-    /// scanning path: same hit/miss sequence, same counters, same LRU
-    /// behavior — including after the memoized line's set churns.
-    #[test]
-    fn memoized_repeat_hits_match_scan_semantics() {
-        let mut c = Cache::new(256, 2, 64); // 2 ways, 2 sets
-        assert!(!c.access(0), "cold miss primes the memo");
-        for _ in 0..10 {
-            assert!(c.access(32), "memoized same-line hits");
+    /// The stamp-LRU implementation `Cache` replaced, kept as the
+    /// reference: every way carries the tick of its last access, a miss
+    /// fills the first invalid way, else evicts the smallest stamp.
+    struct StampLru {
+        line_shift: u32,
+        sets: usize,
+        ways: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        tick: u64,
+        accesses: u64,
+        misses: u64,
+    }
+
+    impl StampLru {
+        fn new(size_bytes: u64, ways: usize, line_bytes: u64) -> StampLru {
+            let sets = (size_bytes / line_bytes) as usize / ways;
+            StampLru {
+                line_shift: line_bytes.trailing_zeros(),
+                sets,
+                ways,
+                tags: vec![u64::MAX; sets * ways],
+                stamps: vec![0; sets * ways],
+                tick: 0,
+                accesses: 0,
+                misses: 0,
+            }
         }
-        assert_eq!(c.accesses, 11);
-        assert_eq!(c.misses, 1);
-        // Fill set 0's other way, then re-touch line 0 (a scan-path hit:
-        // the memo now holds line 2) so line 2 becomes the LRU victim.
-        assert!(!c.access(128));
-        assert!(c.access(0));
-        assert!(!c.access(256), "set 0 full -> evicts line 2 (LRU)");
-        assert!(c.access(0), "line 0 protected by its recent touch");
-        assert!(!c.access(128), "line 2 was the eviction victim");
-        assert_eq!(c.misses, 4);
-        assert_eq!(c.accesses, 16);
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr >> self.line_shift;
+            self.tick += 1;
+            self.accesses += 1;
+            let base = ((line as usize) & (self.sets - 1)) * self.ways;
+            let slots = &self.tags[base..base + self.ways];
+            if let Some(way) = slots.iter().position(|&t| t == line) {
+                self.stamps[base + way] = self.tick;
+                return true;
+            }
+            self.misses += 1;
+            let mut victim = 0;
+            let mut oldest = u64::MAX;
+            for w in 0..self.ways {
+                if self.tags[base + w] == u64::MAX {
+                    victim = w;
+                    break;
+                }
+                if self.stamps[base + w] < oldest {
+                    oldest = self.stamps[base + w];
+                    victim = w;
+                }
+            }
+            self.tags[base + victim] = line;
+            self.stamps[base + victim] = self.tick;
+            false
+        }
+    }
+
+    /// `(size, ways, line)`: direct-mapped, 2-way, the presets' 8-way
+    /// L1s and 16-way LLC shapes (few sets, so streams collide), and the
+    /// server dTLB (32 entries, 4 ways, 4 KiB pages).
+    const GEOMETRIES: [(u64, usize, u64); 5] = [
+        (256, 1, 64),
+        (256, 2, 64),
+        (2048, 8, 64),
+        (4096, 16, 64),
+        (32 * 4096, 4, 4096),
+    ];
+
+    proptest! {
+        /// Recency-ordered sets are stamp-LRU: the same hit/miss answer
+        /// on every access and the same counters, on streams that draw
+        /// from a few more lines per set than the set has ways (so hits
+        /// at every depth, evictions and re-fills all occur).
+        #[test]
+        fn recency_order_equals_stamp_lru(
+            geometry in 0usize..GEOMETRIES.len(),
+            // (set, line within the set, byte offset) per access.
+            stream in collection::vec((0u64..4, 0u64..64, 0u64..4096), 1..400),
+        ) {
+            let (size, ways, line_bytes) = GEOMETRIES[geometry];
+            let sets = size / line_bytes / ways as u64;
+            let mut cache = Cache::new(size, ways, line_bytes);
+            let mut reference = StampLru::new(size, ways, line_bytes);
+            for (i, &(set, nth, offset)) in stream.iter().enumerate() {
+                // `nth` ranges over ways + ways/2 + 1 candidates.
+                let line = (nth % (ways as u64 + ways as u64 / 2 + 1)) * sets + set % sets;
+                let addr = 0x40_0000 + line * line_bytes + offset % line_bytes;
+                prop_assert_eq!(
+                    cache.access(addr),
+                    reference.access(addr),
+                    "access {} ({:#x}) of {:?}", i, addr, GEOMETRIES[geometry]
+                );
+            }
+            prop_assert_eq!(cache.accesses, reference.accesses);
+            prop_assert_eq!(cache.misses, reference.misses);
+        }
     }
 }

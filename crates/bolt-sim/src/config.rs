@@ -97,6 +97,20 @@ mod tests {
             assert!(cfg.llc_bytes > cfg.l2_bytes);
             assert!(cfg.l2_bytes > cfg.l1i_bytes);
             assert!(cfg.mem_latency > cfg.llc_latency);
+            // `CpuModel::on_block` adds an event's penalties in a
+            // different order than the per-instruction replay does; the
+            // `f64` sum is the same in any order only because every
+            // penalty is a whole number of cycles.
+            for latency in [
+                cfg.branch_miss_latency,
+                cfg.btb_miss_latency,
+                cfg.l2_latency,
+                cfg.llc_latency,
+                cfg.mem_latency,
+                cfg.tlb_miss_latency,
+            ] {
+                assert_eq!(latency.fract(), 0.0, "{latency} is not a whole cycle count");
+            }
         }
     }
 }

@@ -214,9 +214,8 @@ impl CpuModel {
         }
     }
 
-    fn miss_path(&mut self, addr: u64, from_l1i: bool) -> f64 {
-        // L1 missed; walk L2 -> LLC -> memory.
-        let _ = from_l1i;
+    /// L1 missed; walks L2 -> LLC -> memory.
+    fn miss_path(&mut self, addr: u64) -> f64 {
         if self.l2.access(addr) {
             self.cfg.l2_latency
         } else if self.llc.access(addr) {
@@ -226,103 +225,37 @@ impl CpuModel {
         }
     }
 
-    /// The interleaved-walk half of [`TraceSink::on_block`]: charges a
-    /// superblock event whose fetch and memory records interleave by
-    /// instruction index, in exact program order. First touches of
-    /// I-side pages/lines are probed at their step-engine positions
-    /// (so shared L2/LLC levels see the same probe order); repeat
-    /// fetches and consecutive same-line D-side accesses — guaranteed
-    /// most-recently-used hits whose re-stamp cannot change any LRU
-    /// decision — are bulk-counted without a cache walk.
-    fn on_superblock(&mut self, ev: BlockEvent<'_>) {
-        // Same-line ⇒ same-page needs pages no smaller than lines.
-        if self.cfg.page_bytes < 64 {
-            ev.replay(self);
-            return;
+    /// The rest of [`TraceSink::on_block`] once `ev.lines64[missed]` has
+    /// missed in L1I. L1I and L1D/dTLB share no state, but both sides'
+    /// misses walk the same L2/LLC, so from here on the walks must land
+    /// in the step engine's order: a line's walk happens at the first
+    /// fetch whose bytes reach it, i.e. after the memory records of every
+    /// earlier instruction and before that instruction's own.
+    #[cold]
+    fn on_block_after_l1i_miss(&mut self, ev: BlockEvent<'_>, missed: usize) {
+        let mut fetch = 0usize;
+        let mut mems = ev.mems;
+        for (i, &line) in ev.lines64[missed..].iter().enumerate() {
+            if i > 0 && self.l1i.access(line) {
+                continue;
+            }
+            while ev
+                .fetches
+                .get(fetch)
+                .is_some_and(|&(addr, len)| addr + len as u64 - 1 < line)
+            {
+                fetch += 1;
+            }
+            let earlier = mems.partition_point(|m| (m.inst as usize) < fetch);
+            for m in &mems[..earlier] {
+                self.on_mem(m.addr, m.len, m.write);
+            }
+            mems = &mems[earlier..];
+            self.extra_cycles += self.miss_path(line);
         }
-        self.instructions += ev.inst_count as u64;
-        let page_mask = !(self.cfg.page_bytes - 1);
-        // Last-probed I-side line/page (fetches ascend, so `!=` means
-        // first touch); invalid sentinels make the first fetch probe.
-        let mut cur_line = u64::MAX;
-        let mut cur_page = u64::MAX;
-        let mut itlb_bulk = 0u64;
-        let mut l1i_bulk = 0u64;
-        // Two-slot memo of recently *charged* non-crossing D-side lines
-        // (`d1` newest). A repeat of `d1` is a guaranteed
-        // most-recently-used hit in both L1D and dTLB. A repeat of `d2`
-        // is equally guaranteed when `d1` provably lives in a different
-        // L1D set and a different dTLB set — then `d2` is still the
-        // newest access within each of its own sets, and skipping its
-        // re-stamp cannot change any LRU decision (recency *order*
-        // within every set is preserved). This covers the alternating
-        // stack-line/data-line pattern of typical straight-line code.
-        let mut d1 = u64::MAX;
-        let mut d2 = u64::MAX;
-        let l1d_set_mask = (self.l1d.sets() - 1) as u64;
-        let dtlb_set_mask = (self.dtlb.sets() - 1) as u64;
-        let page_shift = self.cfg.page_bytes.trailing_zeros();
-        let distinct_sets = |a: u64, b: u64| {
-            ((a >> 6) & l1d_set_mask) != ((b >> 6) & l1d_set_mask)
-                && ((a >> page_shift) & dtlb_set_mask) != ((b >> page_shift) & dtlb_set_mask)
-        };
-        let mut d_bulk = 0u64;
-        let mut mi = 0usize;
-        for (i, &(addr, len)) in ev.fetches.iter().enumerate() {
-            let page = addr & page_mask;
-            if page != cur_page {
-                if !self.itlb.access(page) {
-                    self.extra_cycles += self.cfg.tlb_miss_latency;
-                }
-                cur_page = page;
-            } else {
-                itlb_bulk += 1;
-            }
-            let la = (addr >> 6) << 6;
-            if la != cur_line {
-                if !self.l1i.access(la) {
-                    self.extra_cycles += self.miss_path(la, true);
-                }
-                cur_line = la;
-            } else {
-                l1i_bulk += 1;
-            }
-            let le = ((addr + len as u64 - 1) >> 6) << 6;
-            if le != la {
-                // A crossing fetch's second line is always a first
-                // touch (lines ascend strictly once left).
-                if !self.l1i.access(le) {
-                    self.extra_cycles += self.miss_path(le, true);
-                }
-                cur_line = le;
-            }
-            while let Some(m) = ev.mems.get(mi) {
-                if m.inst as usize != i {
-                    break;
-                }
-                mi += 1;
-                let dl = (m.addr >> 6) << 6;
-                let crosses = ((m.addr + m.len.max(1) as u64 - 1) >> 6) << 6 != dl;
-                if !crosses && (dl == d1 || (dl == d2 && distinct_sets(d1, d2))) {
-                    d_bulk += 1;
-                } else {
-                    self.on_mem(m.addr, m.len, m.write);
-                    if crosses {
-                        // The crossing touched two lines; neither slot
-                        // can claim MRU safely any more.
-                        d1 = u64::MAX;
-                        d2 = u64::MAX;
-                    } else if dl != d1 {
-                        d2 = d1;
-                        d1 = dl;
-                    }
-                }
-            }
+        for m in mems {
+            self.on_mem(m.addr, m.len, m.write);
         }
-        self.itlb.accesses += itlb_bulk;
-        self.l1i.accesses += l1i_bulk;
-        self.l1d.accesses += d_bulk;
-        self.dtlb.accesses += d_bulk;
     }
 
     /// Current counter snapshot.
@@ -352,21 +285,18 @@ impl TraceSink for CpuModel {
             self.extra_cycles += self.cfg.tlb_miss_latency;
         }
         if !self.l1i.access(addr) {
-            self.extra_cycles += self.miss_path(addr, true);
+            self.extra_cycles += self.miss_path(addr);
         }
         // A fetch crossing a line boundary touches the next line too.
         let end = addr + len as u64 - 1;
-        if end >> self.cfg.line_bytes.trailing_zeros()
-            != addr >> self.cfg.line_bytes.trailing_zeros()
-            && !self.l1i.access(end)
-        {
-            self.extra_cycles += self.miss_path(end, true);
+        if addr ^ end >= self.cfg.line_bytes && !self.l1i.access(end) {
+            self.extra_cycles += self.miss_path(end);
         }
     }
 
     /// Charges a translated block's whole footprint in one call.
     ///
-    /// Byte-identical to replaying the event's interleaved
+    /// Bit-identical to replaying the event's interleaved
     /// [`on_inst`]/[`on_mem`] sequence. The I-side argument: a
     /// straight-line block's fetch stream touches pages and lines in
     /// monotone non-decreasing order, so every repeat access is a
@@ -374,26 +304,24 @@ impl TraceSink for CpuModel {
     /// LRU-order effect — only the first touch of each distinct
     /// page/line can miss, and D-side accesses in between touch
     /// *different* structures (L1D/dTLB) so they cannot disturb it.
-    /// Events without memory records take the pure-I-side bulk path;
-    /// interleaved records are walked in exact program order (each probe lands at
-    /// its step-engine position relative to the shared L2/LLC levels),
-    /// with the same bulk treatment applied to repeat fetches and to
-    /// consecutive same-line D-side accesses (a push/pop run, a hot
-    /// spill slot) — the D-side footprint charged in bulk the way the
-    /// I-side already is.
+    /// So the I-side footprint is charged first, one probe per distinct
+    /// page and line with the repeats bulk-counted, and then the memory
+    /// records are walked alone. The one thing both sides share is
+    /// L2/LLC, reached only through an L1 miss: the first L1I miss of an
+    /// event hands over to [`on_block_after_l1i_miss`], which restores
+    /// the program order of the walks. Penalties are summed in a
+    /// different order than the replay would, which is exact because
+    /// every latency is integer-valued (`presets_are_consistent`).
     ///
     /// [`on_inst`]: TraceSink::on_inst
     /// [`on_mem`]: TraceSink::on_mem
+    /// [`on_block_after_l1i_miss`]: CpuModel::on_block_after_l1i_miss
     #[inline]
     fn on_block(&mut self, ev: BlockEvent<'_>) {
         // The precomputed footprint models 64-byte lines; a config with
         // exotic geometry replays the exact per-instruction path.
         if self.cfg.line_bytes != 64 || self.cfg.page_bytes <= 16 || ev.fetches.is_empty() {
             ev.replay(self);
-            return;
-        }
-        if !ev.mems.is_empty() {
-            self.on_superblock(ev);
             return;
         }
         self.instructions += ev.inst_count as u64;
@@ -418,13 +346,16 @@ impl TraceSink for CpuModel {
         self.itlb.accesses += ev.inst_count as u64 - pages_probed;
         // L1I: each distinct line once; repeats bulk-counted (the step
         // engine reports one access per fetch plus one per crossing).
-        for &line in ev.lines64 {
-            if !self.l1i.access(line) {
-                self.extra_cycles += self.miss_path(line, true);
-            }
-        }
         let total_accesses = ev.inst_count as u64 + ev.crossings64 as u64;
         self.l1i.accesses += total_accesses - ev.lines64.len() as u64;
+        for (i, &line) in ev.lines64.iter().enumerate() {
+            if !self.l1i.access(line) {
+                return self.on_block_after_l1i_miss(ev, i);
+            }
+        }
+        for m in ev.mems {
+            self.on_mem(m.addr, m.len, m.write);
+        }
     }
 
     #[inline]
@@ -443,16 +374,13 @@ impl TraceSink for CpuModel {
             self.extra_cycles += self.cfg.tlb_miss_latency;
         }
         if !self.l1d.access(addr) {
-            self.extra_cycles += self.miss_path(addr, false);
+            self.extra_cycles += self.miss_path(addr);
         }
         // An access crossing a line boundary touches the next line too,
         // exactly like the I-side check in `on_inst`.
         let end = addr + len.max(1) as u64 - 1;
-        if end >> self.cfg.line_bytes.trailing_zeros()
-            != addr >> self.cfg.line_bytes.trailing_zeros()
-            && !self.l1d.access(end)
-        {
-            self.extra_cycles += self.miss_path(end, false);
+        if addr ^ end >= self.cfg.line_bytes && !self.l1d.access(end) {
+            self.extra_cycles += self.miss_path(end);
         }
     }
 }
@@ -460,7 +388,9 @@ impl TraceSink for CpuModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_emu::BranchKind;
+    use bolt_emu::{BranchKind, MemRecord};
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn tight_loop_is_fast_scattered_code_is_slow() {
@@ -553,75 +483,109 @@ mod tests {
         (fetches, lines, crossings)
     }
 
+    /// One straight-line block: entry, instruction lengths, and the
+    /// memory records of one execution.
+    type Block = (u64, Vec<u8>, Vec<MemRecord>);
+
+    fn rec(inst: u32, addr: u64, len: u8, write: bool) -> MemRecord {
+        MemRecord {
+            inst,
+            addr,
+            len,
+            write,
+        }
+    }
+
+    /// Charges the first `count` instructions of `block` into `batched`
+    /// as one `on_block` event — a truncated prefix event, as a store
+    /// into text mid-block produces, when `count` is short of the block
+    /// — and into `stepped` as the interleaved `on_inst`/`on_mem`
+    /// sequence the step engine emits.
+    fn charge_both(batched: &mut CpuModel, stepped: &mut CpuModel, block: &Block, count: usize) {
+        let (entry, lens, mems) = block;
+        let lens = &lens[..count];
+        let (fetches, lines, crossings) = block_parts(*entry, lens);
+        let mems: Vec<MemRecord> = mems
+            .iter()
+            .copied()
+            .filter(|m| (m.inst as usize) < count)
+            .collect();
+        let ev = BlockEvent {
+            entry: *entry,
+            inst_count: count as u32,
+            byte_len: lens.iter().map(|&l| l as u32).sum(),
+            fetches: &fetches,
+            lines64: &lines,
+            crossings64: crossings,
+            mems: &mems,
+        };
+        batched.on_block(ev);
+        ev.replay(stepped);
+    }
+
+    /// Everything the charging proofs compare: the full `Counters` (so
+    /// `l2_misses`, `llc_misses` and `cycles` too) and the accesses of
+    /// the four first-level structures, two of which `Counters` omits.
+    fn observed(m: &CpuModel) -> (Counters, [u64; 4]) {
+        let accesses = [&m.itlb, &m.l1i, &m.dtlb, &m.l1d].map(|c| c.accesses);
+        (m.counters(), accesses)
+    }
+
+    /// Few enough sets everywhere that a handful of lines collide at
+    /// every level: direct-mapped two-line L1I, a single-line L1D (every
+    /// change of D-side line misses), L2 of 2 sets x 2 ways and LLC of
+    /// 4 sets x 2 ways shared by both sides.
+    fn aliasing_cfg() -> SimConfig {
+        SimConfig {
+            l1i_bytes: 128,
+            l1i_ways: 1,
+            l1d_bytes: 64,
+            l1d_ways: 1,
+            l2_bytes: 256,
+            l2_ways: 2,
+            llc_bytes: 512,
+            llc_ways: 2,
+            ..SimConfig::small()
+        }
+    }
+
     /// The batched `on_block` must charge byte-identically to replaying
     /// `on_inst` per fetch — including line crossings, page boundaries,
-    /// and the bulk-counted repeat accesses.
+    /// and the bulk-counted repeat accesses — and leave the same cache
+    /// state behind (a second run over the same block stays identical).
     #[test]
     fn batched_block_equals_per_inst_charging() {
-        let cfg = SimConfig::small();
         for (entry, lens) in [
             (0x400000u64, vec![4u8; 12]),       // within one line
             (0x40003Du64, vec![7, 7, 7, 2, 3]), // line crossing mid-block
             (0x400FF0u64, vec![4; 16]),         // page + line boundary
             (0x400FFDu64, vec![7]),             // single straddling inst
         ] {
-            let (fetches, lines, crossings) = block_parts(entry, &lens);
-            let byte_len: u32 = lens.iter().map(|&l| l as u32).sum();
-            let ev = bolt_emu::BlockEvent {
-                entry,
-                inst_count: lens.len() as u32,
-                byte_len,
-                fetches: &fetches,
-                lines64: &lines,
-                crossings64: crossings,
-                mems: &[],
-            };
-            let mut stepped = CpuModel::new(cfg.clone());
-            for &(addr, len) in &fetches {
-                stepped.on_inst(addr, len);
+            let block = (entry, lens, Vec::new());
+            let mut batched = CpuModel::new(SimConfig::small());
+            let mut stepped = CpuModel::new(SimConfig::small());
+            for round in 0..2 {
+                charge_both(&mut batched, &mut stepped, &block, block.1.len());
+                assert_eq!(
+                    observed(&batched),
+                    observed(&stepped),
+                    "entry {entry:#x} round {round}"
+                );
             }
-            let mut batched = CpuModel::new(cfg.clone());
-            batched.on_block(ev);
-            assert_eq!(
-                stepped.counters(),
-                batched.counters(),
-                "entry {entry:#x} lens {lens:?}"
-            );
-            // Internal access counts match too — including the iTLB's,
-            // which `Counters` does not (yet) report.
-            assert_eq!(
-                stepped.itlb.accesses, batched.itlb.accesses,
-                "entry {entry:#x}: iTLB accesses bulk-counted"
-            );
-            assert_eq!(stepped.l1i.accesses, batched.l1i.accesses);
-            // And the cache state evolved identically: a follow-up run
-            // over the same block stays identical too.
-            for &(addr, len) in &fetches {
-                stepped.on_inst(addr, len);
-            }
-            batched.on_block(ev);
-            assert_eq!(stepped.counters(), batched.counters());
         }
     }
 
-    /// The superblock path — interleaved fetch + memory records — must
-    /// charge byte-identically to replaying the interleaved
-    /// `on_inst`/`on_mem` sequence, across same-line D-side runs (the
-    /// bulk memo), line-crossing accesses, page boundaries, and
+    /// Events carrying memory records must charge byte-identically to
+    /// replaying the interleaved `on_inst`/`on_mem` sequence, across
+    /// same-line D-side runs, line-crossing accesses, page boundaries,
     /// repeated executions of the same block (identical cache-state
-    /// evolution).
+    /// evolution), and L1I misses whose L2/LLC walks contend with the
+    /// D-side's.
     #[test]
     fn batched_superblock_equals_interleaved_charging() {
-        use bolt_emu::MemRecord;
         let cfg = SimConfig::small();
-        let rec = |inst: u32, addr: u64, len: u8, write: bool| MemRecord {
-            inst,
-            addr,
-            len,
-            write,
-        };
-        let cases: Vec<(u64, Vec<u8>, Vec<MemRecord>)> = vec![
-            // Same-line D-side run (push/pop pattern): bulk memo path.
+        let mut cases: Vec<Block> = vec![
+            // Same-line D-side run (push/pop pattern).
             (
                 0x400000,
                 vec![4u8; 8],
@@ -632,8 +596,7 @@ mod tests {
                     rec(6, 0x7FFF_0010, 8, false),
                 ],
             ),
-            // Crossing D access mid-run, then a same-line repeat whose
-            // memo must have been invalidated by the crossing.
+            // Crossing D access mid-run, then a same-line repeat.
             (
                 0x40003D,
                 vec![7, 7, 7, 2, 3],
@@ -663,11 +626,9 @@ mod tests {
                     .collect(),
             ),
         ];
-        // Alternating-line patterns exercising the two-slot D-side
-        // memo: stack-vs-data in distinct sets (bulked) and an
-        // adversarial pair mapping to the same L1D set (must charge).
-        let l1d_sets = CpuModel::new(cfg.clone()).l1d.sets() as u64;
-        let mut cases = cases;
+        // Alternating-line patterns: stack-vs-data in distinct sets and
+        // an adversarial pair mapping to the same L1D set.
+        let l1d_sets = cfg.l1d_bytes / cfg.line_bytes / cfg.l1d_ways as u64;
         for stride in [0x100, l1d_sets * 64, l1d_sets * 64 + 64] {
             cases.push((
                 0x400200,
@@ -677,40 +638,144 @@ mod tests {
                     .collect(),
             ));
         }
-        for (entry, lens, mems) in cases {
-            let (fetches, lines, crossings) = block_parts(entry, &lens);
-            let byte_len: u32 = lens.iter().map(|&l| l as u32).sum();
-            let ev = bolt_emu::BlockEvent {
-                entry,
-                inst_count: lens.len() as u32,
-                byte_len,
-                fetches: &fetches,
-                lines64: &lines,
-                crossings64: crossings,
-                mems: &mems,
-            };
-            let mut stepped = CpuModel::new(cfg.clone());
+        for block in &cases {
             let mut batched = CpuModel::new(cfg.clone());
+            let mut stepped = CpuModel::new(cfg.clone());
             for round in 0..3 {
-                let mut mi = 0usize;
-                for (i, &(addr, len)) in fetches.iter().enumerate() {
-                    stepped.on_inst(addr, len);
-                    while mi < mems.len() && mems[mi].inst as usize == i {
-                        let m = mems[mi];
-                        stepped.on_mem(m.addr, m.len, m.write);
-                        mi += 1;
-                    }
-                }
-                batched.on_block(ev);
+                charge_both(&mut batched, &mut stepped, block, block.1.len());
                 assert_eq!(
-                    stepped.counters(),
-                    batched.counters(),
-                    "entry {entry:#x} round {round}"
+                    observed(&batched),
+                    observed(&stepped),
+                    "entry {:#x} round {round}",
+                    block.0
                 );
-                assert_eq!(stepped.itlb.accesses, batched.itlb.accesses);
-                assert_eq!(stepped.l1i.accesses, batched.l1i.accesses);
-                assert_eq!(stepped.dtlb.accesses, batched.dtlb.accesses);
-                assert_eq!(stepped.l1d.accesses, batched.l1d.accesses);
+            }
+        }
+
+        // Both sides contending for L2 and LLC. Twenty-four 7-byte
+        // instructions from 0x400030 span four lines, A0..A3, first
+        // reached by fetches 0, 2, 11 and 20; A0/A2 and A1/A3 share a
+        // direct-mapped L1I set, so all four miss on every execution.
+        // D0/D2 share L2 set 0 and LLC set 0 with A0 (A2 is in that L2
+        // set too), D1/D3 share L2 set 1 and LLC set 1 with A1 (and A3
+        // that L2 set): 4 lines per 2-way L2 set, 3 per 2-way LLC set.
+        // The L1I misses land before (A0), between (A1, A2) and after
+        // (A3) the D-side misses of one execution; the prefixes move
+        // the end of the event across every one of those positions.
+        let (d0, d1, d2, d3) = (0x50_0000, 0x50_0040, 0x50_0100, 0x50_0140);
+        let block: Block = (
+            0x40_0030,
+            vec![7u8; 24],
+            vec![
+                rec(0, d0, 8, false),
+                rec(1, d1, 8, true),
+                rec(2, d0 + 8, 8, false),
+                rec(5, d2, 8, false),
+                rec(11, d0, 8, true),
+                rec(12, d3, 8, false),
+                rec(15, d2 + 0x3C, 8, false), // crosses into the next line
+                rec(19, d1, 8, false),
+                rec(23, d0, 8, true),
+            ],
+        );
+        let cfg = aliasing_cfg();
+        let mut batched = CpuModel::new(cfg.clone());
+        let mut stepped = CpuModel::new(cfg.clone());
+        // The same accesses with every fetch ahead of every memory
+        // record: what charging the I-side walks up front would compute.
+        let mut hoisted = CpuModel::new(cfg);
+        let full = block.1.len();
+        for count in [full; 4].into_iter().chain(1..=full) {
+            charge_both(&mut batched, &mut stepped, &block, count);
+            assert_eq!(
+                observed(&batched),
+                observed(&stepped),
+                "aliasing block, first {count} instructions"
+            );
+            let (fetches, _, _) = block_parts(block.0, &block.1[..count]);
+            for &(addr, len) in &fetches {
+                hoisted.on_inst(addr, len);
+            }
+            for m in block.2.iter().filter(|m| (m.inst as usize) < count) {
+                hoisted.on_mem(m.addr, m.len, m.write);
+            }
+        }
+        let (c, h) = (stepped.counters(), hoisted.counters());
+        assert!(c.l1i_misses >= 4 * 4 && c.l1d_misses >= 4 * 9);
+        assert!(
+            (c.l2_misses, c.llc_misses) != (h.l2_misses, h.llc_misses),
+            "the case must tell program order from I-side-first order"
+        );
+    }
+
+    /// A random block: an entry in one of a few code regions whose lines
+    /// collide under both configs (one region straddles a page), 1-15
+    /// byte instructions, and memory records over a small pool of lines
+    /// (same-line runs, L2/LLC aliases of the code, a page end, line- and
+    /// page-crossing accesses), sorted by instruction as the engines
+    /// emit them.
+    fn block_strategy() -> impl Strategy<Value = Block> {
+        const CODE: [u64; 4] = [0x40_0000, 0x40_0080, 0x40_0FC0, 0x48_0000];
+        const DATA: [u64; 6] = [
+            0x50_0000,
+            0x50_0040,
+            0x50_0100,
+            0x50_0140,
+            0x50_0FC0,
+            0x7FFF_0000,
+        ];
+        (
+            (0usize..CODE.len(), 0u64..64),
+            collection::vec(1u8..=15, 1..40),
+            collection::vec(
+                (
+                    0u32..40,
+                    0usize..DATA.len(),
+                    0u64..64,
+                    0u32..4,
+                    any::<bool>(),
+                ),
+                0..30,
+            ),
+        )
+            .prop_map(|((region, offset), lens, raw)| {
+                let mut mems: Vec<MemRecord> = raw
+                    .into_iter()
+                    .map(|(inst, line, at, width, write)| {
+                        rec(inst % lens.len() as u32, DATA[line] + at, 1 << width, write)
+                    })
+                    .collect();
+                mems.sort_by_key(|m| m.inst);
+                (CODE[region] + offset, lens, mems)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any sequence of blocks charged one after another into one
+        /// model — so every event starts from the cache state the
+        /// previous ones left — equals its interleaved replay after
+        /// every event, under the test preset and under a hierarchy
+        /// small enough that both sides keep missing into L2/LLC.
+        #[test]
+        fn batched_blocks_equal_interleaved_charging_on_random_sequences(
+            aliasing in any::<bool>(),
+            blocks in collection::vec((block_strategy(), 0usize..4), 1..12),
+        ) {
+            let cfg = if aliasing { aliasing_cfg() } else { SimConfig::small() };
+            let mut batched = CpuModel::new(cfg.clone());
+            let mut stepped = CpuModel::new(cfg);
+            for (i, (block, cut)) in blocks.iter().enumerate() {
+                // One event in four is a truncated prefix.
+                let full = block.1.len();
+                let count = if *cut == 0 { full.div_ceil(2) } else { full };
+                charge_both(&mut batched, &mut stepped, block, count);
+                prop_assert_eq!(
+                    observed(&batched),
+                    observed(&stepped),
+                    "after event {} of {:?}", i, blocks
+                );
             }
         }
     }
