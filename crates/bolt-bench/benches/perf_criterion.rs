@@ -265,8 +265,9 @@ fn bench_block_engine(c: &mut Criterion) {
 
     // The workload shape the superblock tier targets: long
     // straight-line runs interleaving ALU work with loads/stores, one
-    // chained block per loop body (`bench-snapshot` records the
-    // measured ratios in BENCH_emu.json).
+    // chained block per loop body (the repo benchmark's
+    // `straightline_measure` workload; `emu.*.null_mips` in
+    // BENCH_repo.json are the measured engine rates).
     let straight = straightline_elf(2_000);
     for (name, engine) in [
         ("engine_step_straightline", Engine::Step),

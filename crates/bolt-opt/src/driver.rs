@@ -7,7 +7,7 @@ use crate::options::BoltOptions;
 use crate::report::bad_layout_report;
 use bolt_elf::Elf;
 use bolt_ir::{BinaryContext, EmitError, NonSimpleReason, OptTier};
-use bolt_passes::{dyno, DynoStats, LintMode, PassManager, PipelineResult, PoisonPass};
+use bolt_passes::{dyno, DynoStats, LintMode, PassManager, PassRow, PipelineResult};
 use bolt_profile::{
     attach_profile_opts, infer_callgraph_from_samples, AttachStats, Profile, ProfileMode,
 };
@@ -360,7 +360,6 @@ pub fn optimize(elf: &Elf, profile: &Profile, opts: &BoltOptions) -> Result<Bolt
         let mut manager = PassManager::standard(&opts.passes);
         manager.config.collect_dyno = opts.time_passes && opts.dyno_stats;
         manager.config.threads = opts.threads;
-        manager.config.skip_unchanged = opts.skip_unchanged;
         manager.config.lint = if opts.verify_each {
             LintMode::Each
         } else if opts.verify {
@@ -382,9 +381,7 @@ pub fn optimize(elf: &Elf, profile: &Profile, opts: &BoltOptions) -> Result<Bolt
                     .map(|f| f.name.clone());
             }
             if let Some(target) = &poison_target {
-                manager.register(Box::new(PoisonPass {
-                    target: target.clone(),
-                }));
+                manager.register(PassRow::poison(target.clone()));
             }
         }
         let pipeline = manager.run(&mut ctx, &opts.passes);

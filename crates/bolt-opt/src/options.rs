@@ -13,8 +13,6 @@ use bolt_passes::PassOptions;
 pub struct BoltOptions {
     /// The optimization pipeline configuration.
     pub passes: PassOptions,
-    /// Print per-pass statistics.
-    pub verbose: bool,
     /// Collect and print per-pass wall-clock timing (`-time-passes`).
     /// Combined with `dyno_stats`, each pass also records before/after
     /// dyno stats so its taken-branch delta can be attributed.
@@ -35,11 +33,6 @@ pub struct BoltOptions {
     /// environment override, else available parallelism); `1` forces
     /// the serial path. Output is byte-identical at any value.
     pub threads: usize,
-    /// Skip repeated pipeline registrations of a pass whose earlier
-    /// instance reported zero changes this run (`-skip-unchanged`), e.g.
-    /// the second `icf` on small binaries. Skipped instances are marked
-    /// in `-time-passes` output.
-    pub skip_unchanged: bool,
     /// Run the static verifier (`-verify`): one IR lint sweep after the
     /// pipeline plus the re-disassembly check of the rewritten binary.
     /// Findings land in [`crate::BoltOutput::verify`] and the pipeline's

@@ -108,17 +108,10 @@ pub fn timing_report(pipeline: &bolt_passes::PipelineResult) -> String {
             Some(d) => format!("{d:+.2}%"),
             None => "-".to_string(),
         };
-        // A skipped instance (`-skip-unchanged`) is reported honestly
-        // rather than shown as a 0-cost execution.
-        let time = if r.skipped {
-            "skipped".to_string()
-        } else {
-            format!("{:.3?}", r.duration)
-        };
         out.push_str(&format!(
             "  {:<20} {:>12} {:>6.1}% {:>10}  {}\n",
             r.name,
-            time,
+            format!("{:.3?}", r.duration),
             100.0 * r.duration.as_secs_f64() / total_secs,
             r.changes,
             delta,

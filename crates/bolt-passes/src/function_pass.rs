@@ -1,11 +1,11 @@
-//! The [`FunctionPass`] adapter: parallel execution for per-function
-//! pure passes.
+//! Parallel execution for per-function pure passes.
 //!
 //! BOLT processes functions concurrently (paper section 3) because most
 //! Table-1 transformations only ever touch one [`BinaryFunction`] at a
-//! time. A pass that can be expressed as a pure per-function kernel
-//! implements [`FunctionPass`]; [`run_function_pass`] shards
-//! `ctx.functions` across `std::thread::scope` workers the same way
+//! time. A registry row whose body is a pure per-function [`Kernel`]
+//! ([`PassRow::per_function`](crate::PassRow::per_function)) is run by
+//! [`run_function_pass`], which shards `ctx.functions` across
+//! `std::thread::scope` workers the same way
 //! `bolt-opt::disasm::disassemble_all` shards disassembly.
 //!
 //! Determinism: each kernel owns exactly one function and nothing else,
@@ -26,20 +26,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// sharding in the integration tests.
 const PARALLEL_THRESHOLD: usize = 8;
 
-/// A pass expressible as a pure per-function kernel.
+/// A pure per-function kernel: runs on one function and returns the
+/// number of changes it made.
 ///
 /// The kernel must read and write *only* the function it is handed —
 /// no context tables, no other functions, no globals — and must not
 /// depend on the order functions are visited in. `Sync` is required
-/// because one kernel instance is shared by every worker. Naming and
-/// option gating stay on the [`Pass`](crate::Pass) side; this trait is
-/// only the execution kernel.
-pub trait FunctionPass: Sync {
-    /// Runs the kernel on one function; returns the number of changes.
-    /// Applicability checks (`is_simple`, folded functions, …) belong
-    /// inside the kernel so serial and sharded runs agree exactly.
-    fn run_on_function(&self, func: &mut BinaryFunction) -> u64;
-}
+/// because one kernel is shared by every worker. Applicability checks
+/// (`is_simple`, folded functions, …) belong inside the kernel so serial
+/// and sharded runs agree exactly. Naming and option gating live on the
+/// registry row ([`PassRow`](crate::PassRow)).
+pub type Kernel = dyn Fn(&mut BinaryFunction) -> u64 + Sync;
 
 /// The outcome of one sharded kernel sweep: the total change count plus
 /// every kernel panic caught at the per-function boundary, both reduced
@@ -72,17 +69,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// kernel quarantines exactly that function (marked non-simple so its
 /// original bytes are emitted verbatim) instead of unwinding through
 /// the worker and killing the whole pipeline.
-fn run_one(
-    pass: &dyn FunctionPass,
-    func: &mut BinaryFunction,
-    out: &mut KernelRun,
-    firewall: bool,
-) {
-    if !firewall {
-        out.changes += pass.run_on_function(func);
-        return;
-    }
-    match catch_unwind(AssertUnwindSafe(|| pass.run_on_function(func))) {
+fn run_one(kernel: &Kernel, func: &mut BinaryFunction, out: &mut KernelRun) {
+    match catch_unwind(AssertUnwindSafe(|| kernel(func))) {
         Ok(n) => out.changes += n,
         Err(payload) => {
             // The kernel died mid-mutation; whatever state it left the
@@ -96,35 +84,16 @@ fn run_one(
     }
 }
 
-/// Runs `pass` over every function in `ctx`, sharded across `n_threads`
-/// scoped workers (an effective count, see `bolt_emu::Knobs::threads`).
-/// Each kernel invocation is isolated with `catch_unwind`, so a
-/// panicking kernel poisons only its own function (see [`KernelRun`]).
-pub fn run_function_pass(
-    pass: &dyn FunctionPass,
-    ctx: &mut BinaryContext,
-    n_threads: usize,
-) -> KernelRun {
-    run_function_pass_with(pass, ctx, n_threads, true)
-}
-
-/// [`run_function_pass`] with the panic firewall switchable. Turning the
-/// firewall off removes the per-function `catch_unwind` (a panicking
-/// kernel then unwinds through the worker and aborts the sweep) — meant
-/// only for measuring the firewall's clean-run cost, e.g. the
-/// `"quarantine"` section of `bench-snapshot`. Production callers go
-/// through [`run_function_pass`] / [`ManagerConfig::firewall`]
-/// (see [`crate::ManagerConfig`]), which default to firewalled.
-pub fn run_function_pass_with(
-    pass: &dyn FunctionPass,
-    ctx: &mut BinaryContext,
-    n_threads: usize,
-    firewall: bool,
-) -> KernelRun {
+/// Runs `kernel` over every function in `ctx`, sharded across
+/// `n_threads` scoped workers (an effective count, see
+/// `bolt_emu::Knobs::threads`). Each kernel invocation is isolated with
+/// `catch_unwind`, so a panicking kernel poisons only its own function
+/// (see [`KernelRun`]).
+pub fn run_function_pass(kernel: &Kernel, ctx: &mut BinaryContext, n_threads: usize) -> KernelRun {
     if n_threads <= 1 || ctx.functions.len() < PARALLEL_THRESHOLD {
         let mut out = KernelRun::default();
         for f in ctx.functions.iter_mut() {
-            run_one(pass, f, &mut out, firewall);
+            run_one(kernel, f, &mut out);
         }
         return out;
     }
@@ -141,7 +110,7 @@ pub fn run_function_pass_with(
                 scope.spawn(move || {
                     let mut out = KernelRun::default();
                     for f in slice.iter_mut() {
-                        run_one(pass, f, &mut out, firewall);
+                        run_one(kernel, f, &mut out);
                     }
                     out
                 })
@@ -162,16 +131,12 @@ mod tests {
     use super::*;
     use bolt_isa::Inst;
 
-    struct CountRets;
-
-    impl FunctionPass for CountRets {
-        fn run_on_function(&self, func: &mut BinaryFunction) -> u64 {
-            func.blocks
-                .iter()
-                .flat_map(|b| &b.insts)
-                .filter(|i| i.inst == Inst::Ret)
-                .count() as u64
-        }
+    fn count_rets(func: &mut BinaryFunction) -> u64 {
+        func.blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter(|i| i.inst == Inst::Ret)
+            .count() as u64
     }
 
     fn many_function_ctx(n: usize) -> BinaryContext {
@@ -189,7 +154,7 @@ mod tests {
     fn sharded_run_matches_serial_at_every_thread_count() {
         for n in [1, 2, 3, 7, 8, 64] {
             let mut ctx = many_function_ctx(41);
-            let run = run_function_pass(&CountRets, &mut ctx, n);
+            let run = run_function_pass(&count_rets, &mut ctx, n);
             assert_eq!(run.changes, 41, "threads={n}");
             assert!(run.failures.is_empty(), "threads={n}");
         }
@@ -197,11 +162,9 @@ mod tests {
 
     /// A kernel that panics on chosen functions: a stand-in for any
     /// buggy pass, used to prove the per-function firewall.
-    struct PanicOn(&'static str);
-
-    impl FunctionPass for PanicOn {
-        fn run_on_function(&self, func: &mut BinaryFunction) -> u64 {
-            if func.name == self.0 {
+    fn panic_on(name: &'static str) -> impl Fn(&mut BinaryFunction) -> u64 + Sync {
+        move |func| {
+            if func.name == name {
                 panic!("injected kernel fault on {}", func.name);
             }
             1
@@ -212,7 +175,7 @@ mod tests {
     fn kernel_panic_quarantines_only_that_function() {
         for n in [1, 4] {
             let mut ctx = many_function_ctx(41);
-            let run = run_function_pass(&PanicOn("f17"), &mut ctx, n);
+            let run = run_function_pass(&panic_on("f17"), &mut ctx, n);
             assert_eq!(run.changes, 40, "threads={n}: every other kernel ran");
             assert_eq!(
                 run.failures,

@@ -1,11 +1,12 @@
 //! # bolt-passes — the optimization pipeline
 //!
-//! The sixteen-pass pipeline of paper Table 1, run by a registry-driven
-//! [`PassManager`]: every transformation implements the [`Pass`] trait,
-//! the manager owns the Table-1 registration order, gates each pass on
-//! [`PassOptions`], validates IR invariants between passes (debug builds),
-//! and records one [`PassReport`] per executed pass — change count,
-//! wall-clock duration, and (optionally) before/after [`DynoStats`].
+//! The sixteen-pass pipeline of paper Table 1, kept as a table: a
+//! registry of plain [`PassRow`]s (name, [`PassOptions`] gate, body) run
+//! by the [`PassManager`]'s one loop, which gates each row, validates IR
+//! invariants between passes (debug builds), firewalls every body
+//! against panics, and records one [`PassReport`] per executed row —
+//! change count, wall-clock duration, and (optionally) before/after
+//! [`DynoStats`].
 //!
 //! The Table-1 order, as registered by [`PassManager::standard`]:
 //!
@@ -32,15 +33,19 @@
 //! rewires terminators; the re-run reports its own time and change
 //! count) and the `dyno-stats` reporting of paper Table 2 ([`dyno`]).
 //!
-//! ## Parallel execution
+//! ## Per-function and whole-context bodies
 //!
-//! Per-function pure passes (`strip-rep-ret`, `peepholes`, `uce`,
-//! `fixup-branches`, `sctc`, `frame-opts`, `shrink-wrapping`) also
-//! implement [`FunctionPass`]; the manager shards `ctx.functions`
-//! across `std::thread::scope` workers when
+//! A row's body is either a pure per-function kernel
+//! (`strip-rep-ret`, `peepholes`, `uce`, `fixup-branches`, `sctc`,
+//! `frame-opts`, `shrink-wrapping`) or a closure over the whole context
+//! (`icf`, `icp`, `inline-small`, `simplify-ro-loads`, `plt`,
+//! `reorder-bbs`, `reorder-functions`). The manager shards kernels over
+//! `ctx.functions` across `std::thread::scope` workers when
 //! [`ManagerConfig::threads`] resolves to more than one (the
-//! `-threads=N` CLI knob; `0` = auto, `1` = serial). Results are
-//! byte-identical at any thread count — see [`function_pass`].
+//! `-threads=N` CLI knob; `0` = auto, `1` = serial) and catches a panic
+//! per function; a whole-context body runs serially and is caught as a
+//! whole. Results are byte-identical at any thread count — see
+//! [`function_pass`].
 //!
 //! ## Running the pipeline
 //!
@@ -60,10 +65,13 @@
 //!
 //! ## Adding a pass
 //!
-//! Implement [`Pass`] (name, run, enabled) and register it at the right
-//! position; nothing else in the crate needs editing. Repeated
-//! registration of one pass is supported — the standard pipeline
-//! registers `icf` and `peepholes` twice.
+//! Add one row to [`PassManager::standard`] at the right position —
+//! [`PassRow::per_function`] if the transformation only ever touches
+//! the function it is handed, [`PassRow::whole_context`] otherwise (the
+//! distinction is the row's body, not a second interface); nothing else
+//! in the crate needs editing. Parameters are captured by the body's
+//! closure. One name may label several rows — the standard pipeline
+//! lists `icf`, `peepholes` and `fixup-branches` twice.
 
 pub mod dyno;
 pub mod fixup;
@@ -82,11 +90,9 @@ pub mod sctc;
 pub mod uce;
 
 pub use dyno::DynoStats;
-pub use function_pass::{
-    panic_message, run_function_pass, run_function_pass_with, FunctionPass, KernelRun,
-};
+pub use function_pass::{panic_message, run_function_pass, Kernel, KernelRun};
 pub use layout::{BlockLayout, SplitMode};
-pub use manager::{LintMode, ManagerConfig, Pass, PassManager, PoisonPass};
+pub use manager::{LintMode, ManagerConfig, PassManager, PassRow};
 
 use std::time::Duration;
 
@@ -241,11 +247,6 @@ pub struct PassReport {
     pub dyno_before: Option<DynoStats>,
     /// Dyno stats sampled after the pass (same gating).
     pub dyno_after: Option<DynoStats>,
-    /// Whether the manager skipped this instance instead of executing it
-    /// ([`ManagerConfig::skip_unchanged`]: a repeated registration whose
-    /// earlier instance reported zero changes this run). Skipped
-    /// instances report zero changes and zero duration.
-    pub skipped: bool,
 }
 
 impl PartialEq for PassReport {

