@@ -5,7 +5,6 @@
 
 use bolt_bench::*;
 use bolt_compiler::CompileOptions;
-use bolt_emu::Engine;
 use bolt_passes::{PassManager, PassOptions, TABLE1};
 use bolt_sim::SimConfig;
 use bolt_workloads::{Scale, Workload};
@@ -20,37 +19,7 @@ fn main() {
     let program = Workload::Hhvm.build(Scale::Bench);
     let baseline = build(&program, &CompileOptions::default());
 
-    // Emulation dominates the bench's wall clock; compare the engines on
-    // the profiling run before timing the pipeline itself. Profiles are
-    // byte-identical under every engine — only the wall clock differs.
-    println!("emulation engine (--engine=step|superblock|uop), profiling run:");
-    let mut profiled = Vec::new();
-    for engine in [Engine::Step, Engine::Superblock, Engine::Uop] {
-        let plan = shard_plan(1, 1).with_engine(engine);
-        let started = Instant::now();
-        let leg = profile_lbr_batch(&baseline, &cfg, &plan);
-        let wall = started.elapsed();
-        println!("  --engine={engine:<10} wall {wall:>9.3?}");
-        profiled.push((leg, wall));
-    }
-    for (engine, leg) in [
-        (Engine::Superblock, &profiled[1]),
-        (Engine::Uop, &profiled[2]),
-    ] {
-        assert_eq!(
-            profiled[0].0 .0.to_fdata(),
-            leg.0 .0.to_fdata(),
-            "{engine}: profiles byte-identical across engines"
-        );
-        assert_eq!(profiled[0].0 .1.runs, leg.0 .1.runs, "{engine}");
-        println!(
-            "  {engine}-engine speedup: {:.2}x (identical profile and counters)",
-            profiled[0].1.as_secs_f64() / leg.1.as_secs_f64().max(f64::MIN_POSITIVE)
-        );
-    }
-    println!();
-    let (profile, step_batch) = profiled.swap_remove(0).0;
-    let base = step_batch.runs.into_iter().next().expect("one run");
+    let (profile, base) = profile_lbr(&baseline, &cfg);
     let bolted = bolt_with_profile(&baseline, &profile);
     let new = measure(&bolted.elf, &cfg);
     assert_same_behavior(&base, &new, "hhvm");

@@ -255,9 +255,8 @@ pub fn seed_partition(elf: &Elf, base: i64) -> impl Fn(usize, &mut Machine) + Sy
 /// ended at every memory-touching instruction would degenerate to one
 /// or two instructions here, each transition paying a cache lookup; as
 /// a superblock the whole body is a single chained block. Used by the
-/// `perf_criterion` engine benches and the `engine_invariance` /
-/// `sim_golden` tests (the repo benchmark's `straightline_measure`
-/// keeps its own copy).
+/// `engine_invariance` / `sim_golden` tests (the repo benchmark's
+/// `straightline_measure` keeps its own copy).
 pub fn straightline_elf(iters: i64) -> Elf {
     use bolt_isa::{encode_at, AluOp, Cond, Inst, JumpWidth, Mem, Reg, Target};
     let mut insts = vec![

@@ -104,7 +104,7 @@ impl Memory {
                 None => buf[..n].fill(0),
             }
             buf = &mut buf[n..];
-            addr += n as u64;
+            addr = addr.wrapping_add(n as u64);
         }
     }
 
@@ -117,7 +117,7 @@ impl Memory {
             let n = data.len().min(PAGE_SIZE as usize - off);
             self.page_mut(addr)[off..off + n].copy_from_slice(&data[..n]);
             data = &data[n..];
-            addr += n as u64;
+            addr = addr.wrapping_add(n as u64);
         }
     }
 

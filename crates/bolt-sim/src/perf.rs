@@ -242,7 +242,7 @@ impl CpuModel {
             while ev
                 .fetches
                 .get(fetch)
-                .is_some_and(|&(addr, len)| addr + len as u64 - 1 < line)
+                .is_some_and(|&(addr, len)| addr.wrapping_add(len as u64 - 1) < line)
             {
                 fetch += 1;
             }
@@ -288,7 +288,7 @@ impl TraceSink for CpuModel {
             self.extra_cycles += self.miss_path(addr);
         }
         // A fetch crossing a line boundary touches the next line too.
-        let end = addr + len as u64 - 1;
+        let end = addr.wrapping_add(len as u64 - 1);
         if addr ^ end >= self.cfg.line_bytes && !self.l1i.access(end) {
             self.extra_cycles += self.miss_path(end);
         }
@@ -378,7 +378,7 @@ impl TraceSink for CpuModel {
         }
         // An access crossing a line boundary touches the next line too,
         // exactly like the I-side check in `on_inst`.
-        let end = addr + len.max(1) as u64 - 1;
+        let end = addr.wrapping_add(len.max(1) as u64 - 1);
         if addr ^ end >= self.cfg.line_bytes && !self.l1d.access(end) {
             self.extra_cycles += self.miss_path(end);
         }

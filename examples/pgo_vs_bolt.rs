@@ -6,9 +6,8 @@
 //! cargo run --release --example pgo_vs_bolt
 //! ```
 
-use bolt::compiler::{CompileOptions, SourceProfile};
+use bolt::compiler::CompileOptions;
 use bolt::emu::{Machine, Tee};
-use bolt::ir::LineTable;
 use bolt::opt::{optimize, BoltOptions};
 use bolt::profile::{LbrSampler, Profile, SampleTrigger};
 use bolt::sim::{Counters, CpuModel, SimConfig};
@@ -26,25 +25,6 @@ fn profile_and_measure(elf: &bolt::elf::Elf, cfg: &SimConfig) -> (Profile, Count
     (sampler.profile, model.counters(), m.output)
 }
 
-/// The AutoFDO step: map the binary profile back to source lines.
-fn to_source(profile: &Profile, elf: &bolt::elf::Elf) -> SourceProfile {
-    let lines = LineTable::from_bytes(&elf.section(".bolt.lines").unwrap().data).unwrap();
-    let mut sp = SourceProfile::new();
-    for (&ip, &count) in &profile.ip_samples {
-        if let Some((_f, line)) = lines.lookup(ip) {
-            sp.add_line(line, count);
-        }
-    }
-    for ft in profile.sorted_fallthroughs() {
-        let lo = lines.entries.partition_point(|e| e.0 < ft.from);
-        let hi = lines.entries.partition_point(|e| e.0 <= ft.to);
-        for e in &lines.entries[lo..hi] {
-            sp.add_line(e.2, ft.count);
-        }
-    }
-    sp
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = SimConfig::server();
     let program = Workload::ClangLike.build(Scale::Test);
@@ -59,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(out, base_out);
 
     // (b) PGO+LTO only (samples retrofitted to source lines).
-    let sp = to_source(&base_profile, &base.elf);
+    let sp = bolt_bench::to_source_profile(&base_profile, &base.elf);
     let pgo = bolt::compiler::compile_and_link(&program, &CompileOptions::pgo_lto(sp))?;
     let (pgo_profile, pgo_c, out) = profile_and_measure(&pgo.elf, &cfg);
     assert_eq!(out, base_out);

@@ -16,7 +16,7 @@ use bolt::emu::{CountingSink, Engine, Exit, Machine, NullSink};
 use bolt::workloads::{Scale, Workload};
 use bolt_bench::{bolt_with_profile, measure_batch_with, profile_lbr_batch_with, shard_plan};
 use bolt_isa::{encode_at, AluOp, Cond, Inst, JumpWidth, Mem, Reg, Target};
-use bolt_sim::SimConfig;
+use bolt_sim::{CpuModel, SimConfig};
 use std::sync::OnceLock;
 
 fn build(workload: Workload) -> Elf {
@@ -260,6 +260,71 @@ fn self_modifying_text_forces_block_invalidation() {
     }
     assert_eq!(outputs[0], outputs[1], "superblock engine agrees on SMC");
     assert_eq!(outputs[0], outputs[2], "uop engine agrees on SMC");
+}
+
+/// A wild pointer whose access wraps the 64-bit address space is guest
+/// behaviour, not a host bug: the 8-byte store and load at `-4` cover
+/// the last four bytes of memory and the first four, in the dev profile
+/// as in release, and the model charges both lines — identically under
+/// every engine.
+#[test]
+fn access_wrapping_the_address_space_is_identical_across_engines() {
+    let base = 0x400000u64;
+    let wild = Mem::BaseDisp {
+        base: Reg::Rax,
+        disp: 0,
+    };
+    let (code, _) = asm(
+        &[
+            Inst::MovRI {
+                dst: Reg::Rax,
+                imm: -4,
+            },
+            Inst::Store {
+                mem: wild,
+                src: Reg::Rax,
+            },
+            Inst::Load {
+                dst: Reg::Rbx,
+                mem: wild,
+            },
+            Inst::MovRI {
+                dst: Reg::Rax,
+                imm: 60,
+            },
+            Inst::MovRI {
+                dst: Reg::Rdi,
+                imm: 0,
+            },
+            Inst::Syscall,
+        ],
+        base,
+    );
+    let mut elf = Elf::new(base);
+    elf.sections.push(Section::code(".text", base, code));
+    let observe = |engine: Engine| {
+        let mut m = Machine::new();
+        m.load_elf(&elf);
+        let mut model = CpuModel::new(SimConfig::small());
+        let r = m.run_engine(&mut model, 100, engine).expect("runs");
+        assert_eq!(
+            m.reg(Reg::Rbx) as i64,
+            -4,
+            "{engine}: read back across the wrap"
+        );
+        assert_eq!(
+            m.mem.read_u8(0),
+            0xFF,
+            "{engine}: high half landed at address 0"
+        );
+        (r, m.regs, model.counters())
+    };
+    let step = observe(Engine::Step);
+    assert_eq!(step.0.exit, Exit::Exited(0));
+    assert_eq!(step.2.l1d_accesses, 4, "each access touches both lines");
+    for engine in [Engine::Superblock, Engine::Uop] {
+        assert_eq!(step, observe(engine), "{engine}");
+    }
 }
 
 /// The step-accounting satellite at harness level: a budget landing

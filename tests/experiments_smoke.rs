@@ -1,9 +1,8 @@
 //! Fast versions of the paper's key experimental claims, run at test
 //! scale so `cargo test` exercises the full evaluation machinery.
 
-use bolt::compiler::{compile_and_link, CompileOptions, SourceProfile};
+use bolt::compiler::{compile_and_link, CompileOptions};
 use bolt::emu::{Exit, Machine, Tee};
-use bolt::ir::LineTable;
 use bolt::opt::{optimize, BoltOptions};
 use bolt::profile::{LbrSampler, Profile, SampleTrigger};
 use bolt::sim::{Counters, CpuModel, SimConfig};
@@ -25,24 +24,6 @@ fn profile_and_measure(elf: &bolt::elf::Elf, cfg: &SimConfig) -> (Profile, Count
 fn measure(elf: &bolt::elf::Elf, cfg: &SimConfig) -> (Counters, Vec<i64>) {
     let (_, c, out) = profile_and_measure(elf, cfg);
     (c, out)
-}
-
-fn to_source(profile: &Profile, elf: &bolt::elf::Elf) -> SourceProfile {
-    let lines = LineTable::from_bytes(&elf.section(".bolt.lines").unwrap().data).unwrap();
-    let mut sp = SourceProfile::new();
-    for (&ip, &count) in &profile.ip_samples {
-        if let Some((_f, line)) = lines.lookup(ip) {
-            sp.add_line(line, count);
-        }
-    }
-    for ft in profile.sorted_fallthroughs() {
-        let lo = lines.entries.partition_point(|e| e.0 < ft.from);
-        let hi = lines.entries.partition_point(|e| e.0 <= ft.to);
-        for e in &lines.entries[lo..hi] {
-            sp.add_line(e.2, ft.count);
-        }
-    }
-    sp
 }
 
 /// Figure 5's claim at test scale: BOLT speeds up data-center workloads.
@@ -78,7 +59,7 @@ fn bolt_complements_pgo_lto() {
     let (base_profile, base_c, out0) = profile_and_measure(&base.elf, &cfg);
 
     // PGO+LTO.
-    let sp = to_source(&base_profile, &base.elf);
+    let sp = bolt_bench::to_source_profile(&base_profile, &base.elf);
     let pgo = compile_and_link(&program, &CompileOptions::pgo_lto(sp)).unwrap();
     let (pgo_profile, pgo_c, out1) = profile_and_measure(&pgo.elf, &cfg);
     assert_eq!(out0, out1, "PGO preserves semantics");

@@ -10,8 +10,9 @@ use bolt::profile::{LbrSampler, ProfileMode, SampleTrigger};
 use bolt::shard_artifact::{merge_shards, run_shards, Attach, ShardArtifact};
 use bolt::workloads::{Scale, Workload};
 use bolt_bench::{
-    measure, measure_batch, profile_lbr, profile_lbr_batch, profile_lbr_batch_with, seed_partition,
-    shard_plan, try_run_with, RunResult, SAMPLE_PERIOD,
+    assert_same_behavior, bolt_with_profile, measure, measure_batch, measure_batch_with,
+    profile_lbr, profile_lbr_batch, profile_lbr_batch_with, seed_partition, shard_plan,
+    try_run_with, RunResult, SAMPLE_PERIOD,
 };
 use bolt_sim::{CpuModel, SimConfig};
 use std::sync::OnceLock;
@@ -66,6 +67,15 @@ fn sharded_profile_identical_at_1_and_8_workers() {
     let distinct: std::collections::HashSet<_> =
         serial.1.runs.iter().map(|r| r.output.clone()).collect();
     assert!(distinct.len() > 1, "seed partitioning varies the shards");
+
+    // The merged profile drives BOLT exactly like a single-run profile:
+    // every shard of the rewritten binary behaves as the original's did.
+    let bolted = bolt_with_profile(elf, &sharded.0).elf;
+    let plan = shard_plan(shards, 8);
+    let after = measure_batch_with(&bolted, &cfg, &plan, seed_partition(&bolted, 1));
+    for (b, a) in sharded.1.runs.iter().zip(&after.runs) {
+        assert_same_behavior(b, a, "sharded clang");
+    }
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! Pinned simulated statistics: the complete `Counters` of five binaries
-//! under both `SimConfig` presets, as literals.
+//! under both `SimConfig` presets, as literals — and, for the four
+//! workloads among them, BOLT's *output*: a hash of the rewritten ELF
+//! under every `PassOptions` preset plus the BOLTed binary's `Counters`.
 //!
 //! `tests/engine_invariance.rs` only compares the engines with each
 //! other, so a change to `bolt-sim` that shifts all of them alike (a
@@ -11,18 +13,26 @@
 //! engines must both reproduce them bit for bit (`cycles` included —
 //! `Counters` compares it as an `f64`).
 //!
-//! To regenerate after an *intended* model change, run
+//! `BOLTED` is the same tripwire for the optimizer: "no output byte
+//! changed" is a verdict of this file instead of a `cmp` by hand, and a
+//! BOLTed binary — whose text lies outside the emulator's flat decode
+//! span, so it runs entirely through the spill index — must count the
+//! same under the step and uop engines.
+//!
+//! To regenerate after an *intended* model or optimizer change, run
 //! `cargo test --release --test sim_golden -- --ignored --nocapture`
-//! and paste the printed table.
+//! and paste the printed tables.
 
 use bolt::compiler::{compile_and_link, CompileOptions};
-use bolt::elf::Elf;
+use bolt::elf::{write_elf, Elf};
 use bolt::emu::Engine;
+use bolt::opt::{optimize, BoltOptions};
+use bolt::passes::PassOptions;
 use bolt::workloads::{Scale, Workload};
 use bolt_sim::{Counters, SimConfig};
 
-fn binaries() -> Vec<(&'static str, Elf)> {
-    let mut out: Vec<(&'static str, Elf)> = [
+fn workloads() -> Vec<(&'static str, Elf)> {
+    [
         ("hhvm", Workload::Hhvm),
         ("tao", Workload::Tao),
         ("clang", Workload::ClangLike),
@@ -35,7 +45,11 @@ fn binaries() -> Vec<(&'static str, Elf)> {
             .elf;
         (name, elf)
     })
-    .collect();
+    .collect()
+}
+
+fn binaries() -> Vec<(&'static str, Elf)> {
+    let mut out = workloads();
     out.push(("straightline", bolt_bench::straightline_elf(2_000)));
     out
 }
@@ -58,6 +72,45 @@ const GOLDEN: &[(&str, &str, Counters)] = &[
     ("straightline", "server", Counters { instructions: 124005, cycles: 38723.5, cond_branches: 2000, branch_mispredicts: 14, l1i_accesses: 128006, l1i_misses: 4, l1d_accesses: 96000, l1d_misses: 2, l2_misses: 6, llc_misses: 6, itlb_misses: 1, dtlb_misses: 2 }),
     ("straightline", "small", Counters { instructions: 124005, cycles: 38667.5, cond_branches: 2000, branch_mispredicts: 10, l1i_accesses: 128006, l1i_misses: 4, l1d_accesses: 96000, l1d_misses: 2, l2_misses: 6, llc_misses: 6, itlb_misses: 1, dtlb_misses: 2 }),
 ];
+
+/// Per workload: FNV-64 of the rewritten ELF under each of
+/// `PassOptions::PRESETS` (in that order; `default` is
+/// `BoltOptions::paper_default()`), then the `default` binary's counters
+/// under `SimConfig::server()`.
+#[rustfmt::skip]
+const BOLTED: &[(&str, [u64; PassOptions::PRESETS.len()], Counters)] = &[
+    ("hhvm", [0x1116b15e0d1ed813, 0x8ffa051028cb4529, 0xf68b516bae6485f9, 0x6c31f311164beb6d, 0x6fcd4dca9558baad], Counters { instructions: 4039303, cycles: 1674859.9, cond_branches: 150001, branch_mispredicts: 27319, l1i_accesses: 4201024, l1i_misses: 89, l1d_accesses: 2029851, l1d_misses: 302, l2_misses: 391, llc_misses: 391, itlb_misses: 3, dtlb_misses: 7 }),
+    ("tao", [0xa71e64d809152ebd, 0xb748c4930a6e3bdf, 0x8309426b92973697, 0x8b68394775544a17, 0x44822549dff83ac4], Counters { instructions: 3280031, cycles: 1578354.2999999998, cond_branches: 160001, branch_mispredicts: 40094, l1i_accesses: 3455043, l1i_misses: 34, l1d_accesses: 1360095, l1d_misses: 126, l2_misses: 160, llc_misses: 160, itlb_misses: 1, dtlb_misses: 4 }),
+    ("clang", [0xa11d57b0ccd48b3a, 0x604b8e35f4288145, 0x64e35962b9b4a497, 0x894e84cc4f7d0ba5, 0xe3d9cdc8c7449ae4], Counters { instructions: 10525033, cycles: 4631393.9, cond_branches: 420001, branch_mispredicts: 96192, l1i_accesses: 11061078, l1i_misses: 40, l1d_accesses: 5220015, l1d_misses: 1315, l2_misses: 579, llc_misses: 579, itlb_misses: 1, dtlb_misses: 11 }),
+    ("interp", [0x28236f1d64fdeba2, 0x33baa3227c4d78f7, 0x2f8a4689cbb451cc, 0x71370d87f76c43bb, 0x98c6ec995b63a3c7], Counters { instructions: 2736210, cycles: 1596859.0, cond_branches: 60001, branch_mispredicts: 51731, l1i_accesses: 2875753, l1i_misses: 75, l1d_accesses: 1580012, l1d_misses: 177, l2_misses: 252, llc_misses: 252, itlb_misses: 2, dtlb_misses: 5 }),
+];
+
+/// BOLTs `elf` under every preset with one LBR profile of it; returns
+/// the output hashes and the `default` binary.
+fn bolted(elf: &Elf) -> (Vec<u64>, Elf) {
+    let (profile, _) = bolt_bench::profile_lbr(elf, &SimConfig::server());
+    let mut outputs: Vec<Elf> = PassOptions::PRESETS
+        .iter()
+        .map(|preset| {
+            let opts = BoltOptions {
+                passes: PassOptions::preset(preset).expect("known preset"),
+                ..BoltOptions::paper_default()
+            };
+            optimize(elf, &profile, &opts).expect("BOLT succeeds").elf
+        })
+        .collect();
+    let hashes = outputs
+        .iter()
+        .map(|out| fnv64(&write_elf(out).expect("output ELF serializes")))
+        .collect();
+    (hashes, outputs.swap_remove(0))
+}
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
+}
 
 fn configs() -> [(&'static str, SimConfig); 2] {
     [
@@ -87,14 +140,42 @@ fn simulated_statistics_match_the_pinned_literals() {
     }
 }
 
-/// Prints the `GOLDEN` table for the current model (step engine).
 #[test]
-#[ignore = "regenerates the table; run by hand after an intended model change"]
+fn bolt_output_matches_the_pinned_literals() {
+    let workloads = workloads();
+    assert_eq!(BOLTED.len(), workloads.len());
+    for ((name, elf), (g_name, want_hashes, want)) in workloads.iter().zip(BOLTED) {
+        assert_eq!(name, g_name, "table order");
+        let (hashes, default) = bolted(elf);
+        for ((preset, got), want) in PassOptions::PRESETS.iter().zip(hashes).zip(want_hashes) {
+            assert_eq!(got, *want, "{name}: rewritten ELF under -preset={preset}");
+        }
+        for engine in [Engine::Step, Engine::Uop] {
+            assert_eq!(
+                counters(&default, &SimConfig::server(), engine),
+                *want,
+                "BOLTed {name} under SimConfig::server(), {engine} engine"
+            );
+        }
+    }
+}
+
+/// Prints the `GOLDEN` and `BOLTED` tables for the current model and
+/// optimizer (step engine).
+#[test]
+#[ignore = "regenerates the tables; run by hand after an intended model or optimizer change"]
 fn print_table() {
     for (name, elf) in &binaries() {
         for (cfg_name, cfg) in &configs() {
             let c = counters(elf, cfg, Engine::Step);
             println!("    ({name:?}, {cfg_name:?}, {c:?}),");
         }
+    }
+    println!();
+    for (name, elf) in &workloads() {
+        let (hashes, default) = bolted(elf);
+        let c = counters(&default, &SimConfig::server(), Engine::Step);
+        let hashes: Vec<_> = hashes.iter().map(|h| format!("{h:#018x}")).collect();
+        println!("    ({name:?}, [{}], {c:?}),", hashes.join(", "));
     }
 }
