@@ -593,7 +593,7 @@ impl BlockCache {
         with_uops: bool,
     ) -> Vec<crate::transval::SemFinding> {
         use crate::transval::{SemFinding, SemFindingKind};
-        let (range, entry, _) = self.block_info(idx);
+        let (range, entry, _, _) = self.block_info(idx);
         let mut reference = Vec::with_capacity(range.len());
         let mut at = entry;
         let mut buf = [0u8; 16];
@@ -636,14 +636,15 @@ impl BlockCache {
     }
 
     /// Everything the hot loop needs about block `idx` in
-    /// one descriptor read: instruction pool range, entry address, and
-    /// whether the block touches memory.
+    /// one descriptor read: instruction pool range, entry address, total
+    /// byte length, and whether the block touches memory.
     #[inline]
-    pub(crate) fn block_info(&self, idx: u32) -> (Range<usize>, u64, bool) {
+    pub(crate) fn block_info(&self, idx: u32) -> (Range<usize>, u64, u64, bool) {
         let b = &self.blocks[idx as usize];
         (
             b.insts.start as usize..b.insts.end as usize,
             b.entry,
+            b.byte_len as u64,
             b.mems.start != b.mems.end,
         )
     }
@@ -654,11 +655,21 @@ impl BlockCache {
         self.insts[i]
     }
 
-    /// One lowered micro-op (uop mode; same pool indices as
-    /// [`inst`](Self::inst)).
+    /// Moves the micro-op pool (uop mode; same indices as
+    /// [`inst`](Self::inst)) out of the cache while one block executes,
+    /// so the executor can read its entries while it mutates the
+    /// machine; [`put_uops`](Self::put_uops) hands it back. Nothing that
+    /// runs mid-block reads or resizes the pool: translation and
+    /// [`reclaim`](Self::reclaim) happen only between blocks.
     #[inline]
-    pub(crate) fn uop(&self, i: usize) -> MicroOp {
-        self.uops[i]
+    pub(crate) fn take_uops(&mut self) -> Vec<MicroOp> {
+        std::mem::take(&mut self.uops)
+    }
+
+    /// Returns the pool [`take_uops`](Self::take_uops) moved out.
+    #[inline]
+    pub(crate) fn put_uops(&mut self, uops: Vec<MicroOp>) {
+        self.uops = uops;
     }
 
     /// Block `idx`'s static memory-op shapes.
@@ -835,7 +846,7 @@ mod tests {
         let idx = c.translate(&mem, 0x400000).unwrap();
         let ev = c.event(idx);
         assert_eq!(ev.inst_count, 7, "one superblock up to (and incl.) ret");
-        assert!(c.block_info(idx).2, "block_info reports the memory ops");
+        assert!(c.block_info(idx).3, "block_info reports the memory ops");
         let shapes: Vec<(u32, bool)> = c.shapes(idx).iter().map(|s| (s.inst, s.write)).collect();
         assert_eq!(
             shapes,
@@ -1081,14 +1092,14 @@ mod tests {
         let idx = c.translate(&mem, 0x400000).unwrap();
         assert_eq!(c.event(idx).inst_count, 4, "packs like a superblock");
         assert_eq!(c.uops.len(), c.insts.len(), "pools parallel");
-        let (range, _, _) = c.block_info(idx);
+        let (range, _, _, _) = c.block_info(idx);
         assert_eq!(
-            c.uop(range.start).kind,
+            c.uops[range.start].kind,
             crate::uop::UopKind::MovRI,
             "entries line up with the decoded pool"
         );
-        assert_eq!(c.uop(range.start + 1).kind, crate::uop::UopKind::LoadBD);
-        assert_eq!(c.uop(range.start + 1).imm, 16, "disp pre-resolved");
+        assert_eq!(c.uops[range.start + 1].kind, crate::uop::UopKind::LoadBD);
+        assert_eq!(c.uops[range.start + 1].imm, 16, "disp pre-resolved");
         assert_eq!(
             c.shapes(idx).len(),
             2,

@@ -6,6 +6,7 @@ use crate::uop::{MicroOp, UopKind};
 use crate::{BranchEvent, BranchKind, MemRecord, Memory, TraceSink, MAX_INST_LEN};
 use bolt_isa::{decode, AluOp, Cond, Inst, Mem, Reg, Rm, ShiftOp, Target};
 use std::fmt;
+use std::ops::Range;
 
 /// Fixed stack top for emulated programs.
 pub const STACK_TOP: u64 = 0x7FFF_FF00_0000;
@@ -1010,94 +1011,104 @@ impl Machine {
         })
     }
 
-    /// Executes pool entry `i` at `at` — its lowered micro-op when
-    /// `UOPS`, else its decoded instruction — returning the outcome and
-    /// the instruction's length.
+    /// Executes the block at `entry` (`byte_len` bytes, pool entries
+    /// `range`) against `sink` — its lowered micro-ops when `UOPS`, its
+    /// decoded instructions otherwise — calling `mark(sink, k)` before
+    /// entry `k`. Returns how many entries were attempted (including one
+    /// that exited or failed) and the outcome.
+    ///
+    /// A micro-op block runs as *body + terminator*: translation ends a
+    /// block only after a control transfer, so every entry but the last
+    /// is a straight-line op that cannot exit, fail or branch
+    /// ([`exec_body_uop`](Machine::exec_body_uop): no `Result`, no `rip`
+    /// store), and only the last goes through
+    /// [`exec_uop`](Machine::exec_uop), at `entry + byte_len - len`.
+    ///
+    /// Stores into cached text set the cache's dirty flag; it is checked
+    /// after every entry and the rest of the block is abandoned, with
+    /// `rip` just past the store, so self-modifying code — even code
+    /// patching *later instructions of the same block* — refetches the
+    /// patched bytes just like the step engine.
     #[inline(always)]
-    fn exec_entry<const UOPS: bool, S: TraceSink + ?Sized>(
+    fn exec_entries<const UOPS: bool, S: TraceSink + ?Sized>(
         &mut self,
-        i: usize,
-        at: u64,
+        (range, entry, byte_len): (Range<usize>, u64, u64),
         sink: &mut S,
-    ) -> (Result<Option<Exit>, EmuError>, u8) {
+        mut mark: impl FnMut(&mut S, u32),
+    ) -> (u32, Result<Option<Exit>, EmuError>) {
         if UOPS {
-            let op = self.blocks.uop(i);
-            (self.exec_uop(at, op, sink), op.len)
-        } else {
-            let (inst, len) = self.blocks.inst(i);
-            (self.exec_inst(at, inst, len, sink), len)
+            let pool = self.blocks.take_uops();
+            let (&last, body) = pool[range].split_last().expect("blocks are never empty");
+            for (k, op) in body.iter().enumerate() {
+                mark(sink, k as u32);
+                self.exec_body_uop(op, sink);
+                if self.blocks.is_dirty() {
+                    self.rip = entry + body[..=k].iter().map(|op| op.len as u64).sum::<u64>();
+                    self.blocks.put_uops(pool);
+                    return (k as u32 + 1, Ok(None));
+                }
+            }
+            mark(sink, body.len() as u32);
+            let executed = body.len() as u32 + 1;
+            self.blocks.put_uops(pool);
+            let at = entry + byte_len - last.len as u64;
+            return (executed, self.exec_uop(at, last, sink));
         }
+        let count = range.len() as u32;
+        let mut at = entry;
+        for (k, i) in range.enumerate() {
+            mark(sink, k as u32);
+            let (inst, len) = self.blocks.inst(i);
+            let outcome = self.exec_inst(at, inst, len, sink);
+            if !matches!(outcome, Ok(None)) || self.blocks.is_dirty() {
+                return (k as u32 + 1, outcome);
+            }
+            at += len as u64;
+        }
+        (count, Ok(None))
     }
 
-    /// Executes one translated block's packed entries (micro-ops when
-    /// `UOPS`, decoded instructions otherwise) with superblock event
-    /// batching, returning how many instructions were attempted
-    /// (including one that exited) and the exit, if any.
+    /// Executes one translated block with superblock event batching,
+    /// returning how many instructions were attempted (including one
+    /// that exited) and the exit, if any.
     ///
     /// A block with no memory-touching instructions charges its event
     /// up front and executes with the live sink; a block with memory
     /// accesses executes against a capture buffer, then emits one
     /// prefix event with interleaved records followed by the
     /// terminator's branch — exactly the step engine's event order.
-    /// Stores into cached text set the cache's dirty flag; it is checked
-    /// after every executed instruction and the packed entries are
-    /// abandoned mid-block, so self-modifying code — even code patching
-    /// *later instructions of the same block* — refetches the patched
-    /// bytes just like the step engine. Fewer attempts than the block
-    /// holds means it was abandoned (SMC dirty or exit) and any chain
-    /// state is stale.
+    /// Fewer attempts than the block holds means it was abandoned (SMC
+    /// dirty or exit) and any chain state is stale.
     fn exec_block<const UOPS: bool, S: TraceSink + ?Sized>(
         &mut self,
         idx: u32,
         sink: &mut S,
         mems: &mut Vec<MemRecord>,
     ) -> Result<(u64, Option<Exit>), EmuError> {
-        let (range, entry, has_mems) = self.blocks.block_info(idx);
-        let mut at = entry;
-        let mut executed = 0u32;
+        let (range, entry, byte_len, has_mems) = self.blocks.block_info(idx);
+        let block = (range, entry, byte_len);
         if !has_mems {
-            // No D-side events anywhere in the block: charge the
-            // event up front and execute with the live sink (its
-            // only other possible event, a terminating branch,
-            // follows the fetches in step order too).
+            // No D-side events anywhere in the block (so no store can
+            // abandon it): charge the event up front and execute with
+            // the live sink (its only other possible event, a
+            // terminating branch, follows the fetches in step order too).
             sink.on_block(self.blocks.event(idx));
-            for i in range {
-                executed += 1;
-                let (outcome, len) = self.exec_entry::<UOPS, S>(i, at, sink);
-                if let Some(exit) = outcome? {
-                    return Ok((executed as u64, Some(exit)));
-                }
-                at += len as u64;
-            }
-            return Ok((executed as u64, None));
+            let (executed, outcome) = self.exec_entries::<UOPS, S>(block, sink, |_, _| {});
+            return outcome.map(|exit| (executed as u64, exit));
         }
         // Memory accesses mid-block: execute against a capture
         // buffer, then emit one event carrying the interleaved
-        // fetch + memory records, then the terminator's branch.
+        // fetch + memory records, then the terminator's branch. After
+        // an abandon the prefix event reports exactly what retired,
+        // and the patched bytes retranslate next iteration.
         mems.clear();
         let mut cap = CaptureSink {
             mems: &mut *mems,
             inst: 0,
             branch: None,
         };
-        let mut outcome = Ok(None);
-        for i in range {
-            cap.inst = executed;
-            executed += 1;
-            let (result, len) = self.exec_entry::<UOPS, _>(i, at, &mut cap);
-            if !matches!(result, Ok(None)) {
-                outcome = result;
-                break;
-            }
-            at += len as u64;
-            // A store may have patched cached text — possibly this
-            // very block's later entries. Abandon them; the prefix
-            // event reports exactly what retired, and the patched bytes
-            // retranslate next iteration.
-            if self.blocks.is_dirty() {
-                break;
-            }
-        }
+        let (executed, outcome) =
+            self.exec_entries::<UOPS, _>(block, &mut cap, |cap, k| cap.inst = k);
         let branch = cap.branch;
         debug_assert!(
             {
@@ -1117,21 +1128,13 @@ impl Machine {
         outcome.map(|exit| (executed as u64, exit))
     }
 
-    /// Executes one lowered micro-op at `rip`, advancing `self.rip`. The
-    /// uop-engine counterpart of [`exec_inst`](Machine::exec_inst):
-    /// observationally identical per instruction (same memory, branch,
-    /// output, and exit behavior through the sink), but with operands
-    /// pre-resolved and flag writes deferred into [`LazyFlags`] (and
-    /// skipped entirely when provably dead).
-    fn exec_uop<S: TraceSink + ?Sized>(
-        &mut self,
-        rip: u64,
-        op: MicroOp,
-        sink: &mut S,
-    ) -> Result<Option<Exit>, EmuError> {
-        let next = rip + op.len as u64;
-        let mut new_rip = next;
-
+    /// Executes one straight-line micro-op: any kind but a control
+    /// transfer, so it never exits, fails, branches or reads `rip` — and
+    /// leaves `self.rip` alone for the caller to advance. A block's body
+    /// entries run here directly; [`exec_uop`](Machine::exec_uop)
+    /// delegates the same kinds here when one ends a block.
+    #[inline(always)]
+    fn exec_body_uop<S: TraceSink + ?Sized>(&mut self, op: &MicroOp, sink: &mut S) {
         match op.kind {
             UopKind::MovRR => {
                 let v = self.r(op.b);
@@ -1139,13 +1142,13 @@ impl Machine {
             }
             UopKind::MovRI => self.set_r(op.a, op.imm as u64),
             UopKind::LoadBD => {
-                let ea = self.ea_bd(&op);
+                let ea = self.ea_bd(op);
                 sink.on_mem(ea, 8, false);
                 let v = self.mem.read_u64(ea);
                 self.set_r(op.a, v);
             }
             UopKind::LoadBIS => {
-                let ea = self.ea_bis(&op);
+                let ea = self.ea_bis(op);
                 sink.on_mem(ea, 8, false);
                 let v = self.mem.read_u64(ea);
                 self.set_r(op.a, v);
@@ -1157,14 +1160,14 @@ impl Machine {
                 self.set_r(op.a, v);
             }
             UopKind::StoreBD => {
-                let ea = self.ea_bd(&op);
+                let ea = self.ea_bd(op);
                 sink.on_mem(ea, 8, true);
                 let v = self.r(op.a);
                 self.mem.write_u64(ea, v);
                 self.note_text_write(ea, 8);
             }
             UopKind::StoreBIS => {
-                let ea = self.ea_bis(&op);
+                let ea = self.ea_bis(op);
                 sink.on_mem(ea, 8, true);
                 let v = self.r(op.a);
                 self.mem.write_u64(ea, v);
@@ -1178,11 +1181,11 @@ impl Machine {
                 self.note_text_write(ea, 8);
             }
             UopKind::LeaBD => {
-                let ea = self.ea_bd(&op);
+                let ea = self.ea_bd(op);
                 self.set_r(op.a, ea);
             }
             UopKind::LeaBIS => {
-                let ea = self.ea_bis(&op);
+                let ea = self.ea_bis(op);
                 self.set_r(op.a, ea);
             }
             UopKind::Push => {
@@ -1331,6 +1334,42 @@ impl Machine {
                 let v = self.r(op.b) & 0xFF;
                 self.set_r(op.a, v);
             }
+            UopKind::Nop => {}
+            UopKind::Jcc
+            | UopKind::Jmp
+            | UopKind::JmpIndReg
+            | UopKind::JmpIndMemBD
+            | UopKind::JmpIndMemBIS
+            | UopKind::JmpIndMemAbs
+            | UopKind::Call
+            | UopKind::CallIndReg
+            | UopKind::CallIndMemBD
+            | UopKind::CallIndMemBIS
+            | UopKind::CallIndMemAbs
+            | UopKind::Ret
+            | UopKind::Ud2
+            | UopKind::Syscall => unreachable!("a control transfer always ends its block"),
+        }
+    }
+
+    /// Executes one lowered micro-op at `rip`, advancing `self.rip`. The
+    /// uop-engine counterpart of [`exec_inst`](Machine::exec_inst):
+    /// observationally identical per instruction (same memory, branch,
+    /// output, and exit behavior through the sink), but with operands
+    /// pre-resolved and flag writes deferred into [`LazyFlags`] (and
+    /// skipped entirely when provably dead). Runs each block's last
+    /// entry: the control transfers live here, every other kind in
+    /// [`exec_body_uop`](Machine::exec_body_uop).
+    fn exec_uop<S: TraceSink + ?Sized>(
+        &mut self,
+        rip: u64,
+        op: MicroOp,
+        sink: &mut S,
+    ) -> Result<Option<Exit>, EmuError> {
+        let next = rip + op.len as u64;
+        let mut new_rip = next;
+
+        match op.kind {
             UopKind::Jcc => {
                 self.materialize_flags();
                 let cond = Cond::from_cc(op.c).expect("lowered cc is valid");
@@ -1437,7 +1476,6 @@ impl Machine {
                 }
                 new_rip = tgt;
             }
-            UopKind::Nop => {}
             UopKind::Ud2 => return Err(EmuError::Trap { rip }),
             UopKind::Syscall => {
                 let nr = self.reg(Reg::Rax);
@@ -1454,6 +1492,7 @@ impl Machine {
                     number => return Err(EmuError::BadSyscall { rip, number }),
                 }
             }
+            _ => self.exec_body_uop(&op, sink),
         }
 
         self.rip = new_rip;
@@ -1946,6 +1985,32 @@ mod tests {
         }
     }
 
+    /// One sink-visible event.
+    #[derive(Debug, PartialEq)]
+    enum E {
+        I(u64, u8),
+        M(u64, u8, bool),
+        B(u64, u64, bool),
+    }
+
+    /// Every event a run emits, in order.
+    #[derive(Default)]
+    struct Log(Vec<E>);
+
+    impl TraceSink for Log {
+        // No `on_block` override: the default replay must linearize
+        // batched events into the exact step sequence.
+        fn on_inst(&mut self, addr: u64, len: u8) {
+            self.0.push(E::I(addr, len));
+        }
+        fn on_mem(&mut self, addr: u64, len: u8, write: bool) {
+            self.0.push(E::M(addr, len, write));
+        }
+        fn on_branch(&mut self, ev: BranchEvent) {
+            self.0.push(E::B(ev.from, ev.to, ev.taken));
+        }
+    }
+
     /// The full sink-visible event sequence — fetches, memory accesses,
     /// and branches, in order — must be identical across all three
     /// engines on a program interleaving ALU work, loads, stores,
@@ -1954,27 +2019,6 @@ mod tests {
     /// fetch + memory records that replay in exactly the step order.
     #[test]
     fn event_order_identical_across_engines() {
-        #[derive(Debug, PartialEq)]
-        enum E {
-            I(u64, u8),
-            M(u64, u8, bool),
-            B(u64, u64, bool),
-        }
-        #[derive(Default)]
-        struct Log(Vec<E>);
-        impl TraceSink for Log {
-            // No `on_block` override: the default replay must linearize
-            // batched events into the exact step sequence.
-            fn on_inst(&mut self, addr: u64, len: u8) {
-                self.0.push(E::I(addr, len));
-            }
-            fn on_mem(&mut self, addr: u64, len: u8, write: bool) {
-                self.0.push(E::M(addr, len, write));
-            }
-            fn on_branch(&mut self, ev: BranchEvent) {
-                self.0.push(E::B(ev.from, ev.to, ev.taken));
-            }
-        }
         // main: interleaved mem + alu, a call (callee loads/stores),
         // a loop, then emit + exit.
         let insts = [
@@ -2061,6 +2105,131 @@ mod tests {
             assert_eq!(rs, r, "{engine}");
             assert_eq!(out_s, out, "{engine}");
             assert_eq!(log_s, log, "{engine}: exact event sequence");
+        }
+    }
+
+    /// `n` straight-line instructions cycling through load, add, store,
+    /// push and pop over a 64-byte data area at `r10`.
+    fn memory_run(n: usize) -> Vec<Inst> {
+        (0..n)
+            .map(|i| {
+                let slot = Mem::base(Reg::R10, (i % 8) as i32 * 8);
+                match i % 5 {
+                    0 => Inst::Load {
+                        dst: Reg::Rdx,
+                        mem: slot,
+                    },
+                    1 => Inst::AluI {
+                        op: AluOp::Add,
+                        dst: Reg::Rdx,
+                        imm: i as i32,
+                    },
+                    2 => Inst::Store {
+                        mem: slot,
+                        src: Reg::Rdx,
+                    },
+                    3 => Inst::Push(Reg::Rdx),
+                    _ => Inst::Pop(Reg::Rcx),
+                }
+            })
+            .collect()
+    }
+
+    /// A block's last entry is a straight-line op, not a control
+    /// transfer, in exactly three cases: the block is full, it reached
+    /// the flat span's end, or the bytes after it do not decode. Each
+    /// case runs identically under every engine — same event log,
+    /// registers, `rip` and result or error — and the translation
+    /// engines really do cut the block there.
+    #[test]
+    fn blocks_ending_in_a_straight_line_op_match_step_engine() {
+        let base = 0x400000u64;
+        let mut insts = vec![Inst::MovRI {
+            dst: Reg::R10,
+            imm: 0x600000,
+        }];
+        insts.extend(memory_run(126));
+        insts.extend([
+            Inst::MovRR {
+                dst: Reg::Rdi,
+                src: Reg::Rdx,
+            },
+            Inst::MovRI {
+                dst: Reg::Rax,
+                imm: 60,
+            },
+            Inst::Syscall,
+        ]);
+        assert_eq!(insts.len(), 130);
+        let code = asm(&insts, base);
+        let offset_of = |n: usize| -> usize {
+            insts[..n]
+                .iter()
+                .map(|i| bolt_isa::encoded_len(i) as usize)
+                .sum()
+        };
+        let elf_of = |sections: Vec<bolt_elf::Section>| {
+            let mut elf = bolt_elf::Elf::new(base);
+            elf.sections.extend(sections);
+            elf
+        };
+        // Two full 64-entry blocks, then the exit's two instructions.
+        let full = elf_of(vec![bolt_elf::Section::code(".text", base, code.clone())]);
+        // The text section ends after instruction 100; the rest of the
+        // run lies in a non-executable section right behind it, outside
+        // the flat span.
+        let split = offset_of(100);
+        let straddling = elf_of(vec![
+            bolt_elf::Section::code(".text", base, code[..split].to_vec()),
+            bolt_elf::Section::data(".tail", base + split as u64, code[split..].to_vec()),
+        ]);
+        // Sixty-one instructions run into zero bytes.
+        let end = offset_of(61);
+        let mut truncated = code[..end].to_vec();
+        truncated.extend([0; 16]);
+        let undecodable = elf_of(vec![bolt_elf::Section::code(".text", base, truncated)]);
+
+        let bad = EmuError::BadInstruction {
+            rip: base + end as u64,
+        };
+        // (what, image, retired steps or error, (first instruction,
+        // length) of the blocks the translation engines must cut).
+        let cases = [
+            ("full", full, Ok(130), vec![(0, 64), (64, 64), (128, 2)]),
+            (
+                "span end",
+                straddling,
+                Ok(130),
+                vec![(0, 64), (64, 36), (100, 30)],
+            ),
+            ("undecodable", undecodable, Err(bad), vec![(0, 61)]),
+        ];
+        for (what, elf, expect, blocks) in cases {
+            let run = |engine: Engine| {
+                let mut m = Machine::new();
+                m.load_elf(&elf);
+                let mut log = Log::default();
+                let r = m.run_engine(&mut log, 10_000, engine);
+                (r, m, log.0)
+            };
+            let (rs, ms, log_s) = run(Engine::Step);
+            assert_eq!(rs.clone().map(|r| r.steps), expect, "{what}");
+            for engine in [Engine::Superblock, Engine::Uop] {
+                let (r, mut m, log) = run(engine);
+                assert_eq!(rs, r, "{what}/{engine}: result");
+                assert_eq!(ms.regs, m.regs, "{what}/{engine}: registers");
+                assert_eq!(ms.rip, m.rip, "{what}/{engine}: rip");
+                assert_eq!(log_s, log, "{what}/{engine}: exact event sequence");
+                for &(first, len) in &blocks {
+                    let rip = base + offset_of(first) as u64;
+                    let idx = m.blocks.lookup(rip).expect("block translated");
+                    assert_eq!(
+                        m.blocks.block_info(idx).0.len(),
+                        len,
+                        "{what}/{engine}: block at instruction {first}"
+                    );
+                }
+            }
         }
     }
 

@@ -36,7 +36,10 @@
 //! dirty checks, mid-block `MaxSteps` fallback, and the `CaptureSink`
 //! event interleave — carries over from the superblock engine unchanged;
 //! the uop pool is simply a third per-instruction pool parallel to the
-//! decoded `insts`.
+//! decoded `insts`. One thing the lowering buys beyond dispatch: since a
+//! block ends only after a control transfer, its micro-ops execute as a
+//! *body* of straight-line ops (no exit, no error, no `rip` update per
+//! op) followed by one *terminator*.
 //!
 //! [`BlockCache`]: crate::block::BlockCache
 //! [`Inst`]: bolt_isa::Inst
@@ -145,7 +148,7 @@ pub enum UopKind {
     Syscall,
 }
 
-///// One lowered micro-op: 16 bytes, operands pre-resolved. Field meaning
+/// One lowered micro-op: 16 bytes, operands pre-resolved. Field meaning
 /// is per-[`UopKind`] (documented there); unused fields are zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MicroOp {

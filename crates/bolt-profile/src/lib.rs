@@ -28,6 +28,8 @@ pub use attach::{
     attach_profile, attach_profile_opts, infer_callgraph_from_samples, infer_edges_from_counts,
     repair_flow, AttachStats,
 };
-pub use profile::{BranchRecord, FallthroughRecord, FdataError, Profile, ProfileMode};
+pub use profile::{
+    BranchRecord, FallthroughRecord, FdataError, Profile, ProfileHasher, ProfileMode,
+};
 pub use sampler::{IpSampler, LbrSampler, SampleTrigger, LBR_DEPTH};
 pub use shard_artifact::{merge_shards, run_shards, seed_partition, Attach, Merged, ShardArtifact};

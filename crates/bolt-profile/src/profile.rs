@@ -1,7 +1,64 @@
 //! The aggregated binary profile (the `perf2bolt` output, BOLT's `.fdata`).
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
+
+/// The hasher behind [`Profile`]'s maps (its own [`BuildHasher`]). Each
+/// 64-bit word folds into the state with one 64×64→128-bit multiply
+/// whose high and low halves are XORed — far cheaper than the default
+/// SipHash on the LBR flush path, which updates the maps 64 times per
+/// sample. It stays keyed: the initial state and the (odd) multiplier
+/// are drawn once per process from [`RandomState`], so no input fixed in
+/// advance collides in every process. Iteration order was random per
+/// process before too; nothing observable depends on it (`.fdata` and
+/// artifacts sort their records).
+#[derive(Debug, Clone, Copy)]
+pub struct ProfileHasher {
+    state: u64,
+    mul: u64,
+}
+
+impl Default for ProfileHasher {
+    fn default() -> ProfileHasher {
+        static KEYS: OnceLock<(u64, u64)> = OnceLock::new();
+        let &(state, mul) = KEYS.get_or_init(|| {
+            let random = RandomState::new();
+            (random.hash_one(0u64), random.hash_one(1u64) | 1)
+        });
+        ProfileHasher { state, mul }
+    }
+}
+
+impl BuildHasher for ProfileHasher {
+    type Hasher = ProfileHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> ProfileHasher {
+        *self
+    }
+}
+
+impl Hasher for ProfileHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(self.mul);
+        self.state = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
 
 /// How the profile was collected (paper section 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,11 +94,11 @@ pub struct FallthroughRecord {
 pub struct Profile {
     pub mode: ProfileMode,
     /// Aggregated taken branches, keyed by (from, to).
-    pub branches: HashMap<(u64, u64), (u64, u64)>,
+    pub branches: HashMap<(u64, u64), (u64, u64), ProfileHasher>,
     /// Aggregated fall-through ranges.
-    pub fallthroughs: HashMap<(u64, u64), u64>,
+    pub fallthroughs: HashMap<(u64, u64), u64, ProfileHasher>,
     /// Instruction-pointer sample histogram.
-    pub ip_samples: HashMap<u64, u64>,
+    pub ip_samples: HashMap<u64, u64, ProfileHasher>,
     /// Number of hardware samples taken.
     pub num_samples: u64,
 }
@@ -274,9 +331,14 @@ impl Profile {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line. A second `M`
+    /// line, or a `B` / `F` / `S` record repeating an earlier record's
+    /// key, is malformed (`"duplicate record"`) — the same rule
+    /// [`from_bytes`](Profile::from_bytes) applies, so concatenated
+    /// profiles are rejected instead of silently losing counts.
     pub fn from_fdata(text: &str) -> Result<Profile, FdataError> {
         let mut p = Profile::default();
+        let mut seen_header = false;
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -294,7 +356,7 @@ impl Profile {
                     what,
                 })
             };
-            match tag {
+            let fresh = match tag {
                 "M" => {
                     let mode = it.next().ok_or(FdataError {
                         line: lineno + 1,
@@ -314,6 +376,7 @@ impl Profile {
                         line: lineno + 1,
                         what: "num_samples",
                     })?;
+                    !std::mem::replace(&mut seen_header, true)
                 }
                 "B" => {
                     let from = hex("from")?;
@@ -327,7 +390,7 @@ impl Profile {
                             line: lineno + 1,
                             what: "mispreds",
                         })?;
-                    p.branches.insert((from, to), (count, mispreds));
+                    p.branches.insert((from, to), (count, mispreds)).is_none()
                 }
                 "F" => {
                     let from = hex("from")?;
@@ -336,7 +399,7 @@ impl Profile {
                         line: lineno + 1,
                         what: "count",
                     })?;
-                    p.fallthroughs.insert((from, to), count);
+                    p.fallthroughs.insert((from, to), count).is_none()
                 }
                 "S" => {
                     let ip = hex("ip")?;
@@ -344,7 +407,7 @@ impl Profile {
                         line: lineno + 1,
                         what: "count",
                     })?;
-                    p.ip_samples.insert(ip, count);
+                    p.ip_samples.insert(ip, count).is_none()
                 }
                 _ => {
                     return Err(FdataError {
@@ -352,6 +415,12 @@ impl Profile {
                         what: "record tag",
                     })
                 }
+            };
+            if !fresh {
+                return Err(FdataError {
+                    line: lineno + 1,
+                    what: "duplicate record",
+                });
             }
         }
         Ok(p)
@@ -403,6 +472,34 @@ mod tests {
         );
         // Comments and blanks are fine.
         assert!(Profile::from_fdata("# hi\n\nM lbr 3\n").is_ok());
+    }
+
+    /// A repeated key would keep only its last count and a second `M`
+    /// line would overwrite the sample count, so both are rejected at
+    /// the repeating line — what concatenating two `.fdata` files
+    /// produces.
+    #[test]
+    fn fdata_rejects_duplicate_records() {
+        let dup = |line| {
+            Err(FdataError {
+                line,
+                what: "duplicate record",
+            })
+        };
+        let text = "M lbr 2\nB 10 20 1 0\nF 20 30 1\nB 10 20 5 1\n";
+        assert_eq!(Profile::from_fdata(text), dup(4), "repeated B key");
+        let text = "M lbr 2\nS 15 1\n\n# second file\nM lbr 3\nS 16 1\n";
+        assert_eq!(Profile::from_fdata(text), dup(5), "second M line");
+        assert_eq!(Profile::from_fdata("F 1 2 3\nF 1 2 3\n"), dup(2));
+        assert_eq!(Profile::from_fdata("S 7 1\nS 7 2\n"), dup(2));
+        // Equal endpoints under different tags are different records.
+        assert!(Profile::from_fdata("M ip 1\nB 1 2 3 0\nF 1 2 3\nS 1 3\n").is_ok());
+        // A concatenation of two real profiles repeats a key.
+        let mut p = Profile::new(ProfileMode::Lbr);
+        p.num_samples = 1;
+        p.add_branch(0x400010, 0x400100, false);
+        let twice = p.to_fdata().repeat(2);
+        assert!(Profile::from_fdata(&twice).is_err());
     }
 
     #[test]

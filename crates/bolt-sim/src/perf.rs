@@ -188,6 +188,16 @@ pub struct CpuModel {
     pub predictor: BranchPredictor,
     instructions: u64,
     extra_cycles: f64,
+    /// The line (as `addr | (line_bytes - 1)`) the last D-side access
+    /// lay wholly inside, if it crossed no line boundary. Only
+    /// [`on_mem`](TraceSink::on_mem) touches L1D and the dTLB, and it
+    /// leaves that line at way 0 of its L1D set and its page at way 0
+    /// of its dTLB set; a way-0 hit reorders nothing, so the next access
+    /// wholly inside the same line is a guaranteed hit in both and
+    /// costs two access counts. `None` after a line-crossing access
+    /// (its second line may have demoted or evicted the first in a
+    /// shared set) and always when a line can span two pages.
+    last_dline: Option<u64>,
 }
 
 impl CpuModel {
@@ -210,8 +220,32 @@ impl CpuModel {
             predictor: BranchPredictor::new(cfg.predictor_history_bits, cfg.btb_entries),
             instructions: 0,
             extra_cycles: 0.0,
+            last_dline: None,
             cfg,
         }
+    }
+
+    /// Charges the D-side access from `addr` to its last byte `end` (at
+    /// most one line further on) through the dTLB, L1D and the miss
+    /// path, and returns what [`last_dline`](CpuModel::last_dline) may
+    /// remember after it.
+    fn charge_dside(&mut self, addr: u64, end: u64) -> Option<u64> {
+        if !self.dtlb.access(addr) {
+            self.extra_cycles += self.cfg.tlb_miss_latency;
+        }
+        if !self.l1d.access(addr) {
+            self.extra_cycles += self.miss_path(addr);
+        }
+        // An access crossing a line boundary touches the next line too,
+        // exactly like the I-side check in `on_inst`.
+        let mask = self.cfg.line_bytes - 1;
+        if addr ^ end > mask {
+            if !self.l1d.access(end) {
+                self.extra_cycles += self.miss_path(end);
+            }
+            return None;
+        }
+        (self.cfg.page_bytes >= self.cfg.line_bytes).then_some(addr | mask)
     }
 
     /// L1 missed; walks L2 -> LLC -> memory.
@@ -370,18 +404,14 @@ impl TraceSink for CpuModel {
 
     #[inline]
     fn on_mem(&mut self, addr: u64, len: u8, _write: bool) {
-        if !self.dtlb.access(addr) {
-            self.extra_cycles += self.cfg.tlb_miss_latency;
-        }
-        if !self.l1d.access(addr) {
-            self.extra_cycles += self.miss_path(addr);
-        }
-        // An access crossing a line boundary touches the next line too,
-        // exactly like the I-side check in `on_inst`.
         let end = addr.wrapping_add(len.max(1) as u64 - 1);
-        if addr ^ end >= self.cfg.line_bytes && !self.l1d.access(end) {
-            self.extra_cycles += self.miss_path(end);
+        let mask = self.cfg.line_bytes - 1;
+        if self.last_dline == Some(addr | mask) && addr ^ end <= mask {
+            self.l1d.accesses += 1;
+            self.dtlb.accesses += 1;
+            return;
         }
+        self.last_dline = self.charge_dside(addr, end);
     }
 }
 
@@ -496,11 +526,27 @@ mod tests {
         }
     }
 
+    /// Per-event replay with every D-side access charged in full, never
+    /// through [`CpuModel::last_dline`]: the reference both `on_block`
+    /// and the line memo must be invisible against.
+    struct FullCharge<'a>(&'a mut CpuModel);
+
+    impl TraceSink for FullCharge<'_> {
+        fn on_inst(&mut self, addr: u64, len: u8) {
+            self.0.on_inst(addr, len);
+        }
+
+        fn on_mem(&mut self, addr: u64, len: u8, _write: bool) {
+            self.0
+                .charge_dside(addr, addr.wrapping_add(len.max(1) as u64 - 1));
+        }
+    }
+
     /// Charges the first `count` instructions of `block` into `batched`
     /// as one `on_block` event — a truncated prefix event, as a store
     /// into text mid-block produces, when `count` is short of the block
     /// — and into `stepped` as the interleaved `on_inst`/`on_mem`
-    /// sequence the step engine emits.
+    /// sequence the step engine emits, each access charged in full.
     fn charge_both(batched: &mut CpuModel, stepped: &mut CpuModel, block: &Block, count: usize) {
         let (entry, lens, mems) = block;
         let lens = &lens[..count];
@@ -520,7 +566,7 @@ mod tests {
             mems: &mems,
         };
         batched.on_block(ev);
-        ev.replay(stepped);
+        ev.replay(&mut FullCharge(stepped));
     }
 
     /// Everything the charging proofs compare: the full `Counters` (so
@@ -750,12 +796,83 @@ mod tests {
             })
     }
 
+    /// A block whose D-side stream is mostly same-line repeats and
+    /// line-crossing accesses: each record stays in the previous
+    /// record's line three times in four, over three adjacent lines
+    /// around a 4 KiB page boundary, at offsets bunched at the end of the
+    /// line so that most accesses wider than a byte cross into the next.
+    fn dside_block_strategy() -> impl Strategy<Value = Block> {
+        const LINES: [u64; 3] = [0x50_0FC0, 0x50_1000, 0x50_1040];
+        const OFFSETS: [u64; 8] = [0, 8, 24, 56, 57, 60, 62, 63];
+        (
+            0u64..64,
+            collection::vec(1u8..=15, 1..24),
+            collection::vec(
+                (0u32..4, 0usize..3, 0usize..8, 0u32..4, any::<bool>()),
+                1..48,
+            ),
+        )
+            .prop_map(|(offset, lens, raw)| {
+                let mut line = LINES[0];
+                let per_inst = raw.len().div_ceil(lens.len());
+                let mems = raw
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, (stay, pick, at, width, write))| {
+                        if stay == 0 {
+                            line = LINES[pick];
+                        }
+                        let inst = (k / per_inst) as u32;
+                        rec(inst, line + OFFSETS[at], 1 << width, write)
+                    })
+                    .collect();
+                (0x40_0000 + offset, lens, mems)
+            })
+    }
+
+    /// One two-way L1D set, and pages no bigger than lines: every line
+    /// competes for the same two ways, so the second line of a crossing
+    /// access demotes the first, and every crossing access crosses a
+    /// page as well.
+    fn one_set_cfg() -> SimConfig {
+        SimConfig {
+            l1d_bytes: 128,
+            l1d_ways: 2,
+            page_bytes: 64,
+            ..SimConfig::small()
+        }
+    }
+
+    /// Charges `blocks` one after another into one model — so every
+    /// event starts from the cache state the previous ones left — and
+    /// checks it against the full per-event replay after every event.
+    /// One event in four (`cut == 0`) is a truncated prefix.
+    fn charges_exactly(
+        (name, cfg): (&str, SimConfig),
+        blocks: &[(Block, usize)],
+    ) -> Result<(), TestCaseError> {
+        let mut batched = CpuModel::new(cfg.clone());
+        let mut stepped = CpuModel::new(cfg);
+        for (i, (block, cut)) in blocks.iter().enumerate() {
+            let full = block.1.len();
+            let count = if *cut == 0 { full.div_ceil(2) } else { full };
+            charge_both(&mut batched, &mut stepped, block, count);
+            prop_assert_eq!(
+                observed(&batched),
+                observed(&stepped),
+                "{} config, after event {} of {:?}",
+                name,
+                i,
+                blocks
+            );
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Any sequence of blocks charged one after another into one
-        /// model — so every event starts from the cache state the
-        /// previous ones left — equals its interleaved replay after
+        /// Any sequence of blocks equals its interleaved replay after
         /// every event, under the test preset and under a hierarchy
         /// small enough that both sides keep missing into L2/LLC.
         #[test]
@@ -763,20 +880,30 @@ mod tests {
             aliasing in any::<bool>(),
             blocks in collection::vec((block_strategy(), 0usize..4), 1..12),
         ) {
-            let cfg = if aliasing { aliasing_cfg() } else { SimConfig::small() };
-            let mut batched = CpuModel::new(cfg.clone());
-            let mut stepped = CpuModel::new(cfg);
-            for (i, (block, cut)) in blocks.iter().enumerate() {
-                // One event in four is a truncated prefix.
-                let full = block.1.len();
-                let count = if *cut == 0 { full.div_ceil(2) } else { full };
-                charge_both(&mut batched, &mut stepped, block, count);
-                prop_assert_eq!(
-                    observed(&batched),
-                    observed(&stepped),
-                    "after event {} of {:?}", i, blocks
-                );
-            }
+            let cfg = if aliasing {
+                ("aliasing", aliasing_cfg())
+            } else {
+                ("small", SimConfig::small())
+            };
+            charges_exactly(cfg, &blocks)?;
+        }
+
+        /// The D-side line memo is exact where it is fragile: streams of
+        /// same-line repeats broken by line- and page-crossing accesses,
+        /// under both presets, [`one_set_cfg`], and pages half a line
+        /// long (where the memo must stay off).
+        #[test]
+        fn dside_line_memo_equals_full_charging(
+            cfg in 0usize..4,
+            blocks in collection::vec((dside_block_strategy(), 0usize..4), 1..8),
+        ) {
+            let cfg = [
+                ("server", SimConfig::server()),
+                ("small", SimConfig::small()),
+                ("one-set", one_set_cfg()),
+                ("half-line pages", SimConfig { page_bytes: 32, ..SimConfig::small() }),
+            ][cfg].clone();
+            charges_exactly(cfg, &blocks)?;
         }
     }
 

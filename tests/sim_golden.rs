@@ -19,17 +19,25 @@
 //! span, so it runs entirely through the spill index — must count the
 //! same under the step and uop engines.
 //!
+//! `CLANG_PROFILE` pins the repo benchmark's `clang_profile` op at its
+//! own scale — `Scale::Test` inputs are too small to reach much of the
+//! model and sampler state a profiling run at benchmark scale does. It
+//! takes seconds in release, so it is `#[ignore]`d and CI runs it as a
+//! step of its own.
+//!
 //! To regenerate after an *intended* model or optimizer change, run
 //! `cargo test --release --test sim_golden -- --ignored --nocapture`
-//! and paste the printed tables.
+//! and paste the printed tables and the `CLANG_PROFILE` values the
+//! failing benchmark-scale test reports.
 
 use bolt::compiler::{compile_and_link, CompileOptions};
 use bolt::elf::{write_elf, Elf};
-use bolt::emu::Engine;
+use bolt::emu::{Engine, Exit, Machine, Tee};
 use bolt::opt::{optimize, BoltOptions};
 use bolt::passes::PassOptions;
-use bolt::workloads::{Scale, Workload};
-use bolt_sim::{Counters, SimConfig};
+use bolt::profile::{LbrSampler, SampleTrigger};
+use bolt::workloads::{clang_shape, compiler_like, Scale, Workload};
+use bolt_sim::{Counters, CpuModel, SimConfig};
 
 fn workloads() -> Vec<(&'static str, Elf)> {
     [
@@ -157,6 +165,46 @@ fn bolt_output_matches_the_pinned_literals() {
                 "BOLTed {name} under SimConfig::server(), {engine} engine"
             );
         }
+    }
+}
+
+/// `clang_profile`'s op: the simulated counters and the FNV-1a 64 of
+/// the `.fdata` text of one profiling run of the Bench-scale clang-like
+/// binary (input size 100 000) under `Tee(LbrSampler::new(997,
+/// SampleTrigger::Instructions), CpuModel::new(SimConfig::server()))`.
+#[rustfmt::skip]
+const CLANG_PROFILE: (Counters, u64) = (
+    Counters { instructions: 70200040, cycles: 25918121.0, cond_branches: 2100001, branch_mispredicts: 339355, l1i_accesses: 73612765, l1i_misses: 104, l1d_accesses: 41800021, l1d_misses: 5407, l2_misses: 648, llc_misses: 648, itlb_misses: 6, dtlb_misses: 12 },
+    0x5a8fbb0262aa8db1,
+);
+
+#[test]
+#[ignore = "benchmark scale, seconds in release; run by a CI step of its own"]
+fn bench_scale_clang_profile_matches_the_pinned_literals() {
+    let mut program = compiler_like::build(Scale::Bench, clang_shape(Scale::Bench));
+    program
+        .globals
+        .iter_mut()
+        .find(|g| g.name == "config")
+        .expect("the compiler-like workload keeps its input size in `config`")
+        .words[0] = 100_000;
+    let elf = compile_and_link(&program, &CompileOptions::default())
+        .expect("workload compiles")
+        .elf;
+    for engine in [Engine::Step, Engine::Uop] {
+        let mut sampler = LbrSampler::new(997, SampleTrigger::Instructions);
+        let mut model = CpuModel::new(SimConfig::server());
+        let mut machine = Machine::new();
+        machine.load_elf(&elf);
+        let run = machine
+            .run_engine(&mut Tee(&mut sampler, &mut model), u64::MAX, engine)
+            .expect("the profiling run completes");
+        assert!(matches!(run.exit, Exit::Exited(_)), "{engine}: {run:?}");
+        let got = (
+            model.counters(),
+            fnv64(sampler.profile.to_fdata().as_bytes()),
+        );
+        assert_eq!(got, CLANG_PROFILE, "{engine} engine (hash {:#018x})", got.1);
     }
 }
 
