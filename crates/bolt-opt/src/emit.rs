@@ -6,13 +6,21 @@
 //! non-simple functions keep working at their old addresses. Jump tables
 //! are patched in place, and the line/exception tables are rebuilt for
 //! moved code (paper section 3.4).
+//!
+//! Without relocations the rewriter cannot find every reference to a
+//! function: a pointer built by `movabs` or stored in a data table still
+//! holds the original entry address. Two rules keep such pointers
+//! running the rewritten code: each moved function's original entry is
+//! overwritten with a `jmp` to its new copy (LLVM BOLT's patch-entries),
+//! and a `MovRSym` materialises the original address, because that is
+//! the value any pointer it is compared against holds.
 
 use bolt_elf::{sections, Elf, Section, SymKind};
 use bolt_ir::{
     emit_units, BinaryContext, BlockId, EmitBlock, EmitError, EmitInst, EmitResult, EmitUnit,
     ExceptionTable, LineTable,
 };
-use bolt_isa::{Inst, Label, Target};
+use bolt_isa::{encode_at, Inst, JumpWidth, Label, Target};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -29,6 +37,11 @@ pub struct RewriteStats {
     pub hot_text_size: u64,
     pub cold_text_size: u64,
     pub patched_jump_table_entries: usize,
+    /// Original entries of moved (or ICF-folded) functions overwritten
+    /// with a `jmp` to the new entry, and those left alone because the
+    /// function is shorter than that jump.
+    pub patched_entries: usize,
+    pub unpatched_entries: usize,
     /// Wall clock of the three rewrite steps (`-time-passes`): emitting
     /// the functions, assembling the output ELF around them, rebuilding
     /// the line and exception tables.
@@ -148,12 +161,14 @@ pub fn rewrite_binary(
             for inst in &func.block(bid).insts {
                 let mut m = inst.inst;
                 match &mut m {
-                    Inst::Jcc { target, .. }
-                    | Inst::Jmp { target, .. }
-                    | Inst::Call { target }
-                    | Inst::MovRSym { target, .. } => {
+                    Inst::Jcc { target, .. } | Inst::Jmp { target, .. } | Inst::Call { target } => {
                         *target = map_target(fi, *target);
                     }
+                    // ICP's guard is the only `MovRSym` in optimizer IR
+                    // (the decoder reports `movabs` as `MovRI`). It is
+                    // compared against a function pointer, which holds the
+                    // callee's original entry, so its target stays put.
+                    Inst::MovRSym { .. } => {}
                     // Data references (loads/stores/lea, indirect calls
                     // through the GOT) stay absolute: data does not move,
                     // and RIP-relative fields are re-encoded against the
@@ -194,6 +209,36 @@ pub fn rewrite_binary(
                     stats.patched_jump_table_entries += 1;
                 }
             }
+        }
+    }
+
+    // Patch each moved function's original entry with a `jmp` to its new
+    // one (a folded function's, to its keeper's), so pointers the rewriter
+    // cannot see run the rewritten code. A function shorter than the jump
+    // keeps its bytes.
+    let mut old_entries: Vec<(u64, u64, Label)> = ctx
+        .functions
+        .iter()
+        .filter_map(|f| Some((f.address, f.size, *entry_label_of_addr.get(&f.address)?)))
+        .collect();
+    old_entries.sort_unstable_by_key(|e| e.0);
+    old_entries.dedup_by_key(|e| e.0);
+    for (addr, size, label) in old_entries {
+        let jmp = Inst::Jmp {
+            target: Target::Addr(result.label_addrs[&label]),
+            width: JumpWidth::Near,
+        };
+        let bytes = encode_at(&jmp, addr)
+            .expect("a near jmp reaches any text")
+            .bytes;
+        let in_text = |s: &&mut Section| s.is_exec() && s.addr_range().contains(&addr);
+        match out.sections.iter_mut().find(in_text) {
+            Some(sec) if size >= bytes.len() as u64 => {
+                let off = (addr - sec.addr) as usize;
+                sec.data[off..off + bytes.len()].copy_from_slice(&bytes);
+                stats.patched_entries += 1;
+            }
+            _ => stats.unpatched_entries += 1,
         }
     }
 

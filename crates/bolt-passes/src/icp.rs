@@ -74,6 +74,12 @@ pub fn run_icp(ctx: &mut BinaryContext, threshold: f64) -> u64 {
 /// Ljoin:
 ///   ...tail...
 /// ```
+///
+/// `hot` is the callee's *original* entry in both places, but the
+/// emitter resolves them differently: the direct `callq` follows the
+/// callee to its new home, while the guard's `movabs` (a `MovRSym`, which
+/// nothing but this pass puts in optimizer IR) keeps the original
+/// address, because that is what a function pointer in `%target` holds.
 fn promote(ctx: &mut BinaryContext, fi: usize, id: BlockId, k: usize, hot_addr: u64) -> bool {
     // Need a dead scratch register != the target register.
     let func = &ctx.functions[fi];

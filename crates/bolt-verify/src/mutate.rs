@@ -18,7 +18,7 @@ use crate::FindingKind;
 use bolt_elf::{Elf, SymKind};
 use bolt_emu::{MemShape, MicroOp, SemFindingKind, UopKind};
 use bolt_ir::{BinaryContext, BinaryFunction};
-use bolt_isa::{decode, Inst, Mem, Reg, Target};
+use bolt_isa::{decode, Inst, JumpWidth, Mem, Reg, Target};
 use std::fmt;
 
 /// One kind of seeded defect.
@@ -47,11 +47,14 @@ pub enum Mutation {
     OverlapSymbols,
     /// Delete the output symbol of an emitted function.
     DeleteSymbol,
+    /// Bump the low displacement byte of the `jmp` patched over a moved
+    /// function's original entry, so it lands between function entries.
+    RetargetEntryPatch,
 }
 
 impl Mutation {
     /// Every mutation, for exhaustive harness loops.
-    pub const ALL: [Mutation; 9] = [
+    pub const ALL: [Mutation; 10] = [
         Mutation::RetargetJcc,
         Mutation::DropCondBranch,
         Mutation::SwapBlocks,
@@ -61,6 +64,7 @@ impl Mutation {
         Mutation::RetargetCall,
         Mutation::OverlapSymbols,
         Mutation::DeleteSymbol,
+        Mutation::RetargetEntryPatch,
     ];
 
     pub fn as_str(self) -> &'static str {
@@ -74,6 +78,7 @@ impl Mutation {
             Mutation::RetargetCall => "retarget-call",
             Mutation::OverlapSymbols => "overlap-symbols",
             Mutation::DeleteSymbol => "delete-symbol",
+            Mutation::RetargetEntryPatch => "retarget-entry-patch",
         }
     }
 
@@ -90,6 +95,7 @@ impl Mutation {
             Mutation::RetargetCall => FindingKind::DanglingJumpTarget,
             Mutation::OverlapSymbols => FindingKind::OverlappingCode,
             Mutation::DeleteSymbol => FindingKind::MissingFunction,
+            Mutation::RetargetEntryPatch => FindingKind::DanglingJumpTarget,
         }
     }
 }
@@ -114,6 +120,7 @@ pub fn apply_mutation(m: Mutation, elf: &mut Elf, ctx: &BinaryContext) -> Option
         Mutation::RetargetCall => retarget_branch(elf, ctx, BranchKind::Call),
         Mutation::OverlapSymbols => overlap_symbols(elf),
         Mutation::DeleteSymbol => delete_symbol(elf, ctx),
+        Mutation::RetargetEntryPatch => retarget_entry_patch(elf, ctx),
     }
 }
 
@@ -206,6 +213,26 @@ fn retarget_branch(elf: &mut Elf, ctx: &BinaryContext, kind: BranchKind) -> Opti
     let (name, at, disp_addr) = site;
     write_bytes(elf, disp_addr, |b| b[0] = b[0].wrapping_add(1))
         .then(|| format!("bumped branch displacement at {at:#x} in {name}"))
+}
+
+/// Bumps the low displacement byte of the first emitted function's
+/// entry patch: the `jmp` at its original address then lands one byte
+/// past its new entry.
+fn retarget_entry_patch(elf: &mut Elf, ctx: &BinaryContext) -> Option<String> {
+    let site = hot_frags(elf, ctx)
+        .into_iter()
+        .find_map(|(f, new_entry, _)| {
+            let slot = decode_range(elf, f.address, 5)?.into_iter().next()?;
+            let patched = slot.inst
+                == Inst::Jmp {
+                    target: Target::Addr(new_entry),
+                    width: JumpWidth::Near,
+                };
+            patched.then(|| (f.name.clone(), f.address))
+        })?;
+    let (name, at) = site;
+    write_bytes(elf, at + 1, |b| b[0] = b[0].wrapping_add(1))
+        .then(|| format!("bumped the entry patch at {at:#x} of {name}"))
 }
 
 /// Rewrites the first short `jcc` (opcode `0x70+cc`) into a short `jmp`

@@ -23,6 +23,9 @@
 //! 3. **Edge-set equality** — the CFG edge set recovered from the bytes
 //!    (leader partition + decoded terminators) must equal the IR edge
 //!    set mapped through the derived block addresses.
+//!
+//! Beside the emitted code it checks the rewriter's one edit to the
+//! original text: every moved function's old entry jumps to its new one.
 
 use crate::{Finding, FindingKind, VerifyReport};
 use bolt_elf::{sections, Elf, SymKind, SymSection};
@@ -79,6 +82,7 @@ pub fn verify_rewrite(elf: &Elf, ctx: &BinaryContext) -> VerifyReport {
         checked += 1;
         findings.extend(env.check_function(fi).findings);
     }
+    env.check_entry_patches(&mut findings);
     VerifyReport {
         findings,
         functions_checked: checked,
@@ -418,6 +422,77 @@ impl<'a> VerifyEnv<'a> {
         }
     }
 
+    /// Each moved function's original entry (a pointer the rewriter
+    /// cannot see may still call it) must decode to a `jmp` to its new
+    /// entry, or to its ICF keeper's. A function shorter than that jump
+    /// keeps its input bytes: they must still decode as whole
+    /// instructions inside its own range.
+    fn check_entry_patches(&self, findings: &mut Vec<Finding>) {
+        const PATCH_LEN: u64 = 5;
+        let mut seen = HashSet::new();
+        for f in &self.ctx.functions {
+            let Some(&new_entry) = self.new_entry_of_old.get(&f.address) else {
+                continue;
+            };
+            if !seen.insert(f.address) || f.size == 0 {
+                continue;
+            }
+            let mut push = |kind, detail| {
+                findings.push(Finding {
+                    kind,
+                    function: f.name.clone(),
+                    addr: f.address,
+                    detail,
+                })
+            };
+            let span = f.size.min(PATCH_LEN);
+            let Some(bytes) = self.elf.read_vaddr(f.address, span as usize) else {
+                push(
+                    FindingKind::UndecodableBytes,
+                    format!("original entry {:#x} is not backed by a section", f.address),
+                );
+                continue;
+            };
+            if f.size < PATCH_LEN {
+                let mut off = 0;
+                while off < bytes.len() {
+                    match decode(&bytes[off..], f.address + off as u64) {
+                        Ok(d) => off += d.len as usize,
+                        Err(e) => {
+                            push(
+                                FindingKind::CfgMismatch,
+                                format!(
+                                    "{}-byte function no longer holds whole instructions: {e:?}",
+                                    f.size
+                                ),
+                            );
+                            break;
+                        }
+                    }
+                }
+                continue;
+            }
+            match decode(bytes, f.address).map(|d| d.inst) {
+                Ok(Inst::Jmp {
+                    target: Target::Addr(t),
+                    ..
+                }) if t == new_entry => {}
+                Ok(Inst::Jmp {
+                    target: Target::Addr(t),
+                    ..
+                }) => push(
+                    FindingKind::DanglingJumpTarget,
+                    format!("original entry jumps to {t:#x}, not to the new entry {new_entry:#x}"),
+                ),
+                Ok(inst) => push(
+                    FindingKind::CfgMismatch,
+                    format!("original entry not patched: decoded `{inst}`"),
+                ),
+                Err(e) => push(FindingKind::UndecodableBytes, format!("{e:?}")),
+            }
+        }
+    }
+
     fn decode_fragment(
         &self,
         func: &BinaryFunction,
@@ -467,7 +542,9 @@ impl<'a> VerifyEnv<'a> {
     /// The instruction the emitted bytes should decode back to: label
     /// targets become derived block addresses, old entries of re-emitted
     /// functions become their new entries (the rewriter's `map_target`),
-    /// and `movabs $sym` collapses to the `MovRI` the decoder reports.
+    /// and `movabs $sym` collapses to the `MovRI` the decoder reports —
+    /// of the *unmapped* address, since ICP's guard compares it against a
+    /// function pointer, which holds the original entry.
     fn resolve_ir_inst(&self, inst: &Inst, block_addr: &[Option<u64>]) -> Result<Inst, String> {
         let label = |t: &Target| -> Result<u64, String> {
             match t {
@@ -512,7 +589,7 @@ impl<'a> VerifyEnv<'a> {
             },
             Inst::MovRSym { dst, target } => Inst::MovRI {
                 dst: *dst,
-                imm: mapped(target)? as i64,
+                imm: label(target)? as i64,
             },
             Inst::Load { dst, mem: m } => Inst::Load {
                 dst: *dst,

@@ -321,9 +321,10 @@ fn main() -> ExitCode {
         eprintln!("bolt: cannot write {output}: {e}");
         return ExitCode::FAILURE;
     }
+    let stats = &out.rewrite_stats;
     eprintln!(
-        "bolt: wrote {output} ({} functions rewritten, hot text {} bytes)",
-        out.rewrite_stats.emitted_functions, out.rewrite_stats.hot_text_size
+        "bolt: wrote {output} ({} functions rewritten, {} entries patched, {} too short to patch, hot text {} bytes)",
+        stats.emitted_functions, stats.patched_entries, stats.unpatched_entries, stats.hot_text_size
     );
     ExitCode::SUCCESS
 }

@@ -15,27 +15,29 @@
 //!
 //! `BOLTED` is the same tripwire for the optimizer: "no output byte
 //! changed" is a verdict of this file instead of a `cmp` by hand, and a
-//! BOLTed binary — whose text lies outside the emulator's flat decode
-//! span, so it runs entirely through the spill index — must count the
-//! same under the step and uop engines.
+//! BOLTed binary — whose rewritten text lies outside the emulator's flat
+//! decode span, so it runs through the spill index except for the
+//! patched original entries — must count the same under the step and
+//! uop engines.
 //!
 //! `CLANG_PROFILE` pins the repo benchmark's `clang_profile` op at its
 //! own scale — `Scale::Test` inputs are too small to reach much of the
-//! model and sampler state a profiling run at benchmark scale does. It
-//! takes seconds in release, so it is `#[ignore]`d and CI runs it as a
-//! step of its own.
+//! model and sampler state a profiling run at benchmark scale does —
+//! and `HHVM_LOOP` its `hhvm_loop` op (profile, BOLT, re-measure). Each
+//! takes seconds in release, so they are `#[ignore]`d and CI runs each
+//! as a step of its own.
 //!
 //! To regenerate after an *intended* model or optimizer change, run
 //! `cargo test --release --test sim_golden -- --ignored --nocapture`
-//! and paste the printed tables and the `CLANG_PROFILE` values the
-//! failing benchmark-scale test reports.
+//! and paste the printed tables and the `CLANG_PROFILE` / `HHVM_LOOP`
+//! values the failing benchmark-scale tests report.
 
 use bolt::compiler::{compile_and_link, CompileOptions};
 use bolt::elf::{write_elf, Elf};
-use bolt::emu::{Engine, Exit, Machine, Tee};
+use bolt::emu::{Engine, Exit, Machine, Tee, TraceSink};
 use bolt::opt::{optimize, BoltOptions};
 use bolt::passes::PassOptions;
-use bolt::profile::{LbrSampler, SampleTrigger};
+use bolt::profile::{LbrSampler, Profile, SampleTrigger};
 use bolt::workloads::{clang_shape, compiler_like, Scale, Workload};
 use bolt_sim::{Counters, CpuModel, SimConfig};
 
@@ -87,10 +89,10 @@ const GOLDEN: &[(&str, &str, Counters)] = &[
 /// under `SimConfig::server()`.
 #[rustfmt::skip]
 const BOLTED: &[(&str, [u64; PassOptions::PRESETS.len()], Counters)] = &[
-    ("hhvm", [0x1116b15e0d1ed813, 0x8ffa051028cb4529, 0xf68b516bae6485f9, 0x6c31f311164beb6d, 0x6fcd4dca9558baad], Counters { instructions: 4039303, cycles: 1674859.9, cond_branches: 150001, branch_mispredicts: 27319, l1i_accesses: 4201024, l1i_misses: 89, l1d_accesses: 2029851, l1d_misses: 302, l2_misses: 391, llc_misses: 391, itlb_misses: 3, dtlb_misses: 7 }),
-    ("tao", [0xa71e64d809152ebd, 0xb748c4930a6e3bdf, 0x8309426b92973697, 0x8b68394775544a17, 0x44822549dff83ac4], Counters { instructions: 3280031, cycles: 1578354.2999999998, cond_branches: 160001, branch_mispredicts: 40094, l1i_accesses: 3455043, l1i_misses: 34, l1d_accesses: 1360095, l1d_misses: 126, l2_misses: 160, llc_misses: 160, itlb_misses: 1, dtlb_misses: 4 }),
-    ("clang", [0xa11d57b0ccd48b3a, 0x604b8e35f4288145, 0x64e35962b9b4a497, 0x894e84cc4f7d0ba5, 0xe3d9cdc8c7449ae4], Counters { instructions: 10525033, cycles: 4631393.9, cond_branches: 420001, branch_mispredicts: 96192, l1i_accesses: 11061078, l1i_misses: 40, l1d_accesses: 5220015, l1d_misses: 1315, l2_misses: 579, llc_misses: 579, itlb_misses: 1, dtlb_misses: 11 }),
-    ("interp", [0x28236f1d64fdeba2, 0x33baa3227c4d78f7, 0x2f8a4689cbb451cc, 0x71370d87f76c43bb, 0x98c6ec995b63a3c7], Counters { instructions: 2736210, cycles: 1596859.0, cond_branches: 60001, branch_mispredicts: 51731, l1i_accesses: 2875753, l1i_misses: 75, l1d_accesses: 1580012, l1d_misses: 177, l2_misses: 252, llc_misses: 252, itlb_misses: 2, dtlb_misses: 5 }),
+    ("hhvm", [0x04e37ce40bb3cdf5, 0x379d7826158daefe, 0xf0faa10e536ceecb, 0x0bec5e3c11892021, 0x87c953fd18e504a0], Counters { instructions: 3621409, cycles: 1542462.7, cond_branches: 150001, branch_mispredicts: 26847, l1i_accesses: 3812896, l1i_misses: 87, l1d_accesses: 1730787, l1d_misses: 302, l2_misses: 389, llc_misses: 389, itlb_misses: 3, dtlb_misses: 7 }),
+    ("tao", [0xe5ace3bab388de74, 0x168ac1f801b6ceed, 0xaa3686fe0ce9f64b, 0xd7e5dadf4068054a, 0xf8fc79e9d09e139d], Counters { instructions: 3280031, cycles: 1578354.2999999998, cond_branches: 160001, branch_mispredicts: 40094, l1i_accesses: 3455043, l1i_misses: 34, l1d_accesses: 1360095, l1d_misses: 126, l2_misses: 160, llc_misses: 160, itlb_misses: 1, dtlb_misses: 4 }),
+    ("clang", [0xa79e2831d175bab5, 0x7ae95350383d879c, 0x8dd5a023dabefaa8, 0xa609d7b196b20263, 0xc8747db4d60c2691], Counters { instructions: 10525033, cycles: 4631393.9, cond_branches: 420001, branch_mispredicts: 96192, l1i_accesses: 11061078, l1i_misses: 40, l1d_accesses: 5220015, l1d_misses: 1315, l2_misses: 579, llc_misses: 579, itlb_misses: 1, dtlb_misses: 11 }),
+    ("interp", [0xbdb1387c4f2b4a79, 0x925ed86908eb6b95, 0xaf79fdca028b38fc, 0xc7c198c7463f7928, 0xb20354cb6a390dba], Counters { instructions: 2696210, cycles: 1581663.0, cond_branches: 60001, branch_mispredicts: 51751, l1i_accesses: 2827146, l1i_misses: 59, l1d_accesses: 1520012, l1d_misses: 177, l2_misses: 236, llc_misses: 236, itlb_misses: 2, dtlb_misses: 5 }),
 ];
 
 /// BOLTs `elf` under every preset with one LBR profile of it; returns
@@ -192,19 +194,69 @@ fn bench_scale_clang_profile_matches_the_pinned_literals() {
         .expect("workload compiles")
         .elf;
     for engine in [Engine::Step, Engine::Uop] {
-        let mut sampler = LbrSampler::new(997, SampleTrigger::Instructions);
-        let mut model = CpuModel::new(SimConfig::server());
-        let mut machine = Machine::new();
-        machine.load_elf(&elf);
-        let run = machine
-            .run_engine(&mut Tee(&mut sampler, &mut model), u64::MAX, engine)
-            .expect("the profiling run completes");
-        assert!(matches!(run.exit, Exit::Exited(_)), "{engine}: {run:?}");
-        let got = (
-            model.counters(),
-            fnv64(sampler.profile.to_fdata().as_bytes()),
-        );
+        let (counters, profile) = profiling_run(&elf, engine);
+        let got = (counters, fnv64(profile.to_fdata().as_bytes()));
         assert_eq!(got, CLANG_PROFILE, "{engine} engine (hash {:#018x})", got.1);
+    }
+}
+
+/// The benchmark's profiling run: `elf` under `Tee(LbrSampler::new(997,
+/// SampleTrigger::Instructions), CpuModel::new(SimConfig::server()))`.
+fn profiling_run(elf: &Elf, engine: Engine) -> (Counters, Profile) {
+    let mut sampler = LbrSampler::new(997, SampleTrigger::Instructions);
+    let mut model = CpuModel::new(SimConfig::server());
+    emulate(elf, &mut Tee(&mut sampler, &mut model), engine);
+    (model.counters(), sampler.profile)
+}
+
+fn emulate(elf: &Elf, sink: &mut impl TraceSink, engine: Engine) {
+    let mut machine = Machine::new();
+    machine.load_elf(elf);
+    let run = machine
+        .run_engine(sink, u64::MAX, engine)
+        .expect("the run completes");
+    assert!(matches!(run.exit, Exit::Exited(_)), "{engine}: {run:?}");
+}
+
+/// `hhvm_loop`'s op at seed 1: the Bench-scale HHVM-like binary's
+/// counters under the profiling run above, then those of its BOLTed
+/// binary (`BoltOptions { threads: 2, ..paper_default() }`, the uop
+/// run's profile) under `CpuModel::new(SimConfig::server())` alone.
+/// Their cycle ratio is the benchmark's `cycles_vs_base_pct`.
+#[rustfmt::skip]
+const HHVM_LOOP: (Counters, Counters) = (
+    Counters { instructions: 60047758, cycles: 40165297.4, cond_branches: 1600001, branch_mispredicts: 520570, l1i_accesses: 62134094, l1i_misses: 546596, l1d_accesses: 35087949, l1d_misses: 324, l2_misses: 5498, llc_misses: 1008, itlb_misses: 337874, dtlb_misses: 8 },
+    Counters { instructions: 47819609, cycles: 21601239.7, cond_branches: 2000001, branch_mispredicts: 398030, l1i_accesses: 50329596, l1i_misses: 152712, l1d_accesses: 22844176, l1d_misses: 323, l2_misses: 811, llc_misses: 811, itlb_misses: 9, dtlb_misses: 7 },
+);
+
+#[test]
+#[ignore = "benchmark scale, seconds in release; run by a CI step of its own"]
+fn bench_scale_hhvm_loop_matches_the_pinned_literals() {
+    let elf = compile_and_link(
+        &Workload::Hhvm.build(Scale::Bench),
+        &CompileOptions::default(),
+    )
+    .expect("workload compiles")
+    .elf;
+    let mut profile = Profile::default();
+    for engine in [Engine::Step, Engine::Uop] {
+        let (base, p) = profiling_run(&elf, engine);
+        assert_eq!(base, HHVM_LOOP.0, "{engine} engine, input binary");
+        profile = p;
+    }
+    let opts = BoltOptions {
+        threads: 2,
+        ..BoltOptions::paper_default()
+    };
+    let bolted = optimize(&elf, &profile, &opts).expect("BOLT succeeds").elf;
+    for engine in [Engine::Step, Engine::Uop] {
+        let mut model = CpuModel::new(SimConfig::server());
+        emulate(&bolted, &mut model, engine);
+        assert_eq!(
+            model.counters(),
+            HHVM_LOOP.1,
+            "{engine} engine, BOLTed binary"
+        );
     }
 }
 

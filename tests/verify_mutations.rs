@@ -40,6 +40,16 @@ fn clang_fixture() -> &'static (Elf, Profile) {
     FIXTURE.get_or_init(|| build(Workload::ClangLike))
 }
 
+fn hhvm_fixture() -> &'static (Elf, Profile) {
+    static FIXTURE: OnceLock<(Elf, Profile)> = OnceLock::new();
+    FIXTURE.get_or_init(|| build(Workload::Hhvm))
+}
+
+fn interp_fixture() -> &'static (Elf, Profile) {
+    static FIXTURE: OnceLock<(Elf, Profile)> = OnceLock::new();
+    FIXTURE.get_or_init(|| build(Workload::Interp))
+}
+
 fn bolt_verified(elf: &Elf, profile: &Profile, preset: &str) -> BoltOutput {
     let mut opts = BoltOptions::paper_default();
     opts.passes = PassOptions::preset(preset).expect("known preset");
@@ -49,13 +59,20 @@ fn bolt_verified(elf: &Elf, profile: &Profile, preset: &str) -> BoltOutput {
 
 /// Every clean pipeline must verify with zero findings: the verifier's
 /// model of the rewriter (fold-chain retargeting, split symbols, packed
-/// blocks, patched jump tables) has to hold on every preset, not just
-/// the default one, and on profile-less runs whose layouts stay
-/// conservative.
+/// blocks, patched jump tables, patched original entries, ICP guards
+/// that compare original addresses) has to hold on every preset, not
+/// just the default one, and on profile-less runs whose layouts stay
+/// conservative. HHVM and the interpreter are the workloads with
+/// function pointers, and HHVM the one where ICP fires.
 #[test]
 fn clean_pipelines_verify_with_zero_findings() {
     let unprofiled = Profile::default();
-    for (name, fixture) in [("tao", tao_fixture()), ("clang-like", clang_fixture())] {
+    for (name, fixture) in [
+        ("tao", tao_fixture()),
+        ("clang-like", clang_fixture()),
+        ("hhvm", hhvm_fixture()),
+        ("interp", interp_fixture()),
+    ] {
         let (elf, profile) = fixture;
         for preset in PassOptions::PRESETS {
             for (label, prof) in [("profiled", profile), ("unprofiled", &unprofiled)] {
