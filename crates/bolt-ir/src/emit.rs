@@ -106,7 +106,7 @@ pub struct EmitReloc {
 }
 
 /// The result of emitting a set of functions.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EmitResult {
     /// Hot code bytes, based at the `text_base` passed to [`emit_units`].
     pub text: Vec<u8>,
@@ -177,16 +177,6 @@ fn push_nops(bytes: &mut Vec<u8>, mut n: u64) {
     }
 }
 
-/// One placed instruction during layout.
-struct Placed {
-    /// Unit index, block index, instruction index.
-    unit: usize,
-    block: usize,
-    inst: usize,
-    /// Working width for relaxable branches.
-    width: Option<JumpWidth>,
-}
-
 /// Emits `units` in order. Hot fragments go to a stream based at
 /// `text_base`; blocks past each unit's `cold_start` go to a stream based
 /// at `cold_base`. `extern_labels` resolves references to labels defined
@@ -229,19 +219,15 @@ pub fn emit_units(
         }
     }
 
-    // Working widths: all relaxable branches start Short.
-    let mut placed: Vec<Placed> = Vec::new();
+    // Per-instruction state, indexed in placement order (every pass below
+    // walks `order` the same way): the working width of each relaxable
+    // branch (all start Short), its address and its encoded length.
+    let mut widths: Vec<Option<JumpWidth>> = Vec::new();
     for &(_, ui, bi) in &order {
-        for (ii, inst) in units[ui].blocks[bi].insts.iter().enumerate() {
-            let width = match inst.inst {
+        for inst in &units[ui].blocks[bi].insts {
+            widths.push(match inst.inst {
                 Inst::Jcc { .. } | Inst::Jmp { .. } => Some(JumpWidth::Short),
                 _ => None,
-            };
-            placed.push(Placed {
-                unit: ui,
-                block: bi,
-                inst: ii,
-                width,
             });
         }
     }
@@ -249,8 +235,8 @@ pub fn emit_units(
     // Relaxation loop: compute addresses with current widths, grow any
     // short branch whose target does not fit, repeat.
     let mut label_addrs: HashMap<Label, u64> = HashMap::new();
-    let mut inst_addrs: Vec<u64> = vec![0; placed.len()];
-    let mut inst_lens: Vec<u64> = vec![0; placed.len()];
+    let mut inst_addrs: Vec<u64> = vec![0; widths.len()];
+    let mut inst_lens: Vec<u8> = vec![0; widths.len()];
     loop {
         // Address assignment pass.
         let mut pos = [text_base, cold_base];
@@ -269,13 +255,13 @@ pub fn emit_units(
             label_addrs.insert(unit.blocks[bi].label, pos[stream]);
             for inst in &unit.blocks[bi].insts {
                 let mut working = inst.inst;
-                if let Some(w) = placed[pi].width {
+                if let Some(w) = widths[pi] {
                     set_width(&mut working, w);
                 }
-                let len = encoded_len(&working) as u64;
+                let len = encoded_len(&working);
                 inst_addrs[pi] = pos[stream];
-                inst_lens[pi] = len;
-                pos[stream] += len;
+                inst_lens[pi] = len as u8;
+                pos[stream] += len as u64;
                 pi += 1;
             }
             order_i += 1;
@@ -283,29 +269,34 @@ pub fn emit_units(
 
         // Width check pass.
         let mut grew = false;
-        for (pi, p) in placed.iter_mut().enumerate() {
-            if p.width != Some(JumpWidth::Short) {
-                continue;
-            }
-            let inst = &units[p.unit].blocks[p.block].insts[p.inst].inst;
-            let target = inst.target().expect("relaxable branches have targets");
-            let target_addr = match target {
-                Target::Addr(a) => Some(a),
-                Target::Label(l) => label_addrs
-                    .get(&l)
-                    .copied()
-                    .or_else(|| extern_labels.get(&l).copied()),
-            };
-            let Some(to) = target_addr else {
-                return Err(EmitError::UnresolvedLabel(
-                    target.label().expect("address targets always resolve"),
-                ));
-            };
-            let end = inst_addrs[pi] + inst_lens[pi];
-            let rel = to.wrapping_sub(end) as i64;
-            if i8::try_from(rel).is_err() {
-                p.width = Some(JumpWidth::Near);
-                grew = true;
+        let mut pi = 0usize;
+        for &(_, ui, bi) in &order {
+            for einst in &units[ui].blocks[bi].insts {
+                if widths[pi] == Some(JumpWidth::Short) {
+                    let target = einst
+                        .inst
+                        .target()
+                        .expect("relaxable branches have targets");
+                    let target_addr = match target {
+                        Target::Addr(a) => Some(a),
+                        Target::Label(l) => label_addrs
+                            .get(&l)
+                            .copied()
+                            .or_else(|| extern_labels.get(&l).copied()),
+                    };
+                    let Some(to) = target_addr else {
+                        return Err(EmitError::UnresolvedLabel(
+                            target.label().expect("address targets always resolve"),
+                        ));
+                    };
+                    let end = inst_addrs[pi] + u64::from(inst_lens[pi]);
+                    let rel = to.wrapping_sub(end) as i64;
+                    if i8::try_from(rel).is_err() {
+                        widths[pi] = Some(JumpWidth::Near);
+                        grew = true;
+                    }
+                }
+                pi += 1;
             }
         }
         if !grew {
@@ -348,7 +339,7 @@ pub fn emit_units(
             let addr = inst_addrs[pi];
             debug_assert_eq!(addr, bases[stream] + buf.len() as u64);
             let mut working = einst.inst;
-            if let Some(w) = placed[pi].width {
+            if let Some(w) = widths[pi] {
                 set_width(&mut working, w);
             }
             let enc = encode_at(&working, addr)?;
@@ -446,6 +437,9 @@ fn apply_one(bytes: &mut [u8], f: &Fixup, addr: u64, to: u64) -> Result<(), Emit
     apply_fixup(bytes, f, addr, len, to)?;
     Ok(())
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -435,7 +435,6 @@ mod tests {
             },
             addr: 0,
             line: None,
-            cfi: vec![],
             landing_pad: Some(lp),
         };
         f.block_mut(BlockId(1)).insts.insert(0, call);

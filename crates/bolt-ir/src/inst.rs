@@ -19,36 +19,9 @@ impl fmt::Display for LineInfo {
     }
 }
 
-/// A DWARF CFI placeholder (paper Figure 4): records how the frame state
-/// changes at a program point so unwind information can be rebuilt after
-/// blocks are reordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CfiOp {
-    /// `OpDefCfaOffset`: the CFA is at `offset` from the stack pointer.
-    DefCfaOffset(i32),
-    /// `OpDefCfaRegister`: the CFA is now computed from `reg`.
-    DefCfaRegister(u8),
-    /// `OpOffset`: callee-saved register `reg` was saved at `offset` from
-    /// the CFA.
-    Offset(u8, i32),
-    /// `OpSameValue`: register `reg` has been restored.
-    SameValue(u8),
-}
-
-impl fmt::Display for CfiOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CfiOp::DefCfaOffset(o) => write!(f, "OpDefCfaOffset {o}"),
-            CfiOp::DefCfaRegister(r) => write!(f, "OpDefCfaRegister Reg{r}"),
-            CfiOp::Offset(r, o) => write!(f, "OpOffset Reg{r} {o}"),
-            CfiOp::SameValue(r) => write!(f, "OpSameValue Reg{r}"),
-        }
-    }
-}
-
 /// A machine instruction plus the annotations the rewriter tracks:
-/// original address, source line, pending CFI ops, and an optional
-/// landing-pad annotation for calls that may throw.
+/// original address, source line, and an optional landing-pad annotation
+/// for calls that may throw.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinaryInst {
     /// The underlying machine instruction.
@@ -57,8 +30,6 @@ pub struct BinaryInst {
     pub addr: u64,
     /// Source location, if known.
     pub line: Option<LineInfo>,
-    /// CFI placeholders that take effect *after* this instruction.
-    pub cfi: Vec<CfiOp>,
     /// Landing-pad block (within the same function) if this call can
     /// throw, mirroring BOLT's `handler:` annotation.
     pub landing_pad: Option<super::BlockId>,
@@ -71,7 +42,6 @@ impl BinaryInst {
             inst,
             addr: 0,
             line: None,
-            cfi: Vec::new(),
             landing_pad: None,
         }
     }
@@ -120,15 +90,5 @@ mod tests {
             .with_line(LineInfo { file: 1, line: 22 });
         assert_eq!(i.addr, 0x400000);
         assert_eq!(i.to_string(), "pushq %rbp # file1:22");
-    }
-
-    #[test]
-    fn cfi_display_matches_figure4_style() {
-        assert_eq!(CfiOp::DefCfaOffset(-16).to_string(), "OpDefCfaOffset -16");
-        assert_eq!(CfiOp::Offset(6, -16).to_string(), "OpOffset Reg6 -16");
-        assert_eq!(
-            CfiOp::DefCfaRegister(6).to_string(),
-            "OpDefCfaRegister Reg6"
-        );
     }
 }

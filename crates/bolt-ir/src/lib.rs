@@ -4,8 +4,8 @@
 //! sections 3.3–3.4): functions reconstructed from a binary
 //! ([`BinaryFunction`]), their basic blocks and weighted CFG edges
 //! ([`BasicBlock`], [`SuccEdge`]), annotated machine instructions
-//! ([`BinaryInst`] — the `MCInst`-with-annotations analogue, carrying CFI
-//! placeholders, source lines and landing-pad links), plus:
+//! ([`BinaryInst`] — the `MCInst`-with-annotations analogue, carrying
+//! original addresses, source lines and landing-pad links), plus:
 //!
 //! * a dataflow framework ([`dataflow`]) with register liveness and
 //!   dominators (paper section 4),
@@ -50,6 +50,6 @@ pub use emit::{
     emit_units, EmitBlock, EmitError, EmitInst, EmitReloc, EmitResult, EmitSymbol, EmitUnit,
 };
 pub use function::{edges, BinaryFunction, JumpTable, NonSimpleReason, OptTier};
-pub use inst::{BinaryInst, CfiOp, LineInfo};
+pub use inst::{BinaryInst, LineInfo};
 pub use meta::{ExceptionTable, LineTable, MetaError};
 pub use print::{dump_function, DumpOptions};

@@ -27,18 +27,6 @@ pub fn dump_function(
     let _ = writeln!(out, "  IsSimple    : {}", u8::from(func.is_simple));
     let _ = writeln!(out, "  IsSplit     : {}", u8::from(func.is_split()));
     let _ = writeln!(out, "  BB Count    : {}", func.num_live_blocks());
-    let cfi_count: usize = func
-        .layout
-        .iter()
-        .map(|&id| {
-            func.block(id)
-                .insts
-                .iter()
-                .map(|i| i.cfi.len())
-                .sum::<usize>()
-        })
-        .sum();
-    let _ = writeln!(out, "  CFI Instrs  : {cfi_count}");
     let layout_names: Vec<String> = func.layout.iter().map(|b| b.to_string()).collect();
     let _ = writeln!(out, "  BB Layout   : {}", layout_names.join(", "));
     let _ = writeln!(out, "  Exec Count  : {}", func.exec_count);
@@ -86,9 +74,6 @@ pub fn dump_function(
                 }
             }
             let _ = writeln!(out, "{line}");
-            for cfi in &inst.cfi {
-                let _ = writeln!(out, "    !CFI ; {cfi}");
-            }
             offset += bolt_isa::encoded_len(&inst.inst) as u64;
         }
         if !b.succs.is_empty() {

@@ -19,7 +19,6 @@ use std::collections::{BTreeMap, BTreeSet};
 struct Slot {
     addr: u64,
     inst: Inst,
-    len: u8,
 }
 
 /// A recognized jump-table dispatch.
@@ -118,11 +117,7 @@ fn disassemble_function(
         let Ok(d) = decode(&bytes[off..], addr) else {
             return Err(NonSimpleReason::UndecodableBytes);
         };
-        slots.push(Slot {
-            addr,
-            inst: d.inst,
-            len: d.len,
-        });
+        slots.push(Slot { addr, inst: d.inst });
         off += d.len as usize;
     }
 
@@ -214,27 +209,30 @@ fn disassemble_function(
     }
     // Assign instructions (discarding NOPs and alignment padding: paper
     // section 4, "BOLT's policy of discarding all NOPs after reading the
-    // input binary").
-    for s in &slots {
-        if matches!(s.inst, Inst::Nop { .. }) {
-            continue;
-        }
-        let (&leader, &bid) = block_of_addr
-            .range(..=s.addr)
-            .next_back()
-            .expect("start is a leader");
-        let _ = leader;
-        let mut bi = BinaryInst::new(s.inst).at(s.addr);
-        if let Some((file, line)) = ctx.lines.lookup(s.addr) {
-            bi.line = Some(LineInfo { file, line });
-        }
-        if s.inst.is_call() {
-            if let Some(lp) = ctx.exceptions.landing_pad_for(s.addr) {
-                bi.landing_pad = block_of_addr.get(&lp).copied();
+    // input binary"). Leaders are slot addresses in address order, so
+    // block `r` holds the slots from leader `r` up to leader `r + 1`;
+    // counting them first sizes its vector exactly.
+    for (rank, &leader) in leader_list.iter().enumerate() {
+        let lo = inst_at[&leader];
+        let hi = leader_list
+            .get(rank + 1)
+            .map_or(slots.len(), |l| inst_at[l]);
+        let run = &slots[lo..hi];
+        let is_code = |s: &&Slot| !matches!(s.inst, Inst::Nop { .. });
+        let mut insts = Vec::with_capacity(run.iter().filter(is_code).count());
+        for s in run.iter().filter(is_code) {
+            let mut bi = BinaryInst::new(s.inst).at(s.addr);
+            if let Some((file, line)) = ctx.lines.lookup(s.addr) {
+                bi.line = Some(LineInfo { file, line });
             }
+            if s.inst.is_call() {
+                if let Some(lp) = ctx.exceptions.landing_pad_for(s.addr) {
+                    bi.landing_pad = block_of_addr.get(&lp).copied();
+                }
+            }
+            insts.push(bi);
         }
-        func.block_mut(bid).insts.push(bi);
-        let _ = s.len;
+        func.blocks[rank].insts = insts;
     }
 
     // Edges + intra-function target relabeling.

@@ -154,10 +154,12 @@ pub fn rewrite_binary(
         let mut unit = EmitUnit::new(&func.name);
         unit.align = 16;
         unit.cold_start = func.cold_start;
+        unit.blocks.reserve_exact(func.layout.len());
         for &bid in &func.layout {
             let mut eb = EmitBlock::new(block_labels[&(fi, bid)]);
             // BOLT discards alignment; blocks are packed tight.
             eb.align = 1;
+            eb.insts.reserve_exact(func.block(bid).insts.len());
             for inst in &func.block(bid).insts {
                 let mut m = inst.inst;
                 match &mut m {
@@ -185,13 +187,23 @@ pub fn rewrite_binary(
         units.push(unit);
     }
 
-    let result = emit_units(&units, BOLT_TEXT_BASE, BOLT_COLD_BASE, &HashMap::new())?;
+    let mut result = emit_units(&units, BOLT_TEXT_BASE, BOLT_COLD_BASE, &HashMap::new())?;
+    // The units copy every emitted instruction, and the relocations are
+    // the linker's (this output carries none): nothing reads them again.
+    drop((units, std::mem::take(&mut result.relocs)));
     stats.hot_text_size = result.text.len() as u64;
     stats.cold_text_size = result.cold.len() as u64;
     stats.emit_time = started.elapsed();
 
     // ---- assemble the output ELF ----
     let mut out = elf.clone();
+    // The line and exception tables are rebuilt below; the input's copies
+    // need not stay alive beside the new ones.
+    for name in [sections::LINES, sections::EH] {
+        if let Some(sec) = out.section_mut(name) {
+            sec.data = Vec::new();
+        }
+    }
 
     // Patch jump tables in read-only data; a table lies in one section.
     let holds = |s: &Section, a| s.is_alloc() && !s.is_exec() && s.addr_range().contains(&a);
@@ -243,18 +255,14 @@ pub fn rewrite_binary(
     }
 
     // New code sections.
-    out.sections.push(Section::code(
-        ".text.bolt",
-        BOLT_TEXT_BASE,
-        result.text.clone(),
-    ));
+    let text = std::mem::take(&mut result.text);
+    out.sections
+        .push(Section::code(".text.bolt", BOLT_TEXT_BASE, text));
     let bolt_text_idx = out.sections.len() - 1;
     if !result.cold.is_empty() {
-        out.sections.push(Section::code(
-            ".text.bolt.cold",
-            BOLT_COLD_BASE,
-            result.cold.clone(),
-        ));
+        let cold = std::mem::take(&mut result.cold);
+        out.sections
+            .push(Section::code(".text.bolt.cold", BOLT_COLD_BASE, cold));
     }
 
     // Symbol updates: moved functions point at their new home.

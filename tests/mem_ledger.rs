@@ -1,0 +1,228 @@
+//! The optimizer's memory ledger: live heap bytes, counted by a global
+//! allocator that only this test binary uses, phase by phase through
+//! `hhvm_rewrite`'s op (read the ELF and `.fdata`, BOLT, write the ELF).
+//!
+//! BOLT pays off on binaries with hundreds of megabytes of text, so
+//! bytes per text byte decide whether the design scales. The tier-1 test
+//! pins three facts at `Scale::Test`: the IR instruction is at most 56
+//! bytes, the disassembled block vectors carry no spare capacity, and the
+//! live peak of `optimize` stays at or below a committed literal.
+//!
+//! Counting is process-wide, so the file keeps one test that runs by
+//! default; the benchmark-scale ledger is `#[ignore]`d (CI runs it as a
+//! step of its own) and both hold one lock while they measure.
+//!
+//! After an *intended* change to the optimizer's memory, regenerate the
+//! literal with `cargo test --release --test mem_ledger -- --ignored
+//! --nocapture`: it prints the `OPTIMIZE_PEAK_TEST` line to paste, then
+//! the benchmark-scale phase table.
+
+use bolt::elf::{read_elf, write_elf};
+use bolt::emu::{Engine, Exit, Machine};
+use bolt::ir::BinaryInst;
+use bolt::opt::{
+    disassemble_all_with_threads, discover, optimize, prepare, rewrite_binary, BoltOptions,
+};
+use bolt::passes::PassManager;
+use bolt::profile::{attach_profile_opts, LbrSampler, Profile, SampleTrigger};
+use bolt::workloads::{Scale, Workload};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
+
+/// Bytes requested and not yet freed, and their high-water mark.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters
+// only observe sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            match new_size.checked_sub(layout.size()) {
+                Some(more) => grew(more),
+                None => _ = LIVE.fetch_sub(layout.size() - new_size, Relaxed),
+            }
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Held while measuring, so an `--include-ignored` run stays serial.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// Live peak of `optimize` on the `Scale::Test` HHVM-like binary at
+/// threads = 1, in bytes above the live bytes when it is called (the
+/// parsed input ELF and profile).
+const OPTIMIZE_PEAK_TEST: usize = 1969730;
+
+/// Runs `f`; returns its value and the peak of live bytes while it ran.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.store(LIVE.load(Relaxed), Relaxed);
+    let value = f();
+    (value, PEAK.load(Relaxed))
+}
+
+/// `hhvm_rewrite`'s input files at `scale`: the HHVM-like binary and the
+/// `.fdata` of one LBR profiling run of it (period 997, instructions).
+fn input_files(scale: Scale) -> (Vec<u8>, String) {
+    let program = Workload::Hhvm.build(scale);
+    let elf = bolt::compiler::compile_and_link(&program, &Default::default())
+        .expect("workload compiles")
+        .elf;
+    let mut sampler = LbrSampler::new(997, SampleTrigger::Instructions);
+    let mut machine = Machine::new();
+    machine.load_elf(&elf);
+    let run = machine
+        .run_engine(&mut sampler, u64::MAX, Engine::Uop)
+        .expect("the profiling run completes");
+    assert!(matches!(run.exit, Exit::Exited(_)), "{run:?}");
+    let bytes = write_elf(&elf).expect("input ELF serializes");
+    (bytes, sampler.profile.to_fdata())
+}
+
+fn options(threads: usize) -> BoltOptions {
+    BoltOptions {
+        threads,
+        ..BoltOptions::paper_default()
+    }
+}
+
+/// Live peak of one `optimize` call, above the live bytes at its start.
+fn optimize_peak(bytes: &[u8], fdata: &str, threads: usize) -> usize {
+    let elf = read_elf(bytes).expect("input ELF parses");
+    let profile = Profile::from_fdata(fdata).expect("profile parses");
+    let opts = options(threads);
+    let before = LIVE.load(Relaxed);
+    let (out, peak) = peak_of(|| optimize(&elf, &profile, &opts).expect("BOLT succeeds"));
+    drop(out);
+    peak - before
+}
+
+const MB: f64 = 1e6;
+
+#[test]
+fn optimizer_memory_stays_within_the_ledger() {
+    let _measuring = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let inst = std::mem::size_of::<BinaryInst>();
+    assert!(inst <= 56, "BinaryInst is {inst} bytes");
+
+    let (bytes, fdata) = input_files(Scale::Test);
+    let elf = read_elf(&bytes).expect("input ELF parses");
+    let profile = Profile::from_fdata(&fdata).expect("profile parses");
+    let ctx = prepare(&elf, &profile, &options(1)).ctx;
+    let blocks = ctx.functions.iter().flat_map(|f| &f.blocks);
+    let (len, cap) = blocks.fold((0, 0), |(len, cap), b| {
+        (len + b.insts.len(), cap + b.insts.capacity())
+    });
+    assert_eq!(cap, len, "instruction slots allocated vs used");
+    drop((ctx, profile, elf));
+
+    let peak = optimize_peak(&bytes, &fdata, 1);
+    assert!(
+        peak <= OPTIMIZE_PEAK_TEST,
+        "optimize's live peak grew: {peak} bytes > OPTIMIZE_PEAK_TEST = {OPTIMIZE_PEAK_TEST}"
+    );
+}
+
+/// Prints the `OPTIMIZE_PEAK_TEST` literal, then `hhvm_rewrite`'s op at
+/// benchmark scale and threads = 2, phase by phase: the live bytes each
+/// phase leaves and the peak while it ran, input files included. The
+/// phases are `optimize`'s own steps called one by one; their output must
+/// be `optimize`'s byte for byte, and `optimize`'s live peak at most
+/// 65 MB.
+#[test]
+#[ignore = "benchmark scale, seconds in release; run by a CI step of its own"]
+fn bench_scale_phase_table() {
+    let _measuring = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let (bytes, fdata) = input_files(Scale::Test);
+    let peak = optimize_peak(&bytes, &fdata, 1);
+    println!("const OPTIMIZE_PEAK_TEST: usize = {peak};");
+    drop((bytes, fdata));
+
+    let (bytes, fdata) = input_files(Scale::Bench);
+    let opts = options(2);
+    let mut rows = vec![("input files", LIVE.load(Relaxed), 0)];
+    let mut row = |name, peak| rows.push((name, LIVE.load(Relaxed), peak));
+    let ((elf, profile), peak) = peak_of(|| {
+        let elf = read_elf(&bytes).expect("input ELF parses");
+        (elf, Profile::from_fdata(&fdata).expect("profile parses"))
+    });
+    row("read", peak);
+    let ((mut ctx, raw), peak) = peak_of(|| discover(&elf));
+    row("discover", peak);
+    let (_, peak) = peak_of(|| disassemble_all_with_threads(&mut ctx, &raw, &elf, opts.threads));
+    drop(raw);
+    row("disasm", peak);
+    let (_, peak) = peak_of(|| attach_profile_opts(&mut ctx, &profile, opts.non_lbr_tuned));
+    row("attach", peak);
+    let (pipeline, peak) = peak_of(|| {
+        let mut manager = PassManager::standard(&opts.passes);
+        manager.config.threads = opts.threads;
+        manager.run(&mut ctx, &opts.passes)
+    });
+    row("passes", peak);
+    let ((out, _), peak) =
+        peak_of(|| rewrite_binary(&elf, &ctx, &pipeline.function_order).expect("rewrite succeeds"));
+    row("emit+assemble+tables", peak);
+    let (written, peak) = peak_of(|| write_elf(&out).expect("output ELF serializes"));
+    row("write", peak);
+    let decomposed = fnv64(&written);
+    drop((written, out, pipeline, ctx, profile, elf));
+
+    let elf = read_elf(&bytes).expect("input ELF parses");
+    let profile = Profile::from_fdata(&fdata).expect("profile parses");
+    let (bolted, peak) = peak_of(|| optimize(&elf, &profile, &opts).expect("BOLT succeeds"));
+    row("optimize (whole)", peak);
+
+    println!("\nBench hhvm, threads = 2   live MB   peak MB");
+    for (name, live, peak) in &rows {
+        let (live, peak) = (*live as f64 / MB, *peak as f64 / MB);
+        println!("{name:<24} {live:>8.1} {peak:>9.1}");
+    }
+    let written = write_elf(&bolted.elf).expect("output ELF serializes");
+    assert_eq!(fnv64(&written), decomposed, "the phases must be optimize's");
+    assert!(
+        peak as f64 <= 65.0 * MB,
+        "optimize's live peak is {:.1} MB",
+        peak as f64 / MB
+    );
+}
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
