@@ -162,6 +162,11 @@ pub fn read_elf(data: &[u8]) -> Result<Elf, ElfError> {
         if bookkeeping {
             continue;
         }
+        if sh.flags & shf::ALLOC != 0 && sh.addr.checked_add(sh.size).is_none() {
+            return Err(ElfError::UnsupportedFormat(
+                "allocatable section wraps past the end of the address space",
+            ));
+        }
         content_of_shndx[i] = Some(elf.sections.len());
         elf.sections.push(Section {
             name: name.clone(),

@@ -69,6 +69,28 @@ fn rejects_garbage() {
     assert!(read_elf(&bytes).is_err());
 }
 
+/// An allocatable section whose end does not fit in 64 bits has no
+/// valid address range: reading it back is an error, not a wrapped
+/// range for the loader to trip over.
+#[test]
+fn section_wrapping_the_address_space_is_rejected() {
+    let mut elf = Elf::new(0xFFFF_FFFF_FFFF_FFF0);
+    elf.sections.push(Section::code(
+        ".text",
+        0xFFFF_FFFF_FFFF_FFF0,
+        vec![0x90; 32],
+    ));
+    let bytes = write_elf(&elf).unwrap();
+    assert!(matches!(
+        read_elf(&bytes),
+        Err(ElfError::UnsupportedFormat(_))
+    ));
+    // Ending exactly at the last byte is still a valid range.
+    elf.sections[0].data.truncate(15);
+    let back = read_elf(&write_elf(&elf).unwrap()).unwrap();
+    assert_eq!(back.sections[0].addr_range().end, u64::MAX);
+}
+
 #[test]
 fn alloc_sections_page_congruent() {
     let elf = sample_elf();

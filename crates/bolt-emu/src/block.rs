@@ -6,10 +6,11 @@
 //! binary translators amortize that cost across basic blocks: decode a
 //! straight-line run once, then execute the pre-decoded entries in a
 //! tight loop. This module holds the cache itself — packed [`Block`]
-//! descriptors indexed by entry `rip` over the machine's flat text span
-//! (with a sorted spill index for out-of-span code), with the decoded
-//! instructions, per-instruction fetch records, static memory-op
-//! shapes, and the precomputed I-side line footprint in shared pools.
+//! descriptors indexed by entry `rip` in a [`TextIndex`] over the
+//! machine's executable sections (the decode cache's regions), with the
+//! decoded instructions, per-instruction fetch records, static
+//! memory-op shapes, and the precomputed I-side line footprint in shared
+//! pools.
 //!
 //! Blocks span memory-touching instructions and end only at control
 //! transfers. Each memory-touching instruction's static D-side shape
@@ -30,18 +31,20 @@
 //! stay populated too: a block whose lowering fails validation executes
 //! them instead.
 //!
-//! **Blocks self-invalidate on stores into cached text** (flat span or
-//! spill bounds): the engine checks the dirty flag after every executed
-//! instruction and abandons the packed entries mid-block. The pools
-//! (and every chain link with them) are reclaimed at the next block
-//! boundary and the patched bytes are retranslated, matching the step
-//! engine's (also invalidated) decode cache.
+//! **Blocks self-invalidate on stores into indexed text** (a region or
+//! the [`MAX_INST_LEN`](crate::MAX_INST_LEN) bytes past its end): the
+//! engine checks the dirty flag after every executed instruction and
+//! abandons the packed entries mid-block. The pools (and every chain
+//! link with them) are reclaimed at the next block boundary and the
+//! patched bytes are retranslated, matching the step engine's (also
+//! invalidated) decode cache. A block never crosses the end of its
+//! entry's region.
 //!
 //! [`ensure_span`]: BlockCache::ensure_span
 
-use crate::spill::SpillIndex;
+use crate::text::TextIndex;
 use crate::uop::MicroOp;
-use crate::{BlockEvent, EmuError, MemRecord, Memory, MAX_INST_LEN};
+use crate::{BlockEvent, EmuError, MemRecord, Memory};
 use bolt_isa::{decode, Inst, Rm};
 use std::ops::Range;
 
@@ -226,15 +229,13 @@ fn ends_block(inst: &Inst) -> bool {
 }
 
 /// The translation cache: entry-`rip`-indexed [`Block`]s over the
-/// machine's flat text span plus a sorted spill index for out-of-span
-/// entries, with pooled storage.
+/// machine's executable regions, with pooled storage.
 #[derive(Debug)]
 pub(crate) struct BlockCache {
-    /// `entry_rip - base` → block index + 1 (`0` = untranslated). Sized
-    /// lazily to the machine's flat text span on the first
-    /// translation-engine run, so step-only machines pay nothing.
-    index: Vec<u32>,
-    base: u64,
+    /// Entry `rip` → block index + 1 (`0` = untranslated), over the
+    /// decode cache's regions. Allocated on the first translation-engine
+    /// run, so step-only machines pay nothing.
+    pub(crate) index: TextIndex,
     /// Translation mode (see [`TranslationMode`]).
     mode: TranslationMode,
     blocks: Vec<Block>,
@@ -249,19 +250,6 @@ pub(crate) struct BlockCache {
     lines: Vec<u64>,
     /// Pooled static memory-op shapes.
     mem_shapes: Vec<MemShape>,
-    /// Entry index for blocks outside the flat span — the same sorted
-    /// spill index (last-hit memo, bounded out-of-order pending buffer)
-    /// as the step engine's decode cache, so cold out-of-order
-    /// translation of a wide image stays amortized.
-    spill: SpillIndex<u32>,
-    /// Precomputed text-write watch range: the union of the flat span
-    /// and all spill-block bytes, each with [`MAX_INST_LEN`] slack past
-    /// its end. A store outside `[watch_lo, watch_hi)` provably cannot
-    /// overlap cached text, so [`note_write`](Self::note_write) is two
-    /// compares on the hot path (coarse — a store in a gap between the
-    /// regions over-invalidates, which is safe).
-    watch_lo: u64,
-    watch_hi: u64,
     /// Set by [`invalidate`](Self::invalidate); pools are rebuilt at the
     /// next block boundary ([`reclaim`](Self::reclaim)), never while a
     /// block is executing out of them.
@@ -279,8 +267,7 @@ pub(crate) struct BlockCache {
 impl Default for BlockCache {
     fn default() -> BlockCache {
         BlockCache {
-            index: Vec::new(),
-            base: 0,
+            index: TextIndex::default(),
             mode: TranslationMode::default(),
             blocks: Vec::new(),
             insts: Vec::new(),
@@ -288,10 +275,6 @@ impl Default for BlockCache {
             fetches: Vec::new(),
             lines: Vec::new(),
             mem_shapes: Vec::new(),
-            spill: SpillIndex::default(),
-            // An empty interval (`lo > hi`) until something is cached.
-            watch_lo: u64::MAX,
-            watch_hi: 0,
             dirty: false,
             tiers: TierCounts::default(),
             fault: None,
@@ -303,17 +286,13 @@ impl Default for BlockCache {
 impl BlockCache {
     /// Drops everything — called by `Machine::reset`.
     pub(crate) fn clear(&mut self) {
-        self.index.clear();
-        self.base = 0;
+        self.index = TextIndex::default();
         self.blocks.clear();
         self.insts.clear();
         self.uops.clear();
         self.fetches.clear();
         self.lines.clear();
         self.mem_shapes.clear();
-        self.spill.clear();
-        self.watch_lo = u64::MAX;
-        self.watch_hi = 0;
         self.dirty = false;
         self.tiers = TierCounts::default();
         self.fault = None;
@@ -354,11 +333,11 @@ impl BlockCache {
         }
     }
 
-    /// Sizes the entry index to the machine's flat text span and pins
-    /// the translation mode (no-op when both already match, e.g. a
-    /// machine reused across runs of one image under one engine).
-    pub(crate) fn ensure_span(&mut self, base: u64, span: usize, mode: TranslationMode) {
-        if self.base != base || self.index.len() != span || self.mode != mode {
+    /// Sizes the entry index to `text`'s regions and pins the
+    /// translation mode (no-op when both already match, e.g. a machine
+    /// reused across runs of one image under one engine).
+    pub(crate) fn ensure_span(&mut self, text: &TextIndex, mode: TranslationMode) {
+        if self.index.regions() != text.regions() || self.mode != mode {
             // A full clear, except that an armed injected fault and the
             // cumulative tier counters survive: both are per-machine
             // diagnostics configured/read across the run boundary this
@@ -368,35 +347,15 @@ impl BlockCache {
             self.clear();
             self.fault = fault;
             self.tiers = tiers;
-            self.base = base;
             self.mode = mode;
-            self.index = vec![0; span];
-            if span > 0 {
-                self.watch_lo = base;
-                self.watch_hi = base + span as u64 + MAX_INST_LEN;
-            }
+            self.index = text.empty_copy();
         }
     }
 
-    /// Whether `rip` lies inside the flat indexed text span (out-of-span
-    /// entries live in the sorted spill index instead).
-    pub(crate) fn in_span(&self, rip: u64) -> bool {
-        rip.checked_sub(self.base)
-            .is_some_and(|o| (o as usize) < self.index.len())
-    }
-
-    /// The translated block entered at `rip`, if any: flat index for
-    /// in-span rips, the sorted spill index otherwise.
+    /// The translated block entered at `rip`, if any.
     pub(crate) fn lookup(&mut self, rip: u64) -> Option<u32> {
-        if let Some(o) = rip
-            .checked_sub(self.base)
-            .map(|o| o as usize)
-            .filter(|&o| o < self.index.len())
-        {
-            let e = self.index[o];
-            return (e != 0).then(|| e - 1);
-        }
-        self.spill.lookup(rip)
+        let e = *self.index.slot(rip)?;
+        (e != 0).then(|| e - 1)
     }
 
     /// Unmaps every block (a store landed in cached text). Pool storage
@@ -405,10 +364,7 @@ impl BlockCache {
     /// links die with the blocks at reclaim.
     pub(crate) fn invalidate(&mut self) {
         if !self.blocks.is_empty() {
-            self.index.fill(0);
-            self.spill.clear();
-            // The watch range persists: retranslated blocks will cover
-            // the same regions, and a too-wide watch is merely slower.
+            self.index.clear();
             self.dirty = true;
         }
     }
@@ -422,14 +378,12 @@ impl BlockCache {
     }
 
     /// Invalidates everything if the store `[addr, addr + len)` can
-    /// overlap cached text — the precomputed watch range over the flat
-    /// span and spill-block bytes (with one instruction length of slack
-    /// past each region's end: a cached instruction starting inside can
-    /// extend that far). The fast path — stores to data/stack, or no
-    /// blocks cached — is two compares.
+    /// overlap indexed text (see [`TextIndex::touches`]). The fast path
+    /// — stores to data/stack — is two compares against the regions'
+    /// hull.
     #[inline]
     pub(crate) fn note_write(&mut self, addr: u64, len: u64) {
-        if addr < self.watch_hi && addr + len > self.watch_lo {
+        if self.index.touches(addr, len) {
             self.invalidate();
         }
     }
@@ -455,19 +409,22 @@ impl BlockCache {
     /// Translates the straight-line run starting at `entry`: decodes up
     /// to the first block-ending instruction or [`MAX_BLOCK_INSTS`],
     /// packs the entries, and precomputes the 64-byte line footprint,
-    /// crossing count, and static memory-op shapes.
-    /// In-span entries land in the flat index; out-of-span entries in
-    /// the sorted spill index.
+    /// crossing count, and static memory-op shapes. A block never
+    /// crosses the end of its entry's region.
     ///
     /// # Errors
     ///
+    /// [`EmuError::NotExecutable`] if `entry` lies in no region, and
     /// [`EmuError::BadInstruction`] if the bytes at `entry` itself do
     /// not decode — exactly when a step-engine fetch would fail. A later
     /// undecodable instruction just ends the block early; execution
     /// reaches it as its own (failing) entry only if control actually
     /// gets there.
     pub(crate) fn translate(&mut self, mem: &Memory, entry: u64) -> Result<u32, EmuError> {
-        let entry_in_span = self.in_span(entry);
+        let region_end = self
+            .index
+            .region_end(entry)
+            .ok_or(EmuError::NotExecutable { rip: entry })?;
         let insts_start = self.insts.len();
         let mems_start = self.mem_shapes.len();
         let mut at = entry;
@@ -491,13 +448,9 @@ impl BlockCache {
                 crossings += 1;
             }
             at += d.len as u64;
-            // A block never crosses the flat-span boundary in either
-            // direction: flat-index and spill blocks have different
-            // text-write invalidation bounds, so each block must lie
-            // wholly inside one region.
             if ends_block(&d.inst)
                 || self.insts.len() - insts_start >= MAX_BLOCK_INSTS
-                || self.in_span(at) != entry_in_span
+                || at >= region_end
             {
                 break;
             }
@@ -535,13 +488,7 @@ impl BlockCache {
             links: [NO_LINK; 2],
             tier,
         });
-        if entry_in_span {
-            self.index[(entry - self.base) as usize] = idx + 1;
-        } else {
-            self.spill.insert(entry, idx);
-            self.watch_lo = self.watch_lo.min(entry);
-            self.watch_hi = self.watch_hi.max(at + MAX_INST_LEN);
-        }
+        *self.index.slot(entry).expect("entry is indexed") = idx + 1;
         // Semantic validation degrades rather than aborts: a finding at
         // the uop tier first re-proves the decoded entries alone (the
         // lowering may be the only culprit); a finding that survives
@@ -779,7 +726,8 @@ mod tests {
 
     fn cache_over(base: u64, span: usize) -> BlockCache {
         let mut c = BlockCache::default();
-        c.ensure_span(base, span, TranslationMode::Superblock);
+        let text = TextIndex::new(std::iter::once(base..base + span as u64));
+        c.ensure_span(&text, TranslationMode::Superblock);
         c
     }
 
@@ -984,12 +932,11 @@ mod tests {
         assert_eq!(c.event(idx).inst_count, 2);
     }
 
-    /// Blocks stop at the flat span's boundary even when the bytes
-    /// beyond it keep decoding: flat-index and spill blocks have
-    /// different text-write invalidation bounds, so a block must lie
-    /// wholly inside one region.
+    /// A block never crosses the end of its entry's region, even when
+    /// the bytes beyond it keep decoding; an entry in no region is not
+    /// executable.
     #[test]
-    fn translation_never_extends_past_the_indexed_span() {
+    fn translation_stops_at_a_region_end() {
         let insts = [
             Inst::MovRI {
                 dst: Reg::Rax,
@@ -1006,22 +953,27 @@ mod tests {
             Inst::Ret,
         ];
         let (mem, len) = memory_with(&insts, 0x400000);
-        // Span covers only the first two instructions; the rest decodes
-        // fine but lies outside.
+        // The region covers only the first two instructions; the rest
+        // decodes fine but lies outside.
         let span = 14usize; // two 7-byte movs
         assert!((span as u64) < len);
         let mut c = cache_over(0x400000, span);
         let idx = c.translate(&mem, 0x400000).unwrap();
         let ev = c.event(idx);
-        assert_eq!(ev.inst_count, 2, "block bounded by the span end");
+        assert_eq!(ev.inst_count, 2, "block bounded by the region end");
         assert_eq!(ev.byte_len as usize, span);
+        assert_eq!(
+            c.translate(&mem, 0x400000 + span as u64),
+            Err(EmuError::NotExecutable {
+                rip: 0x400000 + span as u64
+            })
+        );
     }
 
-    /// Out-of-span code translates into spill-indexed blocks: sorted
-    /// entries, memo re-hits, pending buffer for out-of-order inserts,
-    /// and write invalidation over the spill bounds.
+    /// Blocks in two regions resolve through one index; a store between
+    /// the regions leaves them alone, one into the second invalidates.
     #[test]
-    fn out_of_span_blocks_use_sorted_spill_index() {
+    fn two_regions_share_one_index() {
         let insts = [
             Inst::MovRI {
                 dst: Reg::Rax,
@@ -1029,36 +981,26 @@ mod tests {
             },
             Inst::Ret,
         ];
-        // Two copies far apart, both outside the (empty) flat span.
-        let (mut mem, len) = memory_with(&insts, 0x500000);
-        let (mem2, _) = memory_with(&insts, 0x700000);
+        let (mut mem, len) = memory_with(&insts, 0x400000);
+        let (high, _) = memory_with(&insts, 0x1000000);
         for a in 0..len {
-            mem.write_u8(0x700000 + a, mem2.read_u8(0x700000 + a));
+            mem.write_u8(0x1000000 + a, high.read_u8(0x1000000 + a));
         }
-        let mut c = cache_over(0, 0); // no flat span at all
-        assert!(!c.in_span(0x500000));
-        // Translate high first, then low: the low insert is out of order
-        // and lands in the pending buffer.
-        let hi = c.translate(&mem, 0x700000).unwrap();
-        let lo = c.translate(&mem, 0x500000).unwrap();
-        assert_eq!(c.spill.main.len(), 1);
-        assert_eq!(c.spill.pending.len(), 1, "out-of-order insert buffered");
-        assert_eq!(c.lookup(0x700000), Some(hi));
-        assert_eq!(c.lookup(0x500000), Some(lo), "pending entries resolvable");
-        assert_eq!(c.lookup(0x500000 + 1), None);
-        c.spill.merge();
-        assert!(c.spill.pending.is_empty());
-        assert!(c.spill.main.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-        assert_eq!(c.lookup(0x500000), Some(lo));
-        // A store far from both regions leaves the blocks alone; one
-        // into the spill bounds invalidates.
-        c.note_write(0x400000, 8);
-        assert!(!c.is_dirty(), "unrelated store ignored");
-        c.note_write(0x700004, 8);
-        assert!(c.is_dirty(), "store into spill text invalidates");
+        let mut c = BlockCache::default();
+        let text = TextIndex::new([0x1000000..0x1000000 + len, 0x400000..0x400000 + len]);
+        c.ensure_span(&text, TranslationMode::Superblock);
+        let hi = c.translate(&mem, 0x1000000).unwrap();
+        let lo = c.translate(&mem, 0x400000).unwrap();
+        assert_eq!(c.lookup(0x1000000), Some(hi));
+        assert_eq!(c.lookup(0x400000), Some(lo));
+        assert_eq!(c.lookup(0x400001), None);
+        c.note_write(0x800000, 8);
+        assert!(!c.is_dirty(), "store between the regions ignored");
+        c.note_write(0x1000004, 8);
+        assert!(c.is_dirty(), "store into the second region invalidates");
         c.reclaim();
-        assert_eq!(c.lookup(0x500000), None);
-        assert_eq!(c.lookup(0x700000), None);
+        assert_eq!(c.lookup(0x400000), None);
+        assert_eq!(c.lookup(0x1000000), None);
     }
 
     /// Uop mode packs like superblock mode and keeps the micro-op pool
@@ -1088,7 +1030,10 @@ mod tests {
         ];
         let (mem, len) = memory_with(&insts, 0x400000);
         let mut c = BlockCache::default();
-        c.ensure_span(0x400000, len as usize, TranslationMode::Uop);
+        c.ensure_span(
+            &TextIndex::new(std::iter::once(0x400000..0x400000 + len)),
+            TranslationMode::Uop,
+        );
         let idx = c.translate(&mem, 0x400000).unwrap();
         assert_eq!(c.event(idx).inst_count, 4, "packs like a superblock");
         assert_eq!(c.uops.len(), c.insts.len(), "pools parallel");

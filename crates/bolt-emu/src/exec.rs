@@ -1,9 +1,15 @@
 //! The functional emulator core.
+//!
+//! Code runs only from the executable sections `load_elf` loaded. The
+//! step engine's decode cache and the translation engines' block cache
+//! both key on one [`TextIndex`] layout, one region per executable
+//! section; a `rip` outside every region fails with
+//! [`EmuError::NotExecutable`] under all three engines.
 
 use crate::block::{BlockCache, BlockTier, InjectedFault, TierCounts, TranslationMode};
-use crate::spill::SpillIndex;
+use crate::text::TextIndex;
 use crate::uop::{MicroOp, UopKind};
-use crate::{BranchEvent, BranchKind, MemRecord, Memory, TraceSink, MAX_INST_LEN};
+use crate::{BranchEvent, BranchKind, MemRecord, Memory, TraceSink};
 use bolt_isa::{decode, AluOp, Cond, Inst, Mem, Reg, Rm, ShiftOp, Target};
 use std::fmt;
 use std::ops::Range;
@@ -253,6 +259,8 @@ pub enum EmuError {
     Trap { rip: u64 },
     /// Unknown syscall number.
     BadSyscall { rip: u64, number: u64 },
+    /// `rip` lies in no executable section of the loaded image.
+    NotExecutable { rip: u64 },
 }
 
 impl fmt::Display for EmuError {
@@ -262,6 +270,9 @@ impl fmt::Display for EmuError {
             EmuError::Trap { rip } => write!(f, "trap (ud2) at {rip:#x}"),
             EmuError::BadSyscall { rip, number } => {
                 write!(f, "unsupported syscall {number} at {rip:#x}")
+            }
+            EmuError::NotExecutable { rip } => {
+                write!(f, "jump to non-executable address {rip:#x}")
             }
         }
     }
@@ -310,27 +321,15 @@ pub struct Machine {
     /// Values written by the emit syscall — the program's observable
     /// output (used to verify BOLT preserves semantics).
     pub output: Vec<i64>,
-    /// Flat decode-cache index covering the loaded text segment: slot
-    /// `rip - icache_base` holds `entry + 1` into `icache_entries`, or
-    /// 0 while undecoded. One `u32` per text byte (only instruction
-    /// starts ever fill in); decoded instructions live packed in
-    /// `icache_entries`, so the per-byte cost stays 4 bytes regardless
-    /// of `size_of::<Inst>()`.
-    icache_index: Vec<u32>,
+    /// Decode-cache index over the executable sections `load_elf`
+    /// loaded: the slot of `rip` holds `entry + 1` into
+    /// `icache_entries`, or 0 while undecoded. One `u32` per text byte
+    /// (only instruction starts ever fill in); decoded instructions live
+    /// packed in `icache_entries`, so the per-byte cost stays 4 bytes
+    /// regardless of `size_of::<Inst>()`. Its regions are also the
+    /// block cache's, and a `rip` outside them is not executable.
+    icache_index: TextIndex,
     icache_entries: Vec<(Inst, u8)>,
-    icache_base: u64,
-    /// Decode cache for code executed outside the loaded text span
-    /// (tests poke code into memory directly, and images wider than
-    /// [`ICACHE_MAX_SPAN`] fall back here entirely): a sorted spill
-    /// index with last-hit memo and bounded out-of-order pending
-    /// buffer, shared with the block cache's out-of-span path.
-    icache_spill: SpillIndex<(Inst, u8)>,
-    /// Precomputed decode-cache watch range (flat span plus spill
-    /// entries, with [`MAX_INST_LEN`] slack): a store outside
-    /// `[icache_watch_lo, icache_watch_hi)` provably cannot overlap any
-    /// cached decode, so `note_text_write`'s hot path is two compares.
-    icache_watch_lo: u64,
-    icache_watch_hi: u64,
     /// Translation cache for the superblock and uop engines.
     blocks: BlockCache,
     /// Reused capture buffer for the superblock engine's per-block
@@ -341,15 +340,6 @@ pub struct Machine {
     lazy: LazyFlags,
 }
 
-/// Largest text span (in bytes) the flat decode cache covers — 32 MiB
-/// of index per machine at 4 bytes per text byte. An image with
-/// executable sections spread wider falls back to the spill map.
-const ICACHE_MAX_SPAN: u64 = 8 << 20;
-
-// Manual impl: the derive would zero-init the watch range, whose empty
-// interval is `(u64::MAX, 0)` — a derived `(0, 0)` would let
-// `spill_insert` pin `watch_lo` at 0 on machines never passed through
-// `load_elf`, degrading the store fast path to the precise checks.
 impl Default for Machine {
     fn default() -> Machine {
         Machine {
@@ -358,12 +348,8 @@ impl Default for Machine {
             rip: 0,
             mem: Memory::default(),
             output: Vec::new(),
-            icache_index: Vec::new(),
+            icache_index: TextIndex::default(),
             icache_entries: Vec::new(),
-            icache_base: 0,
-            icache_spill: SpillIndex::default(),
-            icache_watch_lo: u64::MAX,
-            icache_watch_hi: 0,
             blocks: BlockCache::default(),
             mem_buf: Vec::new(),
             lazy: LazyFlags::Clean,
@@ -390,12 +376,8 @@ impl Machine {
         self.rip = 0;
         self.mem.clear();
         self.output.clear();
-        self.icache_index.clear();
+        self.icache_index = TextIndex::default();
         self.icache_entries.clear();
-        self.icache_base = 0;
-        self.icache_spill.clear();
-        self.icache_watch_lo = u64::MAX;
-        self.icache_watch_hi = 0;
         self.blocks.clear();
         self.mem_buf.clear();
         self.lazy = LazyFlags::Clean;
@@ -411,21 +393,13 @@ impl Machine {
                 self.mem.write(s.addr, &s.data);
             }
         }
-        // Size the flat decode cache to the executable span.
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for s in &elf.sections {
-            if s.is_alloc() && s.is_exec() && !s.data.is_empty() {
-                lo = lo.min(s.addr);
-                hi = hi.max(s.addr + s.data.len() as u64);
-            }
-        }
-        if lo < hi && hi - lo <= ICACHE_MAX_SPAN {
-            self.icache_base = lo;
-            self.icache_index.resize((hi - lo) as usize, 0);
-            self.icache_watch_lo = lo;
-            self.icache_watch_hi = hi + MAX_INST_LEN;
-        }
+        // One decode-cache region per executable section.
+        self.icache_index = TextIndex::new(
+            elf.sections
+                .iter()
+                .filter(|s| s.is_alloc() && s.is_exec())
+                .map(|s| s.addr..s.addr.saturating_add(s.data.len() as u64)),
+        );
         self.rip = elf.entry;
         self.set_reg(Reg::Rsp, STACK_TOP - 64);
     }
@@ -488,66 +462,32 @@ impl Machine {
     }
 
     fn fetch(&mut self, rip: u64) -> Result<(Inst, u8), EmuError> {
-        // Fast path: the flat index over the loaded text segment.
-        let slot = rip
-            .checked_sub(self.icache_base)
-            .map(|o| o as usize)
-            .filter(|&o| o < self.icache_index.len());
-        if let Some(o) = slot {
-            let e = self.icache_index[o];
-            if e != 0 {
-                return Ok(self.icache_entries[(e - 1) as usize]);
-            }
-        } else if let Some(hit) = self.icache_spill.lookup(rip) {
-            return Ok(hit);
+        let slot = self
+            .icache_index
+            .slot(rip)
+            .ok_or(EmuError::NotExecutable { rip })?;
+        if *slot != 0 {
+            return Ok(self.icache_entries[(*slot - 1) as usize]);
         }
         let mut buf = [0u8; 16];
         self.mem.read(rip, &mut buf);
         let d = decode(&buf, rip).map_err(|_| EmuError::BadInstruction { rip })?;
-        match slot {
-            Some(o) => {
-                self.icache_entries.push((d.inst, d.len));
-                self.icache_index[o] = self.icache_entries.len() as u32;
-            }
-            None => self.spill_insert(rip, (d.inst, d.len)),
-        }
+        self.icache_entries.push((d.inst, d.len));
+        *slot = self.icache_entries.len() as u32;
         Ok((d.inst, d.len))
     }
 
-    /// Caches an out-of-span decode in the sorted spill index, growing
-    /// the watch range to cover it.
-    fn spill_insert(&mut self, rip: u64, entry: (Inst, u8)) {
-        self.icache_watch_lo = self.icache_watch_lo.min(rip);
-        self.icache_watch_hi = self.icache_watch_hi.max(rip + MAX_INST_LEN);
-        self.icache_spill.insert(rip, entry);
-    }
-
     /// Invalidates the decode and block-translation caches when a store
-    /// lands in cached text. The fast path (stores to data/stack) is two
-    /// range compares; programs that patch their own code pay a full
-    /// flush, and both engines then refetch the new bytes — a store into
-    /// text behaves architecturally under either engine.
+    /// lands in indexed text. The fast path (stores to data/stack) is
+    /// two compares per cache against its regions' hull; programs that
+    /// patch their own code pay a full flush, and both engines then
+    /// refetch the new bytes — a store into text behaves
+    /// architecturally under either engine.
     fn note_text_write(&mut self, addr: u64, len: u64) {
-        // Hot path: both cache layers keep a precomputed watch range
-        // over everything they have cached, so a store to data or the
-        // stack costs four compares total.
         self.blocks.note_write(addr, len);
-        if addr >= self.icache_watch_hi || addr + len <= self.icache_watch_lo {
-            return;
-        }
-        // The store may overlap cached decodes: run the precise
-        // per-structure checks and flush whatever matches.
-        if !self.icache_index.is_empty() {
-            let hi = self.icache_base + self.icache_index.len() as u64;
-            if addr < hi + MAX_INST_LEN && addr + len > self.icache_base {
-                self.icache_index.fill(0);
-                self.icache_entries.clear();
-            }
-        }
-        if let Some((first, last)) = self.icache_spill.bounds() {
-            if addr < last + MAX_INST_LEN && addr + len > first {
-                self.icache_spill.clear();
-            }
+        if self.icache_index.touches(addr, len) {
+            self.icache_index.clear();
+            self.icache_entries.clear();
         }
     }
 
@@ -919,8 +859,7 @@ impl Machine {
         max_steps: u64,
         mode: TranslationMode,
     ) -> Result<RunResult, EmuError> {
-        self.blocks
-            .ensure_span(self.icache_base, self.icache_index.len(), mode);
+        self.blocks.ensure_span(&self.icache_index, mode);
         let mut mems = std::mem::take(&mut self.mem_buf);
         let r = self.run_translated_inner(sink, max_steps, mode, &mut mems);
         self.materialize_flags();
@@ -1508,6 +1447,14 @@ impl Machine {
         self.blocks.tier_counts()
     }
 
+    /// Heap bytes held by the text indexes of the decode cache and the
+    /// block cache (4 per executable-section byte each; the block
+    /// cache's is allocated at the first translation-engine run).
+    /// Diagnostics only.
+    pub fn text_index_bytes(&self) -> usize {
+        self.icache_index.bytes() + self.blocks.index.bytes()
+    }
+
     /// Turns per-translation symbolic validation on or off for this
     /// machine (`bolt-run --validate-semantics`): every block the
     /// translation engines pack is proven equivalent to a fresh decode
@@ -1580,12 +1527,16 @@ mod tests {
         out
     }
 
+    /// A machine with `insts` loaded as the `.text` section at 0x400000.
     fn machine_with(insts: &[Inst]) -> Machine {
+        let mut elf = bolt_elf::Elf::new(0x400000);
+        elf.sections.push(bolt_elf::Section::code(
+            ".text",
+            0x400000,
+            asm(insts, 0x400000),
+        ));
         let mut m = Machine::new();
-        let code = asm(insts, 0x400000);
-        m.mem.write(0x400000, &code);
-        m.rip = 0x400000;
-        m.set_reg(Reg::Rsp, STACK_TOP - 64);
+        m.load_elf(&elf);
         m
     }
 
@@ -1864,13 +1815,22 @@ mod tests {
 
     #[test]
     fn flat_icache_covers_loaded_text() {
+        let mut elf = emitting_elf(5);
+        elf.sections.push(bolt_elf::Section::code(
+            ".text.bolt",
+            0x1000000,
+            vec![0xC3; 32],
+        ));
+        elf.sections
+            .push(bolt_elf::Section::data(".data", 0x5000000, vec![0; 64]));
         let mut m = Machine::new();
-        m.load_elf(&emitting_elf(5));
-        assert!(
-            !m.icache_index.is_empty(),
-            "flat index sized to the text span"
+        m.load_elf(&elf);
+        let text_len = elf.sections[0].data.len() as u64;
+        assert_eq!(
+            m.icache_index.regions(),
+            [0x400000..0x400000 + text_len, 0x1000000..0x1000020],
+            "one region per executable section, none for data"
         );
-        assert_eq!(m.icache_base, 0x400000);
         // Pinned to the step engine: this test asserts the *decode*
         // cache's internals (the translation engines never consult it).
         let r = m.run_engine(&mut NullSink, 100, Engine::Step).unwrap();
@@ -1880,7 +1840,7 @@ mod tests {
             5,
             "one packed entry per decoded instruction start"
         );
-        assert!(m.icache_spill.is_empty(), "no spill for in-span code");
+        assert_eq!(m.text_index_bytes(), 4 * (text_len as usize + 32));
     }
 
     /// Runs `elf` under one engine on a fresh machine — with an optional
@@ -1940,47 +1900,117 @@ mod tests {
         }
     }
 
-    /// Code with no flat text span (poked directly into memory) runs
-    /// through the step engine's sorted spill decode cache — or, under
-    /// the translation engines, through the block cache's sorted spill
-    /// index (the out-of-span satellite) — and every engine agrees.
-    #[test]
-    fn spill_region_code_runs_identically_under_all_engines() {
-        let insts = [
-            Inst::MovRI {
-                dst: Reg::Rax,
-                imm: 3,
-            },
-            Inst::MovRI {
-                dst: Reg::Rcx,
-                imm: 4,
-            },
-            Inst::Alu {
+    /// A two-section image laid out like BOLT's output: `.text` at
+    /// 0x400000 calls the hot copy in `.text.bolt` at 0x1000000, which
+    /// calls back into `.text`. Between the two calls the program
+    /// patches the hot copy's immediate with bytes from `.data`: output
+    /// `[6, 10]` shows the store into the second region dropped the
+    /// decode cache (step) and the block cache (superblock, uop).
+    fn bolt_like_elf() -> bolt_elf::Elf {
+        let (low, high, data) = (0x400000u64, 0x1000000u64, 0x5000000u64);
+        let hot = |mark: i64| {
+            asm(
+                &[
+                    Inst::MovRI {
+                        dst: Reg::Rdi,
+                        imm: mark,
+                    },
+                    Inst::Call {
+                        target: Target::Addr(low),
+                    },
+                    Inst::Ret,
+                ],
+                high,
+            )
+        };
+        let emit = Inst::MovRI {
+            dst: Reg::Rax,
+            imm: 1,
+        };
+        let cold = [
+            // helper: rdi += 1; ret
+            Inst::AluI {
                 op: AluOp::Add,
-                dst: Reg::Rax,
-                src: Reg::Rcx,
+                dst: Reg::Rdi,
+                imm: 1,
             },
             Inst::Ret,
+            // entry (label 2)
+            Inst::Call {
+                target: Target::Addr(high),
+            },
+            emit,
+            Inst::Syscall,
+            Inst::MovRI {
+                dst: Reg::R10,
+                imm: data as i64,
+            },
+            Inst::Load {
+                dst: Reg::R11,
+                mem: Mem::base(Reg::R10, 0),
+            },
+            Inst::MovRI {
+                dst: Reg::R10,
+                imm: high as i64 + 3,
+            },
+            Inst::Store {
+                mem: Mem::base(Reg::R10, 0),
+                src: Reg::R11,
+            },
+            Inst::Call {
+                target: Target::Addr(high),
+            },
+            emit,
+            Inst::Syscall,
+            Inst::MovRI {
+                dst: Reg::Rax,
+                imm: 60,
+            },
+            Inst::Syscall,
         ];
-        let run = |engine: Engine| {
-            let mut m = machine_with(&insts);
-            m.push(RETURN_SENTINEL, &mut NullSink);
-            let mut sink = CountingSink::default();
-            let r = m.run_engine(&mut sink, 100, engine).unwrap();
-            assert!(m.icache_index.is_empty(), "no flat span for poked code");
-            (r, m.reg(Reg::Rax), sink.insts, m.icache_spill.len())
-        };
-        let (rs, rax_s, insts_s, spill_s) = run(Engine::Step);
-        assert_eq!(rax_s, 7);
-        assert_eq!(spill_s, 4, "step: every instruction in the spill vec");
+        let mut elf = bolt_elf::Elf::new(low + asm(&cold[..2], low).len() as u64);
+        elf.sections
+            .push(bolt_elf::Section::code(".text", low, asm(&cold, low)));
+        elf.sections
+            .push(bolt_elf::Section::code(".text.bolt", high, hot(5)));
+        // The eight bytes from the immediate on, as they read with 9.
+        elf.sections.push(bolt_elf::Section::data(
+            ".data",
+            data,
+            hot(9)[3..11].to_vec(),
+        ));
+        elf
+    }
+
+    #[test]
+    fn bolt_like_regions_run_identically_under_all_engines() {
+        let elf = bolt_like_elf();
+        let (rs, ms, ss) = observe(&elf, Engine::Step, None, u64::MAX);
+        assert_eq!(rs.exit, Exit::Exited(10));
+        assert_eq!(ms.output, [6, 10], "the patched immediate is seen");
         for engine in [Engine::Superblock, Engine::Uop] {
-            let (rb, rax_b, insts_b, spill_b) = run(engine);
+            let (rb, mb, sb) = observe(&elf, engine, None, u64::MAX);
             assert_eq!(rs, rb, "{engine}");
-            assert_eq!((rax_s, insts_s), (rax_b, insts_b), "{engine}");
+            assert_eq!(ms.output, mb.output, "{engine}");
+            assert_eq!(ms.regs, mb.regs, "{engine}");
+            assert_eq!(format!("{ss:?}"), format!("{sb:?}"), "{engine}");
+        }
+    }
+
+    /// A jump to mapped bytes that would decode, outside every
+    /// executable section, fails alike under every engine.
+    #[test]
+    fn jump_into_data_is_not_executable() {
+        for engine in [Engine::Step, Engine::Superblock, Engine::Uop] {
+            let mut m = machine_with(&[Inst::JmpInd {
+                rm: Rm::Reg(Reg::Rax),
+            }]);
+            m.mem.write(0x5000000, &[0xC3; 16]);
+            m.set_reg(Reg::Rax, 0x5000000);
             assert_eq!(
-                spill_b, 0,
-                "{engine}: out-of-span code translates into spill-indexed \
-                 blocks instead of stepping through the decode cache"
+                m.run_engine(&mut NullSink, 100, engine),
+                Err(EmuError::NotExecutable { rip: 0x5000000 }),
+                "{engine}"
             );
         }
     }
@@ -2137,7 +2167,7 @@ mod tests {
 
     /// A block's last entry is a straight-line op, not a control
     /// transfer, in exactly three cases: the block is full, it reached
-    /// the flat span's end, or the bytes after it do not decode. Each
+    /// its region's end, or the bytes after it do not decode. Each
     /// case runs identically under every engine — same event log,
     /// registers, `rip` and result or error — and the translation
     /// engines really do cut the block there.
@@ -2176,8 +2206,8 @@ mod tests {
         // Two full 64-entry blocks, then the exit's two instructions.
         let full = elf_of(vec![bolt_elf::Section::code(".text", base, code.clone())]);
         // The text section ends after instruction 100; the rest of the
-        // run lies in a non-executable section right behind it, outside
-        // the flat span.
+        // run lies in a non-executable section right behind it, so the
+        // run falls off the region's end.
         let split = offset_of(100);
         let straddling = elf_of(vec![
             bolt_elf::Section::code(".text", base, code[..split].to_vec()),
@@ -2192,15 +2222,18 @@ mod tests {
         let bad = EmuError::BadInstruction {
             rip: base + end as u64,
         };
+        let off_end = EmuError::NotExecutable {
+            rip: base + split as u64,
+        };
         // (what, image, retired steps or error, (first instruction,
         // length) of the blocks the translation engines must cut).
         let cases = [
             ("full", full, Ok(130), vec![(0, 64), (64, 64), (128, 2)]),
             (
-                "span end",
+                "region end",
                 straddling,
-                Ok(130),
-                vec![(0, 64), (64, 36), (100, 30)],
+                Err(off_end),
+                vec![(0, 64), (64, 36)],
             ),
             ("undecodable", undecodable, Err(bad), vec![(0, 61)]),
         ];
@@ -2294,140 +2327,17 @@ mod tests {
         );
     }
 
-    /// Spill entries stay sorted by rip and re-execution hits the memo
-    /// path (the shrink-`icache_spill` satellite's regression test).
-    #[test]
-    fn spill_vec_sorted_and_rehit_after_loop() {
-        // A loop executed twice: second iteration refetches every spill
-        // entry through the memo / binary-search path.
-        //   0: mov rax, 0
-        //   1: add rax, 1
-        //   2: cmp rax, 2
-        //   3: jne 1
-        //   4: ret
-        let insts = [
-            Inst::MovRI {
-                dst: Reg::Rax,
-                imm: 0,
-            },
-            Inst::AluI {
-                op: AluOp::Add,
-                dst: Reg::Rax,
-                imm: 1,
-            },
-            Inst::AluI {
-                op: AluOp::Cmp,
-                dst: Reg::Rax,
-                imm: 2,
-            },
-            Inst::Jcc {
-                cond: Cond::Ne,
-                target: Target::Label(Label(1)),
-                width: bolt_isa::JumpWidth::Near,
-            },
-            Inst::Ret,
-        ];
-        let mut m = machine_with(&insts);
-        m.push(RETURN_SENTINEL, &mut NullSink);
-        let r = m.run_engine(&mut NullSink, 100, Engine::Step).unwrap();
-        assert_eq!(r.exit, Exit::Returned);
-        assert_eq!(r.steps, 1 + 2 * 3 + 1, "two loop iterations then ret");
-        assert!(
-            m.icache_spill.main.windows(2).all(|w| w[0].0 < w[1].0),
-            "spill entries sorted by rip"
-        );
-        assert_eq!(m.icache_spill.len(), 5, "each inst cached exactly once");
-    }
-
-    /// Out-of-order spill decode (a high-address entry jumping to
-    /// lower-address code, the call-graph-order pattern of a wide image)
-    /// goes through the bounded pending buffer and merges cleanly.
-    #[test]
-    fn out_of_order_spill_inserts_use_pending_buffer() {
-        let mut m = Machine::new();
-        // Low-address function: emit 9 then exit 9.
-        let low = asm(
-            &[
-                Inst::MovRI {
-                    dst: Reg::Rax,
-                    imm: 1,
-                },
-                Inst::MovRI {
-                    dst: Reg::Rdi,
-                    imm: 9,
-                },
-                Inst::Syscall,
-                Inst::MovRI {
-                    dst: Reg::Rax,
-                    imm: 60,
-                },
-                Inst::Syscall,
-            ],
-            0x400000,
-        );
-        m.mem.write(0x400000, &low);
-        // High-address entry: jump down to it.
-        let high = asm(
-            &[Inst::Jmp {
-                target: Target::Addr(0x400000),
-                width: bolt_isa::JumpWidth::Near,
-            }],
-            0x500000,
-        );
-        m.mem.write(0x500000, &high);
-        m.rip = 0x500000;
-        let r = m.run_engine(&mut NullSink, 100, Engine::Step).unwrap();
-        assert_eq!(r.exit, Exit::Exited(9));
-        assert_eq!(m.output, vec![9]);
-        assert_eq!(
-            m.icache_spill.main.len(),
-            1,
-            "only the jmp appended in order"
-        );
-        assert_eq!(
-            m.icache_spill.pending.len(),
-            5,
-            "lower-rip decodes buffered as pending"
-        );
-        assert!(m.icache_spill.pending.windows(2).all(|w| w[0].0 < w[1].0));
-
-        // A second run refetches everything through memo/main/pending.
-        m.rip = 0x500000;
-        m.output.clear();
-        let r = m.run_engine(&mut NullSink, 100, Engine::Step).unwrap();
-        assert_eq!(r.exit, Exit::Exited(9));
-        assert_eq!(m.output, vec![9]);
-        assert_eq!(
-            m.icache_spill.pending.len(),
-            5,
-            "no re-decode, no duplicates"
-        );
-
-        // An explicit merge folds pending into the sorted main vector
-        // and later fetches still resolve.
-        m.icache_spill.merge();
-        assert!(m.icache_spill.pending.is_empty());
-        assert_eq!(m.icache_spill.len(), 6);
-        assert!(m.icache_spill.main.windows(2).all(|w| w[0].0 < w[1].0));
-        m.rip = 0x500000;
-        m.output.clear();
-        let r = m
-            .run_engine(&mut NullSink, 100, Engine::Superblock)
-            .unwrap();
-        assert_eq!(r.exit, Exit::Exited(9));
-        assert_eq!(m.output, vec![9]);
-    }
-
     #[test]
     fn traps_and_bad_code() {
         let mut m = machine_with(&[Inst::Ud2]);
         assert_eq!(m.step(&mut NullSink), Err(EmuError::Trap { rip: 0x400000 }));
         let mut m = Machine::new();
-        m.rip = 0x999000; // zeros decode as add [rax], al? -> unsupported
-        assert!(matches!(
+        m.rip = 0x999000;
+        assert_eq!(
             m.step(&mut NullSink),
-            Err(EmuError::BadInstruction { .. })
-        ));
+            Err(EmuError::NotExecutable { rip: 0x999000 }),
+            "no executable section maps the rip"
+        );
     }
 
     #[test]

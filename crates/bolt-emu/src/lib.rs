@@ -18,9 +18,9 @@ mod events;
 mod exec;
 mod knobs;
 mod memory;
-mod spill;
 pub mod supervise;
 pub mod symexec;
+mod text;
 pub mod transval;
 mod uop;
 

@@ -33,6 +33,7 @@ use crate::block::{BlockCache, MemShape, TranslationMode};
 use crate::exec::EmuError;
 use crate::memory::Memory;
 use crate::symexec::{sym_block_insts, sym_block_uops, SymState};
+use crate::text::TextIndex;
 use crate::uop::MicroOp;
 use bolt_isa::Inst;
 use std::fmt;
@@ -340,11 +341,12 @@ fn rw(write: bool) -> &'static str {
 /// point behind `bolt -verify-sem`.
 pub fn validate_code(code: &[u8], base: u64) -> Vec<SemFinding> {
     let mut out = Vec::new();
+    let text = TextIndex::new(std::iter::once(base..base + code.len() as u64));
     for mode in [TranslationMode::Superblock, TranslationMode::Uop] {
         let mut mem = Memory::new();
         mem.write(base, code);
         let mut cache = BlockCache::default();
-        cache.ensure_span(base, code.len(), mode);
+        cache.ensure_span(&text, mode);
         let mut at = base;
         while at < base + code.len() as u64 {
             let idx = match cache.translate(&mem, at) {

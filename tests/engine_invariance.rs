@@ -12,10 +12,10 @@
 
 use bolt::compiler::{compile_and_link, CompileOptions};
 use bolt::elf::{write_elf, Elf, Section};
-use bolt::emu::{CountingSink, Engine, Exit, Machine, NullSink};
+use bolt::emu::{CountingSink, EmuError, Engine, Exit, Machine, NullSink};
 use bolt::workloads::{Scale, Workload};
 use bolt_bench::{bolt_with_profile, measure_batch_with, profile_lbr_batch_with, shard_plan};
-use bolt_isa::{encode_at, AluOp, Cond, Inst, JumpWidth, Mem, Reg, Target};
+use bolt_isa::{encode_at, AluOp, Cond, Inst, JumpWidth, Mem, Reg, Rm, Target};
 use bolt_sim::{CpuModel, SimConfig};
 use std::sync::OnceLock;
 
@@ -324,6 +324,51 @@ fn access_wrapping_the_address_space_is_identical_across_engines() {
     assert_eq!(step.2.l1d_accesses, 4, "each access touches both lines");
     for engine in [Engine::Superblock, Engine::Uop] {
         assert_eq!(step, observe(engine), "{engine}");
+    }
+}
+
+/// A guest that stores NOPs at the top of the address space and jumps
+/// there: code the program wrote itself, in no executable section. Every
+/// engine refuses it with the same `NotExecutable`, in the dev profile
+/// and in release alike (no address arithmetic past 2^64 on the way).
+#[test]
+fn jump_to_code_stored_near_the_top_of_the_address_space_is_not_executable() {
+    let base = 0x400000u64;
+    let top = 0xFFFF_FFFF_FFFF_FFF8u64;
+    let (code, _) = asm(
+        &[
+            Inst::MovRI {
+                dst: Reg::Rax,
+                imm: top as i64,
+            },
+            Inst::MovRI {
+                dst: Reg::Rbx,
+                imm: 0x9090_9090_9090_9090u64 as i64,
+            },
+            Inst::Store {
+                mem: Mem::BaseDisp {
+                    base: Reg::Rax,
+                    disp: 0,
+                },
+                src: Reg::Rbx,
+            },
+            Inst::JmpInd {
+                rm: Rm::Reg(Reg::Rax),
+            },
+        ],
+        base,
+    );
+    let mut elf = Elf::new(base);
+    elf.sections.push(Section::code(".text", base, code));
+    for engine in [Engine::Step, Engine::Superblock, Engine::Uop] {
+        let mut m = Machine::new();
+        m.load_elf(&elf);
+        assert_eq!(
+            m.run_engine(&mut NullSink, 100, engine),
+            Err(EmuError::NotExecutable { rip: top }),
+            "{engine}"
+        );
+        assert_eq!(m.mem.read_u64(top), 0x9090_9090_9090_9090, "{engine}");
     }
 }
 

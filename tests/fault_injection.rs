@@ -138,6 +138,7 @@ fn observe(elf: &Elf) -> Observed {
         Err(EmuError::BadInstruction { .. }) => Observed::Faulted("bad-instruction"),
         Err(EmuError::Trap { .. }) => Observed::Faulted("trap"),
         Err(EmuError::BadSyscall { .. }) => Observed::Faulted("bad-syscall"),
+        Err(EmuError::NotExecutable { .. }) => Observed::Faulted("not-executable"),
     }
 }
 

@@ -6,7 +6,9 @@
 //! bytes per text byte decide whether the design scales. The tier-1 test
 //! pins three facts at `Scale::Test`: the IR instruction is at most 56
 //! bytes, the disassembled block vectors carry no spare capacity, and the
-//! live peak of `optimize` stays at or below a committed literal.
+//! live peak of `optimize` stays at or below a committed literal. The
+//! benchmark-scale ledger adds the emulator's rows for the input and the
+//! BOLTed binary, and bounds their text indexes.
 //!
 //! Counting is process-wide, so the file keeps one test that runs by
 //! default; the benchmark-scale ledger is `#[ignore]`d (CI runs it as a
@@ -18,7 +20,7 @@
 //! the benchmark-scale phase table.
 
 use bolt::elf::{read_elf, write_elf};
-use bolt::emu::{Engine, Exit, Machine};
+use bolt::emu::{Engine, Exit, Machine, NullSink};
 use bolt::ir::BinaryInst;
 use bolt::opt::{
     disassemble_all_with_threads, discover, optimize, prepare, rewrite_binary, BoltOptions,
@@ -162,7 +164,10 @@ fn optimizer_memory_stays_within_the_ledger() {
 /// phase leaves and the peak while it ran, input files included. The
 /// phases are `optimize`'s own steps called one by one; their output must
 /// be `optimize`'s byte for byte, and `optimize`'s live peak at most
-/// 65 MB.
+/// 65 MB. Then the emulator's rows for the input and the BOLTed binary:
+/// live bytes after `load_elf` and the live peak over one uop run. The
+/// two text indexes (decode cache and block cache, 4 bytes per slot)
+/// must hold at most 8 bytes per executable-section byte.
 #[test]
 #[ignore = "benchmark scale, seconds in release; run by a CI step of its own"]
 fn bench_scale_phase_table() {
@@ -219,6 +224,30 @@ fn bench_scale_phase_table() {
         "optimize's live peak is {:.1} MB",
         peak as f64 / MB
     );
+
+    println!("\nBench hhvm emulator       live MB   peak MB   (above the bytes before load_elf)");
+    for (name, elf) in [("input", &elf), ("BOLTed", &bolted.elf)] {
+        let before = LIVE.load(Relaxed);
+        let mut machine = Machine::new();
+        machine.load_elf(elf);
+        let loaded = LIVE.load(Relaxed) - before;
+        let (run, peak) = peak_of(|| machine.run_engine(&mut NullSink, u64::MAX, Engine::Uop));
+        assert!(matches!(run.expect("runs").exit, Exit::Exited(_)));
+        let (loaded, peak) = (loaded as f64 / MB, (peak - before) as f64 / MB);
+        println!("{:<24} {loaded:>8.1}", format!("{name}: load_elf"));
+        println!("{:<24} {:>8} {peak:>9.1}", format!("{name}: uop run"), "");
+        let text: usize = elf
+            .sections
+            .iter()
+            .filter(|s| s.is_alloc() && s.is_exec())
+            .map(|s| s.data.len())
+            .sum();
+        let index = machine.text_index_bytes();
+        assert!(
+            index <= 8 * text,
+            "{name}: text indexes hold {index} bytes for {text} executable-section bytes"
+        );
+    }
 }
 
 fn fnv64(bytes: &[u8]) -> u64 {

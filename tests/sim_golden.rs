@@ -15,10 +15,9 @@
 //!
 //! `BOLTED` is the same tripwire for the optimizer: "no output byte
 //! changed" is a verdict of this file instead of a `cmp` by hand, and a
-//! BOLTed binary — whose rewritten text lies outside the emulator's flat
-//! decode span, so it runs through the spill index except for the
-//! patched original entries — must count the same under the step and
-//! uop engines.
+//! BOLTed binary — whose text spans three executable sections, each with
+//! its own region in the emulator's text index — must count the same
+//! under the step and uop engines.
 //!
 //! `CLANG_PROFILE` pins the repo benchmark's `clang_profile` op at its
 //! own scale — `Scale::Test` inputs are too small to reach much of the
