@@ -8,7 +8,9 @@ use crate::mir::MirProgram;
 use crate::options::CompileOptions;
 use crate::pgo::pgo_layout;
 use bolt_elf::{reloc, Elf, Rela, Section, SymBind, SymKind, SymSection, Symbol};
-use bolt_ir::{emit_units, EmitBlock, EmitError, EmitInst, EmitUnit, ExceptionTable, LineTable};
+use bolt_ir::{
+    emit_units, EmitBlock, EmitError, EmitInst, EmitUnit, ExceptionTable, LabelAddrs, LineTable,
+};
 use bolt_isa::{AluOp, FixupKind, Inst, JumpWidth, Label, Mem, Reg, Rm, Target};
 use std::collections::HashMap;
 use std::fmt;
@@ -62,7 +64,7 @@ impl From<bolt_elf::ElfError> for CompileError {
 pub struct CompiledBinary {
     pub elf: Elf,
     /// Resolved code-label addresses (for tests and the profiler).
-    pub label_addrs: HashMap<Label, u64>,
+    pub label_addrs: LabelAddrs,
     /// The MIR program after compiler transformations (inlining, layout) —
     /// what debug info describes.
     pub transformed: MirProgram,
@@ -417,9 +419,9 @@ pub fn compile_and_link(
         for r in &result.relocs {
             let target_addr = result
                 .label_addrs
-                .get(&r.label)
-                .or_else(|| extern_labels.get(&r.label));
-            let Some(&target_addr) = target_addr else {
+                .get(r.label)
+                .or_else(|| extern_labels.get(&r.label).copied());
+            let Some(target_addr) = target_addr else {
                 continue;
             };
             let Some((sym_index, addend)) = find(target_addr) else {

@@ -10,8 +10,7 @@
 
 use crate::LineInfo;
 use bolt_isa::{
-    apply_fixup, encode_at, encoded_len, EncodeError, Fixup, FixupKind, Inst, JumpWidth, Label,
-    Target,
+    apply_fixup, encode_at, encoded_len, EncodeError, FixupKind, Inst, JumpWidth, Label, Target,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -105,6 +104,87 @@ pub struct EmitReloc {
     pub label: Label,
 }
 
+/// Resolved block-label addresses. Both callers allocate labels densely
+/// from 0, so a label indexes a vector; one past the dense range (twice
+/// the block count, plus slack) lives in a map instead.
+#[derive(Debug, Clone, Default)]
+pub struct LabelAddrs {
+    /// Address by label number; [`UNSET`] where no block has the label.
+    dense: Vec<u64>,
+    sparse: HashMap<Label, u64>,
+}
+
+/// A dense slot with no address (no block is placed at `u64::MAX`).
+const UNSET: u64 = u64::MAX;
+
+impl LabelAddrs {
+    /// An empty table whose dense part covers labels below `dense_len`.
+    fn with_dense_len(dense_len: usize) -> LabelAddrs {
+        LabelAddrs {
+            dense: vec![UNSET; dense_len],
+            sparse: HashMap::new(),
+        }
+    }
+
+    /// The address of `label`, if a block defines it.
+    pub fn get(&self, label: Label) -> Option<u64> {
+        match self.dense.get(label.0 as usize) {
+            Some(&addr) => (addr != UNSET).then_some(addr),
+            None => self.sparse.get(&label).copied(),
+        }
+    }
+
+    /// Sets `label`'s address, returning the one it replaces.
+    pub fn insert(&mut self, label: Label, addr: u64) -> Option<u64> {
+        debug_assert_ne!(addr, UNSET);
+        match self.dense.get_mut(label.0 as usize) {
+            Some(slot) => Some(std::mem::replace(slot, addr)).filter(|&old| old != UNSET),
+            None => self.sparse.insert(label, addr),
+        }
+    }
+
+    /// Every `(label, address)` pair: dense labels in order, then the
+    /// sparse ones in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (Label, u64)> + '_ {
+        let dense = self.dense.iter().enumerate();
+        let dense = dense.filter(|(_, &a)| a != UNSET);
+        let dense = dense.map(|(l, &a)| (Label(l as u32), a));
+        dense.chain(self.sparse.iter().map(|(&l, &a)| (l, a)))
+    }
+
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Equal when they map the same labels to the same addresses, however
+/// each splits them between its dense and sparse parts.
+impl PartialEq for LabelAddrs {
+    fn eq(&self, other: &LabelAddrs) -> bool {
+        self.len() == other.len() && self.iter().all(|(l, a)| other.get(l) == Some(a))
+    }
+}
+
+impl Eq for LabelAddrs {}
+
+impl std::ops::Index<&Label> for LabelAddrs {
+    type Output = u64;
+
+    /// # Panics
+    ///
+    /// If no block defines `label`.
+    fn index(&self, label: &Label) -> &u64 {
+        let dense = self.dense.get(label.0 as usize).filter(|&&a| a != UNSET);
+        dense
+            .or_else(|| self.sparse.get(label))
+            .unwrap_or_else(|| panic!("no address for label {label}"))
+    }
+}
+
 /// The result of emitting a set of functions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EmitResult {
@@ -113,10 +193,11 @@ pub struct EmitResult {
     /// Cold code bytes, based at `cold_base`.
     pub cold: Vec<u8>,
     /// Resolved code label addresses (every block label).
-    pub label_addrs: HashMap<Label, u64>,
+    pub label_addrs: LabelAddrs,
     /// Function symbols (hot fragments plus `.cold` fragments).
     pub symbols: Vec<EmitSymbol>,
-    /// `(address, line)` pairs for the output line table.
+    /// `(address, line)` pairs for the output line table, sorted by
+    /// address.
     pub line_entries: Vec<(u64, LineInfo)>,
     /// `(call-site address, landing-pad label)` pairs for the output
     /// exception table.
@@ -177,6 +258,54 @@ fn push_nops(bytes: &mut Vec<u8>, mut n: u64) {
     }
 }
 
+/// One block in placement order: where it goes and what its length is
+/// made of.
+struct Placed {
+    unit: u32,
+    block: u32,
+    cold: bool,
+    align: u16,
+    label: Label,
+    /// Bytes of its instructions other than relaxable branches.
+    fixed: u32,
+    /// Its relaxable branches, `branches[first_branch..end_branch]`.
+    first_branch: u32,
+    end_branch: u32,
+    /// Start address in the current round.
+    start: u64,
+}
+
+/// A relaxable branch (`jcc` / `jmp`): short until its target is out of
+/// an 8-bit displacement's reach.
+struct Branch {
+    target: Target,
+    /// Bytes of the block's fixed instructions before it.
+    prefix: u32,
+    short_len: u8,
+    near_len: u8,
+    near: bool,
+    /// End address in the current round.
+    end: u64,
+}
+
+impl Branch {
+    fn len(&self) -> u64 {
+        u64::from(if self.near {
+            self.near_len
+        } else {
+            self.short_len
+        })
+    }
+
+    fn width(&self) -> JumpWidth {
+        if self.near {
+            JumpWidth::Near
+        } else {
+            JumpWidth::Short
+        }
+    }
+}
+
 /// Emits `units` in order. Hot fragments go to a stream based at
 /// `text_base`; blocks past each unit's `cold_start` go to a stream based
 /// at `cold_base`. `extern_labels` resolves references to labels defined
@@ -184,6 +313,8 @@ fn push_nops(bytes: &mut Vec<u8>, mut n: u64) {
 ///
 /// Branch relaxation starts every label-targeted branch short and grows it
 /// to near until a fixed point — growth is monotone, so this terminates.
+/// Each instruction's length is computed once; a round re-sums block
+/// lengths and re-checks the branches still short.
 ///
 /// # Errors
 ///
@@ -194,159 +325,150 @@ pub fn emit_units(
     cold_base: u64,
     extern_labels: &HashMap<Label, u64>,
 ) -> Result<EmitResult, EmitError> {
-    // Gather label definitions and a linear placement list per stream.
-    // stream 0 = hot, stream 1 = cold.
-    let mut label_defined: HashMap<Label, ()> = HashMap::new();
-    // (stream, unit, block) in placement order.
-    let mut order: Vec<(usize, usize, usize)> = Vec::new();
-    for (ui, u) in units.iter().enumerate() {
-        let cold = u.cold_start.unwrap_or(u.blocks.len());
-        for bi in 0..cold {
-            order.push((0, ui, bi));
+    // Every block label, checked for duplicates in unit order.
+    let n_blocks: usize = units.iter().map(|u| u.blocks.len()).sum();
+    let labels = units
+        .iter()
+        .flat_map(|u| &u.blocks)
+        .map(|b| b.label.0 as usize);
+    let dense_len = labels.max().map_or(0, |l| l + 1).min(2 * n_blocks + 64);
+    let mut label_addrs = LabelAddrs::with_dense_len(dense_len);
+    for b in units.iter().flat_map(|u| &u.blocks) {
+        if label_addrs.insert(b.label, 0).is_some() {
+            return Err(EmitError::DuplicateLabel(b.label));
         }
     }
-    for (ui, u) in units.iter().enumerate() {
-        let cold = u.cold_start.unwrap_or(u.blocks.len());
-        for bi in cold..u.blocks.len() {
-            order.push((1, ui, bi));
-        }
-    }
-    for u in units {
-        for b in &u.blocks {
-            if label_defined.insert(b.label, ()).is_some() {
-                return Err(EmitError::DuplicateLabel(b.label));
+
+    // Placement order: every unit's hot blocks, then every unit's cold
+    // blocks. Lengths are computed here, once.
+    let mut placed: Vec<Placed> = Vec::with_capacity(n_blocks);
+    let mut branches: Vec<Branch> = Vec::new();
+    let mut n_lines = 0;
+    for cold in [false, true] {
+        for (ui, u) in units.iter().enumerate() {
+            let split = u.cold_start.unwrap_or(u.blocks.len());
+            let range = if cold {
+                split..u.blocks.len()
+            } else {
+                0..split
+            };
+            for bi in range {
+                let block = &u.blocks[bi];
+                let is_fragment_start = bi == 0 || u.cold_start == Some(bi);
+                let align = if is_fragment_start {
+                    u.align
+                } else {
+                    block.align
+                };
+                let first_branch = branches.len() as u32;
+                let mut fixed = 0u32;
+                for einst in &block.insts {
+                    n_lines += usize::from(einst.line.is_some());
+                    match einst.inst {
+                        Inst::Jcc { target, .. } | Inst::Jmp { target, .. } => {
+                            let mut working = einst.inst;
+                            set_width(&mut working, JumpWidth::Short);
+                            let short_len = encoded_len(&working) as u8;
+                            set_width(&mut working, JumpWidth::Near);
+                            branches.push(Branch {
+                                target,
+                                prefix: fixed,
+                                short_len,
+                                near_len: encoded_len(&working) as u8,
+                                near: false,
+                                end: 0,
+                            });
+                        }
+                        _ => fixed += encoded_len(&einst.inst) as u32,
+                    }
+                }
+                placed.push(Placed {
+                    unit: ui as u32,
+                    block: bi as u32,
+                    cold,
+                    align: align.max(1),
+                    label: block.label,
+                    fixed,
+                    first_branch,
+                    end_branch: branches.len() as u32,
+                    start: 0,
+                });
             }
         }
     }
 
-    // Per-instruction state, indexed in placement order (every pass below
-    // walks `order` the same way): the working width of each relaxable
-    // branch (all start Short), its address and its encoded length.
-    let mut widths: Vec<Option<JumpWidth>> = Vec::new();
-    for &(_, ui, bi) in &order {
-        for inst in &units[ui].blocks[bi].insts {
-            widths.push(match inst.inst {
-                Inst::Jcc { .. } | Inst::Jmp { .. } => Some(JumpWidth::Short),
-                _ => None,
-            });
-        }
-    }
+    let resolve = |label_addrs: &LabelAddrs, l: Label| -> Result<u64, EmitError> {
+        label_addrs
+            .get(l)
+            .or_else(|| extern_labels.get(&l).copied())
+            .ok_or(EmitError::UnresolvedLabel(l))
+    };
 
     // Relaxation loop: compute addresses with current widths, grow any
     // short branch whose target does not fit, repeat.
-    let mut label_addrs: HashMap<Label, u64> = HashMap::new();
-    let mut inst_addrs: Vec<u64> = vec![0; widths.len()];
-    let mut inst_lens: Vec<u8> = vec![0; widths.len()];
-    loop {
+    let ends = loop {
         // Address assignment pass.
         let mut pos = [text_base, cold_base];
-        let mut pi = 0usize;
-        let mut order_i = 0usize;
-        while order_i < order.len() {
-            let (stream, ui, bi) = order[order_i];
-            let unit = &units[ui];
-            let is_fragment_start = bi == 0 || unit.cold_start == Some(bi);
-            let align = if is_fragment_start {
-                unit.align.max(1)
-            } else {
-                unit.blocks[bi].align.max(1)
-            };
-            pos[stream] += pad_len(pos[stream], align);
-            label_addrs.insert(unit.blocks[bi].label, pos[stream]);
-            for inst in &unit.blocks[bi].insts {
-                let mut working = inst.inst;
-                if let Some(w) = widths[pi] {
-                    set_width(&mut working, w);
-                }
-                let len = encoded_len(&working);
-                inst_addrs[pi] = pos[stream];
-                inst_lens[pi] = len as u8;
-                pos[stream] += len as u64;
-                pi += 1;
+        for p in &mut placed {
+            let at = &mut pos[usize::from(p.cold)];
+            *at += pad_len(*at, p.align);
+            p.start = *at;
+            label_addrs.insert(p.label, *at);
+            let mut grown = 0;
+            for b in &mut branches[p.first_branch as usize..p.end_branch as usize] {
+                grown += b.len();
+                b.end = *at + u64::from(b.prefix) + grown;
             }
-            order_i += 1;
+            *at += u64::from(p.fixed) + grown;
         }
 
         // Width check pass.
         let mut grew = false;
-        let mut pi = 0usize;
-        for &(_, ui, bi) in &order {
-            for einst in &units[ui].blocks[bi].insts {
-                if widths[pi] == Some(JumpWidth::Short) {
-                    let target = einst
-                        .inst
-                        .target()
-                        .expect("relaxable branches have targets");
-                    let target_addr = match target {
-                        Target::Addr(a) => Some(a),
-                        Target::Label(l) => label_addrs
-                            .get(&l)
-                            .copied()
-                            .or_else(|| extern_labels.get(&l).copied()),
-                    };
-                    let Some(to) = target_addr else {
-                        return Err(EmitError::UnresolvedLabel(
-                            target.label().expect("address targets always resolve"),
-                        ));
-                    };
-                    let end = inst_addrs[pi] + u64::from(inst_lens[pi]);
-                    let rel = to.wrapping_sub(end) as i64;
-                    if i8::try_from(rel).is_err() {
-                        widths[pi] = Some(JumpWidth::Near);
-                        grew = true;
-                    }
-                }
-                pi += 1;
+        for b in branches.iter_mut().filter(|b| !b.near) {
+            let to = match b.target {
+                Target::Addr(a) => a,
+                Target::Label(l) => resolve(&label_addrs, l)?,
+            };
+            if i8::try_from(to.wrapping_sub(b.end) as i64).is_err() {
+                b.near = true;
+                grew = true;
             }
         }
         if !grew {
-            break;
+            break pos;
         }
-    }
-
-    // Final encoding pass.
-    let resolve = |l: Label| -> Result<u64, EmitError> {
-        label_addrs
-            .get(&l)
-            .or_else(|| extern_labels.get(&l))
-            .copied()
-            .ok_or(EmitError::UnresolvedLabel(l))
     };
 
-    let mut result = EmitResult::default();
-    let mut streams: [Vec<u8>; 2] = [Vec::new(), Vec::new()];
+    // Final encoding pass, straight into streams sized exactly.
+    let mut result = EmitResult {
+        line_entries: Vec::with_capacity(n_lines),
+        ..EmitResult::default()
+    };
     let bases = [text_base, cold_base];
-    let mut pi = 0usize;
-    // Track per-fragment symbol extents: (unit, is_cold) -> (start, end).
-    let mut frag_bounds: HashMap<(usize, bool), (u64, u64)> = HashMap::new();
-
-    for &(stream, ui, bi) in &order {
-        let unit = &units[ui];
-        let block = &unit.blocks[bi];
+    let mut streams = [0, 1].map(|s| Vec::with_capacity((ends[s] - bases[s]) as usize));
+    // Per-unit fragment extents, `[hot, cold]`: (start, end).
+    let mut frags: Vec<[Option<(u64, u64)>; 2]> = vec![[None; 2]; units.len()];
+    let mut next_branch = 0usize;
+    for p in &placed {
+        let stream = usize::from(p.cold);
+        let block = &units[p.unit as usize].blocks[p.block as usize];
         let buf = &mut streams[stream];
         let cur_addr = bases[stream] + buf.len() as u64;
-        let target_addr = label_addrs[&block.label];
-        debug_assert!(target_addr >= cur_addr);
-        push_nops(buf, target_addr - cur_addr);
-
-        let is_cold = stream == 1;
-        let entry = frag_bounds
-            .entry((ui, is_cold))
-            .or_insert((target_addr, target_addr));
-        entry.1 = entry.1.max(target_addr);
+        debug_assert!(p.start >= cur_addr);
+        push_nops(buf, p.start - cur_addr);
 
         for einst in &block.insts {
-            let addr = inst_addrs[pi];
-            debug_assert_eq!(addr, bases[stream] + buf.len() as u64);
+            let addr = bases[stream] + buf.len() as u64;
             let mut working = einst.inst;
-            if let Some(w) = widths[pi] {
-                set_width(&mut working, w);
+            if let Inst::Jcc { .. } | Inst::Jmp { .. } = working {
+                set_width(&mut working, branches[next_branch].width());
+                next_branch += 1;
             }
-            let enc = encode_at(&working, addr)?;
-            let mut bytes = enc.bytes;
-            for f in &enc.fixups {
-                let to = resolve(f.label)?;
-                apply_one(&mut bytes, f, addr, to)?;
+            let mut enc = encode_at(&working, addr)?;
+            if let Some(f) = enc.fixup {
+                let to = resolve(&label_addrs, f.label)?;
+                let len = enc.bytes.len();
+                apply_fixup(&mut enc.bytes, &f, addr, len, to)?;
                 result.relocs.push(EmitReloc {
                     at: addr + f.offset as u64,
                     kind: f.kind,
@@ -359,31 +481,20 @@ pub fn emit_units(
             if let Some(pad) = einst.eh_pad {
                 result.eh_entries.push((addr, pad));
             }
-            buf.extend_from_slice(&bytes);
-            pi += 1;
+            buf.extend_from_slice(&enc.bytes);
         }
         let end = bases[stream] + buf.len() as u64;
-        frag_bounds
-            .get_mut(&(ui, is_cold))
-            .expect("just inserted")
+        frags[p.unit as usize][stream]
+            .get_or_insert((p.start, end))
             .1 = end;
     }
 
     // Fall-through validation: the last block of each fragment must not
     // fall through (callers are responsible for terminating layouts).
-    let mut last_of_stream: [Option<(usize, usize)>; 2] = [None, None];
-    for &(stream, ui, bi) in &order {
-        last_of_stream[stream] = Some((ui, bi));
-    }
-    for &(_, (ui, bi)) in last_of_stream
-        .iter()
-        .flatten()
-        .enumerate()
-        .collect::<Vec<_>>()
-        .iter()
-    {
-        let block = &units[*ui].blocks[*bi];
-        let falls = match block.insts.last() {
+    let last_hot = placed.iter().rfind(|p| !p.cold);
+    for p in last_hot.into_iter().chain(placed.last().filter(|p| p.cold)) {
+        let unit = &units[p.unit as usize];
+        let falls = match unit.blocks[p.block as usize].insts.last() {
             None => true,
             Some(i) => {
                 !i.inst.is_uncond_branch()
@@ -393,35 +504,40 @@ pub fn emit_units(
         };
         if falls {
             return Err(EmitError::TrailingFallthrough {
-                function: units[*ui].name.clone(),
+                function: unit.name.clone(),
             });
         }
     }
 
     // Symbols.
-    for (ui, u) in units.iter().enumerate() {
-        if let Some((start, end)) = frag_bounds.get(&(ui, false)) {
+    for (u, [hot, cold]) in units.iter().zip(frags) {
+        if let Some((start, end)) = hot {
             result.symbols.push(EmitSymbol {
                 name: u.name.clone(),
-                addr: *start,
+                addr: start,
                 size: end - start,
                 is_cold_fragment: false,
             });
         }
-        if let Some((start, end)) = frag_bounds.get(&(ui, true)) {
+        if let Some((start, end)) = cold {
             result.symbols.push(EmitSymbol {
                 name: format!("{}.cold", u.name),
-                addr: *start,
+                addr: start,
                 size: end - start,
                 is_cold_fragment: true,
             });
         }
     }
 
-    result.text = std::mem::take(&mut streams[0]);
-    result.cold = std::mem::take(&mut streams[1]);
+    let [text, cold] = streams;
+    result.text = text;
+    result.cold = cold;
     result.label_addrs = label_addrs;
-    result.line_entries.sort_unstable_by_key(|e| e.0);
+    // Hot entries, then cold: already sorted unless the cold stream
+    // starts below the hot one's end.
+    if !result.line_entries.is_sorted_by_key(|e| e.0) {
+        result.line_entries.sort_unstable_by_key(|e| e.0);
+    }
     Ok(result)
 }
 
@@ -430,12 +546,6 @@ fn set_width(inst: &mut Inst, w: JumpWidth) {
         Inst::Jcc { width, .. } | Inst::Jmp { width, .. } => *width = w,
         _ => {}
     }
-}
-
-fn apply_one(bytes: &mut [u8], f: &Fixup, addr: u64, to: u64) -> Result<(), EmitError> {
-    let len = bytes.len();
-    apply_fixup(bytes, f, addr, len, to)?;
-    Ok(())
 }
 
 #[cfg(test)]

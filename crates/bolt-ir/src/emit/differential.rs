@@ -1,15 +1,20 @@
 //! Differential test for the emitter: `emit_units` used to keep a
 //! 32-byte `Placed { unit, block, inst, width }` record and a `u64`
-//! length per instruction; it now keeps a one-byte working width and a
-//! one-byte length. The `Placed` implementation is kept here, verbatim,
-//! as the reference; both must produce the same `EmitResult` (or the
-//! same error) on random units — branches around the ±127-byte edge of
-//! a short encoding, hot/cold splits, extern and unresolved labels,
-//! address targets, alignment, line and landing-pad metadata — and on a
-//! hand-built relaxation cascade.
+//! length per instruction, re-encode every instruction each relaxation
+//! round, and resolve labels through a `HashMap`. It now computes each
+//! length once, re-sums block lengths per round, and resolves labels
+//! through a dense table with a map beside it for labels past its range.
+//! The `Placed` implementation is kept here as the reference, changed
+//! only where the encoder's and the result's types changed (one inline
+//! fixup, [`LabelAddrs`]); both must produce the same `EmitResult` (or
+//! the same error) on random units — branches around the ±127-byte edge
+//! of a short encoding, hot/cold splits, extern and unresolved labels,
+//! block labels far past the dense range and extern labels in its
+//! holes, address targets, alignment, line and landing-pad metadata —
+//! and on a hand-built relaxation cascade.
 
 use super::*;
-use bolt_isa::{Cond, Mem, Reg};
+use bolt_isa::{Cond, Fixup, Mem, Reg};
 use proptest::prelude::*;
 
 /// One placed instruction during layout.
@@ -178,7 +183,7 @@ fn emit_units_placed(
             }
             let enc = encode_at(&working, addr)?;
             let mut bytes = enc.bytes;
-            for f in &enc.fixups {
+            if let Some(f) = &enc.fixup {
                 let to = resolve(f.label)?;
                 apply_one(&mut bytes, f, addr, to)?;
                 result.relocs.push(EmitReloc {
@@ -254,25 +259,48 @@ fn emit_units_placed(
 
     result.text = std::mem::take(&mut streams[0]);
     result.cold = std::mem::take(&mut streams[1]);
-    result.label_addrs = label_addrs;
+    for (label, addr) in label_addrs {
+        result.label_addrs.insert(label, addr);
+    }
     result.line_entries.sort_unstable_by_key(|e| e.0);
     Ok(result)
+}
+
+fn apply_one(bytes: &mut [u8], f: &Fixup, addr: u64, to: u64) -> Result<(), EmitError> {
+    let len = bytes.len();
+    apply_fixup(bytes, f, addr, len, to)?;
+    Ok(())
 }
 
 const TEXT_BASE: u64 = 0x40_0000;
 
 /// Extern labels and where they resolve: two just before the hot text
 /// (in short reach of its first bytes and just out of it), one in the
-/// cold stream's neighbourhood, one far away in data.
+/// cold stream's neighbourhood, one far away in data; and two with small
+/// numbers, which no block of a sparse program uses (see [`block_label`]),
+/// so they sit in holes of the emitter's dense label range.
 fn extern_labels() -> HashMap<Label, u64> {
     [
         (Label(10_000), TEXT_BASE - 100),
         (Label(10_001), TEXT_BASE - 140),
         (Label(10_002), 0x60_0000 + 0x90),
         (Label(10_003), 0x70_0010),
+        (Label(1), TEXT_BASE - 60),
+        (Label(3), 0x70_0020),
     ]
     .into_iter()
     .collect()
+}
+
+/// The label of block `k`: `k` itself, or in a sparse program, for odd
+/// `k`, a label far past the dense range, so those blocks resolve
+/// through the emitter's fallback map.
+fn block_label(k: u32, sparse: bool) -> Label {
+    if sparse && k % 2 == 1 {
+        Label((1 << 20) + k)
+    } else {
+        Label(k)
+    }
 }
 
 /// Appends `bytes` bytes of NOPs.
@@ -302,20 +330,23 @@ fn arb_block() -> impl Strategy<Value = BlockSeed> {
 }
 
 /// Random units plus a cold-stream base: near the hot text (so hot/cold
-/// branches can be short) or far from it.
-fn arb_program() -> impl Strategy<Value = (Vec<(Vec<BlockSeed>, u8)>, bool)> {
+/// branches can be short) or far from it; and whether block labels are
+/// sparse.
+fn arb_program() -> impl Strategy<Value = (Vec<(Vec<BlockSeed>, u8)>, bool, bool)> {
     (
         proptest::collection::vec(
             (proptest::collection::vec(arb_block(), 1..7), any::<u8>()),
             1..4,
         ),
         any::<bool>(),
+        any::<bool>(),
     )
 }
 
-/// Builds the units. Block labels are global block indices, so branches
-/// cross units and streams freely.
-fn build(program: &[(Vec<BlockSeed>, u8)]) -> Vec<EmitUnit> {
+/// Builds the units. Block labels are global block indices (mapped by
+/// [`block_label`]), so branches cross units and streams freely.
+fn build(program: &[(Vec<BlockSeed>, u8)], sparse: bool) -> Vec<EmitUnit> {
+    let label = |k| block_label(k, sparse);
     let total: u32 = program.iter().map(|(b, _)| b.len() as u32).sum();
     let mut next_label = 0u32;
     let mut units = Vec::new();
@@ -324,13 +355,14 @@ fn build(program: &[(Vec<BlockSeed>, u8)]) -> Vec<EmitUnit> {
         unit.align = if split & 0x80 != 0 { 16 } else { 1 };
         let first = next_label;
         for &(filler, term, dest, align, line, meta) in blocks {
-            let mut b = EmitBlock::new(Label(next_label));
+            let mut b = EmitBlock::new(label(next_label));
             next_label += 1;
             b.align = [1, 1, 8, 16][usize::from(align % 4)];
             push_filler(&mut b, filler);
             let dest = match dest % 32 {
-                0..=19 => Target::Label(Label(dest / 32 % total)),
-                20..=25 => Target::Label(Label(10_000 + dest / 32 % 4)),
+                0..=19 => Target::Label(label(dest / 32 % total)),
+                20..=23 => Target::Label(Label(10_000 + dest / 32 % 4)),
+                24 | 25 => Target::Label(Label(1 + 2 * (dest / 32 % 2))),
                 26..=30 => Target::Addr(TEXT_BASE - 300 + u64::from(dest / 32 % 900)),
                 _ => Target::Label(Label(99_999)),
             };
@@ -339,7 +371,7 @@ fn build(program: &[(Vec<BlockSeed>, u8)]) -> Vec<EmitUnit> {
                     let mut call = EmitInst::new(Inst::Call {
                         target: Target::Label(Label(10_000 + u32::from(meta / 4 % 4))),
                     });
-                    call.eh_pad = Some(Label(first + u32::from(meta / 16) % blocks.len() as u32));
+                    call.eh_pad = Some(label(first + u32::from(meta / 16) % blocks.len() as u32));
                     b.insts.push(call);
                 }
                 1 => b.insts.push(
@@ -411,8 +443,8 @@ proptest! {
     /// Same bytes, labels, symbols, line/EH entries and relocations — or
     /// the same error — as the `Placed` reference.
     #[test]
-    fn emitter_matches_the_placed_reference((program, near_cold) in arb_program()) {
-        let units = build(&program);
+    fn emitter_matches_the_placed_reference((program, near_cold, sparse) in arb_program()) {
+        let units = build(&program, sparse);
         let cold_base = if near_cold { TEXT_BASE + 0x300 } else { 0x60_0000 };
         let [new, reference] = both(&units, cold_base);
         prop_assert_eq!(new, reference);
@@ -498,4 +530,62 @@ fn growth_cascades_to_a_branch_that_fit_in_the_first_round() {
     assert_eq!(build(0), (2, 2));
     // B's target out of reach: B grows, and so, a round later, does A.
     assert_eq!(build(200), (6, 6));
+}
+
+/// Block labels at both ends of the label space (0, `1 << 20`,
+/// `u32::MAX`), a call to an extern label in a hole of the dense range,
+/// and a reference to a hole nothing defines: the dense table, its
+/// fallback map and the extern map resolve as the reference does.
+#[test]
+fn labels_past_the_dense_range_resolve_like_the_reference() {
+    let far = [Label(0), Label(1 << 20), Label(u32::MAX)];
+    let emit = |hole: Label| {
+        let mut unit = EmitUnit::new("sparse");
+        unit.align = 1;
+        let mut blocks = far.map(EmitBlock::new);
+        let jmp = |to| Inst::Jmp {
+            target: Target::Label(to),
+            width: JumpWidth::Near,
+        };
+        blocks[0].insts.push(
+            Inst::Jcc {
+                cond: Cond::E,
+                target: Target::Label(far[2]),
+                width: JumpWidth::Near,
+            }
+            .into(),
+        );
+        blocks[0].insts.push(jmp(far[1]).into());
+        let call = Inst::Call {
+            target: Target::Label(hole),
+        };
+        blocks[1].insts.push(call.into());
+        blocks[1].insts.push(jmp(far[0]).into());
+        blocks[2].insts.push(Inst::Ret.into());
+        unit.blocks = blocks.into();
+        let [new, reference] = both(&[unit], 0x60_0000);
+        assert_eq!(new, reference, "call to {hole}");
+        new
+    };
+    let new = emit(Label(1)).expect("emits");
+    let addrs: Vec<_> = far.iter().map(|&l| new.label_addrs.get(l)).collect();
+    assert_eq!(
+        addrs,
+        [Some(TEXT_BASE), Some(TEXT_BASE + 4), Some(TEXT_BASE + 11)]
+    );
+    assert_eq!(new.label_addrs.len(), 3);
+    assert_eq!(
+        new.label_addrs.get(Label(1)),
+        None,
+        "externs are not blocks"
+    );
+    let decoded = bolt_isa::decode_all(&new.text, TEXT_BASE).expect("decodes");
+    assert_eq!(
+        decoded[2].1.inst.target(),
+        Some(Target::Addr(TEXT_BASE - 60))
+    );
+    assert_eq!(
+        emit(Label(2)).unwrap_err(),
+        EmitError::UnresolvedLabel(Label(2))
+    );
 }

@@ -48,6 +48,7 @@ pub use dataflow::{
 };
 pub use emit::{
     emit_units, EmitBlock, EmitError, EmitInst, EmitReloc, EmitResult, EmitSymbol, EmitUnit,
+    LabelAddrs,
 };
 pub use function::{edges, BinaryFunction, JumpTable, NonSimpleReason, OptTier};
 pub use inst::{BinaryInst, LineInfo};

@@ -84,7 +84,8 @@ impl LineTable {
 
     /// Serializes to the `.bolt.lines` binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let names: usize = self.files.iter().map(|f| 4 + f.len()).sum();
+        let mut out = Vec::with_capacity(8 + names + 16 * self.entries.len());
         out.extend_from_slice(&(self.files.len() as u32).to_le_bytes());
         for f in &self.files {
             out.extend_from_slice(&(f.len() as u32).to_le_bytes());
@@ -120,6 +121,9 @@ impl LineTable {
             t.files.push(name.to_string());
         }
         let nentries = u32::from_le_bytes(take(4)?.try_into().unwrap());
+        // Each entry takes 16 bytes, which bounds a corrupt count.
+        t.entries
+            .reserve_exact((nentries as usize).min(data.len() / 16));
         for _ in 0..nentries {
             let a = u64::from_le_bytes(take(8)?.try_into().unwrap());
             let f = u32::from_le_bytes(take(4)?.try_into().unwrap());
@@ -156,7 +160,7 @@ impl ExceptionTable {
 
     /// Serializes to the `.bolt.eh` binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(4 + 16 * self.entries.len());
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         for (cs, lp) in &self.entries {
             out.extend_from_slice(&cs.to_le_bytes());

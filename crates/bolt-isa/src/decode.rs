@@ -462,7 +462,7 @@ mod tests {
 
     fn round_trip(inst: Inst, addr: u64) {
         let enc = encode_at(&inst, addr).unwrap();
-        assert!(enc.fixups.is_empty(), "unresolved fixups in {inst}");
+        assert!(enc.fixup.is_none(), "unresolved fixup in {inst}");
         let dec = decode(&enc.bytes, addr).unwrap_or_else(|e| panic!("decode {inst}: {e}"));
         assert_eq!(dec.len as usize, enc.bytes.len(), "length of {inst}");
         let re = encode_at(&dec.inst, addr).unwrap();

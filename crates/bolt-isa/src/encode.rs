@@ -43,13 +43,70 @@ pub struct Fixup {
     pub label: Label,
 }
 
-/// The result of encoding one instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The inline capacity of [`InstBytes`]: the architectural limit on an
+/// x86-64 instruction's length. The longest form this encoder produces
+/// (`movabs $imm64, %reg`) is 10 bytes.
+pub const MAX_INST_LEN: usize = 15;
+
+/// The bytes of one encoded instruction, held inline (no heap). Derefs
+/// to `[u8]`; iterating it by value yields the bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct InstBytes {
+    buf: [u8; MAX_INST_LEN],
+    len: u8,
+}
+
+impl InstBytes {
+    fn put(&mut self, bytes: &[u8]) {
+        let at = usize::from(self.len);
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len() as u8;
+    }
+}
+
+impl std::ops::Deref for InstBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.buf[..usize::from(self.len)]
+    }
+}
+
+impl std::ops::DerefMut for InstBytes {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.buf[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for InstBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl IntoIterator for InstBytes {
+    type Item = u8;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u8, MAX_INST_LEN>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.buf.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<const N: usize> PartialEq<[u8; N]> for InstBytes {
+    fn eq(&self, other: &[u8; N]) -> bool {
+        **self == *other
+    }
+}
+
+/// The result of encoding one instruction: an inline value, so
+/// [`encode_at`] never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Encoded {
-    /// The instruction bytes (placeholder zeros in unresolved fields).
-    pub bytes: Vec<u8>,
-    /// Patches still required against labels.
-    pub fixups: Vec<Fixup>,
+    /// The instruction bytes (placeholder zeros in an unresolved field).
+    pub bytes: InstBytes,
+    /// The patch still required against a label. An instruction has at
+    /// most one address field (branch/call target, RIP-relative operand
+    /// or `movabs` symbol), so at most one fixup.
+    pub fixup: Option<Fixup>,
 }
 
 /// Errors produced by the encoder.
@@ -89,33 +146,33 @@ impl fmt::Display for EncodeError {
 impl std::error::Error for EncodeError {}
 
 struct Enc {
-    bytes: Vec<u8>,
-    // Pending internal fixups: (offset, kind, target).
-    pending: Vec<(u8, FixupKind, Target)>,
+    bytes: InstBytes,
+    // The instruction's one address field, if any: (offset, kind, target).
+    pending: Option<(u8, FixupKind, Target)>,
 }
 
 impl Enc {
     fn new() -> Self {
         Enc {
-            bytes: Vec::with_capacity(8),
-            pending: Vec::new(),
+            bytes: InstBytes::default(),
+            pending: None,
         }
     }
 
     fn u8(&mut self, b: u8) {
-        self.bytes.push(b);
+        self.bytes.put(&[b]);
     }
 
     fn i8_(&mut self, v: i8) {
-        self.bytes.push(v as u8);
+        self.u8(v as u8);
     }
 
     fn i32_(&mut self, v: i32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.bytes.put(&v.to_le_bytes());
     }
 
     fn i64_(&mut self, v: i64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.bytes.put(&v.to_le_bytes());
     }
 
     /// Emits a REX prefix if any bit is set or if `force` is true.
@@ -138,8 +195,8 @@ impl Enc {
     }
 
     fn field(&mut self, kind: FixupKind, target: Target) {
-        let off = self.bytes.len() as u8;
-        self.pending.push((off, kind, target));
+        debug_assert!(self.pending.is_none(), "one address field per instruction");
+        self.pending = Some((self.bytes.len() as u8, kind, target));
         for _ in 0..kind.width() {
             self.u8(0);
         }
@@ -202,20 +259,19 @@ impl Enc {
     fn finish(self, inst_addr: u64) -> Result<Encoded, EncodeError> {
         let mut bytes = self.bytes;
         let len = bytes.len() as u64;
-        let mut fixups = Vec::new();
-        for (offset, kind, target) in self.pending {
-            match target {
-                Target::Label(label) => fixups.push(Fixup {
-                    offset,
-                    kind,
-                    label,
-                }),
-                Target::Addr(to) => {
-                    patch(&mut bytes, offset, kind, inst_addr, len, to)?;
-                }
+        let fixup = match self.pending {
+            None => None,
+            Some((offset, kind, Target::Label(label))) => Some(Fixup {
+                offset,
+                kind,
+                label,
+            }),
+            Some((offset, kind, Target::Addr(to))) => {
+                patch(&mut bytes, offset, kind, inst_addr, len, to)?;
+                None
             }
-        }
-        Ok(Encoded { bytes, fixups })
+        };
+        Ok(Encoded { bytes, fixup })
     }
 }
 
@@ -328,10 +384,15 @@ pub const NOP_SEQUENCES: [&[u8]; 9] = [
 /// ```
 /// use bolt_isa::{encode_at, Inst, Reg};
 /// let enc = encode_at(&Inst::Push(Reg::Rbp), 0x400000)?;
-/// assert_eq!(enc.bytes, vec![0x55]);
+/// assert_eq!(enc.bytes, [0x55]);
 /// # Ok::<(), bolt_isa::EncodeError>(())
 /// ```
 pub fn encode_at(inst: &Inst, addr: u64) -> Result<Encoded, EncodeError> {
+    encode(inst)?.finish(addr)
+}
+
+/// Lays out `inst`'s bytes, leaving its address field (if any) zeroed.
+fn encode(inst: &Inst) -> Result<Enc, EncodeError> {
     let mut e = Enc::new();
     match *inst {
         Inst::Push(r) => {
@@ -470,7 +531,7 @@ pub fn encode_at(inst: &Inst, addr: u64) -> Result<Encoded, EncodeError> {
             if !(1..=9).contains(&n) {
                 return Err(EncodeError::BadNopLen(len));
             }
-            e.bytes.extend_from_slice(NOP_SEQUENCES[n - 1]);
+            e.bytes.put(NOP_SEQUENCES[n - 1]);
         }
         Inst::Ud2 => {
             e.u8(0x0F);
@@ -481,7 +542,7 @@ pub fn encode_at(inst: &Inst, addr: u64) -> Result<Encoded, EncodeError> {
             e.u8(0x05);
         }
     }
-    e.finish(addr)
+    Ok(e)
 }
 
 fn encode_ff(e: &mut Enc, digit: u8, rm: Rm) -> Result<(), EncodeError> {
@@ -501,42 +562,15 @@ fn encode_ff(e: &mut Enc, digit: u8, rm: Rm) -> Result<(), EncodeError> {
     Ok(())
 }
 
-/// The encoded length of `inst` in bytes, without performing target
-/// resolution.
+/// The encoded length of `inst` in bytes: the encoder's layout step
+/// alone, with no target resolution, so it never allocates and no
+/// displacement can be out of range. 0 for an instruction the encoder
+/// rejects.
 ///
 /// Guaranteed to match `encode_at(inst, _).bytes.len()` for encodable
 /// instructions (covered by property tests).
 pub fn encoded_len(inst: &Inst) -> usize {
-    // Encoding with an arbitrary address cannot fail for label targets, and
-    // Addr targets can only fail range checks for Rel8; use a best-effort
-    // structural computation via a throwaway encode with labels substituted.
-    let mut probe = *inst;
-    neutralize_targets(&mut probe);
-    match encode_at(&probe, 0) {
-        Ok(enc) => enc.bytes.len(),
-        Err(_) => 0,
-    }
-}
-
-/// Replaces resolved targets with labels so length probing cannot fail range
-/// checks.
-fn neutralize_targets(inst: &mut Inst) {
-    let l = Target::Label(Label(u32::MAX));
-    match inst {
-        Inst::Jcc { target, .. } | Inst::Jmp { target, .. } | Inst::Call { target } => *target = l,
-        Inst::MovRSym { target, .. } => *target = l,
-        Inst::Load { mem, .. } | Inst::Store { mem, .. } | Inst::Lea { dst: _, mem } => {
-            if let Mem::RipRel { target } = mem {
-                *target = l;
-            }
-        }
-        Inst::JmpInd { rm } | Inst::CallInd { rm } => {
-            if let Rm::Mem(Mem::RipRel { target }) = rm {
-                *target = l;
-            }
-        }
-        _ => {}
-    }
+    encode(inst).map_or(0, |e| e.bytes.len())
 }
 
 /// Returns `true` if `op` is an ALU opcode in MR form.
@@ -558,7 +592,7 @@ mod tests {
     use crate::Cond;
 
     fn enc(i: Inst) -> Vec<u8> {
-        encode_at(&i, 0x400000).unwrap().bytes
+        encode_at(&i, 0x400000).unwrap().bytes.to_vec()
     }
 
     #[test]
@@ -654,10 +688,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(e.bytes.len(), 5);
-        assert_eq!(e.fixups.len(), 1);
-        assert_eq!(e.fixups[0].kind, FixupKind::Rel32);
-        assert_eq!(e.fixups[0].offset, 1);
-        assert_eq!(e.fixups[0].label, Label(9));
+        let f = e.fixup.expect("a label operand leaves a fixup");
+        assert_eq!(f.kind, FixupKind::Rel32);
+        assert_eq!(f.offset, 1);
+        assert_eq!(f.label, Label(9));
     }
 
     #[test]
@@ -670,7 +704,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let f = e.fixups[0];
+        let f = e.fixup.unwrap();
         let len = e.bytes.len();
         apply_fixup(&mut e.bytes, &f, 0x400000, len, 0x400100).unwrap();
         // rel32 = 0x400100 - 0x400005 = 0xFB

@@ -157,7 +157,7 @@ pub enum JumpWidth {
 /// use bolt_isa::{Inst, Reg, encode_at};
 /// let inst = Inst::MovRR { dst: Reg::Rbp, src: Reg::Rsp };
 /// let enc = encode_at(&inst, 0x400000).unwrap();
-/// assert_eq!(enc.bytes, vec![0x48, 0x89, 0xe5]);
+/// assert_eq!(enc.bytes, [0x48, 0x89, 0xe5]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {

@@ -38,7 +38,8 @@ mod reg;
 pub use cond::Cond;
 pub use decode::{decode, decode_all, DecodeError, DecodedInst};
 pub use encode::{
-    apply_fixup, encode_at, encoded_len, EncodeError, Encoded, Fixup, FixupKind, NOP_SEQUENCES,
+    apply_fixup, encode_at, encoded_len, EncodeError, Encoded, Fixup, FixupKind, InstBytes,
+    MAX_INST_LEN, NOP_SEQUENCES,
 };
 pub use flags::{flag_effect, FlagClass, FlagEffect};
 pub use inst::{AluOp, Inst, JumpWidth, Rm, ShiftOp};

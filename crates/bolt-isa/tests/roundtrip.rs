@@ -2,7 +2,8 @@
 //! bytes, and `encoded_len` always agrees with the encoder.
 
 use bolt_isa::{
-    decode, encode_at, encoded_len, AluOp, Cond, Inst, JumpWidth, Mem, Reg, Rm, ShiftOp, Target,
+    decode, encode_at, encoded_len, AluOp, Cond, FixupKind, Inst, JumpWidth, Label, Mem, Reg, Rm,
+    ShiftOp, Target, MAX_INST_LEN,
 };
 use proptest::prelude::*;
 
@@ -123,8 +124,11 @@ proptest! {
     #[test]
     fn encode_decode_encode_is_identity(inst in arb_inst()) {
         let enc = encode_at(&inst, BASE).expect("arbitrary subset insts encode");
-        prop_assert!(enc.fixups.is_empty());
+        prop_assert!(enc.fixup.is_none());
         prop_assert_eq!(encoded_len(&inst), enc.bytes.len());
+        // The bytes are held inline; the encoder panics rather than
+        // truncate, so reaching here means the instruction fit.
+        prop_assert!(enc.bytes.len() <= MAX_INST_LEN);
 
         let dec = decode(&enc.bytes, BASE).expect("own encodings decode");
         prop_assert_eq!(dec.len as usize, enc.bytes.len());
@@ -138,7 +142,7 @@ proptest! {
     #[test]
     fn trailing_bytes_do_not_change_decode(inst in arb_inst(), junk in proptest::collection::vec(any::<u8>(), 0..8)) {
         let enc = encode_at(&inst, BASE).unwrap();
-        let mut padded = enc.bytes.clone();
+        let mut padded = enc.bytes.to_vec();
         padded.extend(junk);
         let d1 = decode(&enc.bytes, BASE).unwrap();
         let d2 = decode(&padded, BASE).unwrap();
@@ -155,6 +159,60 @@ proptest! {
             if let Ok(d) = decode(cut, BASE) {
                 prop_assert!((d.len as usize) < enc.bytes.len());
             }
+        }
+    }
+}
+
+fn arb_width() -> impl Strategy<Value = JumpWidth> {
+    prop_oneof![Just(JumpWidth::Short), Just(JumpWidth::Near)]
+}
+
+/// A label, or an address within short reach of `BASE`.
+fn arb_branch_target() -> impl Strategy<Value = Target> {
+    prop_oneof![
+        any::<u32>().prop_map(|l| Target::Label(Label(l))),
+        arb_near_target(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The emitter sizes relaxable branches with `encoded_len` at both
+    /// widths before any label has an address: the length must be the
+    /// encoder's, whatever the target, and a label target leaves exactly
+    /// one fixup of the width's kind in the last bytes.
+    #[test]
+    fn branch_lengths_match_the_encoder_at_both_widths(
+        cond in arb_cond(),
+        target in arb_branch_target(),
+        width in arb_width(),
+        conditional in any::<bool>(),
+    ) {
+        let inst = if conditional {
+            Inst::Jcc { cond, target, width }
+        } else {
+            Inst::Jmp { target, width }
+        };
+        let enc = encode_at(&inst, BASE).expect("short-reach branches encode");
+        let len = match (conditional, width) {
+            (_, JumpWidth::Short) => 2,
+            (true, JumpWidth::Near) => 6,
+            (false, JumpWidth::Near) => 5,
+        };
+        prop_assert_eq!(encoded_len(&inst), len);
+        prop_assert_eq!(enc.bytes.len(), len);
+        let kind = match width {
+            JumpWidth::Short => FixupKind::Rel8,
+            JumpWidth::Near => FixupKind::Rel32,
+        };
+        match target {
+            Target::Label(label) => {
+                let f = enc.fixup.expect("a label target leaves a fixup");
+                prop_assert_eq!((f.kind, f.label), (kind, label));
+                prop_assert_eq!(usize::from(f.offset) + kind.width(), len);
+            }
+            Target::Addr(_) => prop_assert!(enc.fixup.is_none()),
         }
     }
 }

@@ -12,7 +12,6 @@ use bolt_ir::{
     BasicBlock, BinaryContext, BinaryInst, BlockId, JumpTable, LineInfo, NonSimpleReason, SuccEdge,
 };
 use bolt_isa::{decode, AluOp, Inst, Label, Mem, Reg, Rm, Target};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One decoded instruction with placement info.
 #[derive(Debug, Clone)]
@@ -149,85 +148,97 @@ fn disassemble_function(
         }
     }
 
-    // Leaders.
-    let mut leaders: BTreeSet<u64> = BTreeSet::new();
-    leaders.insert(start);
+    // Leaders: block start addresses, sorted and deduplicated below.
+    let mut leaders: Vec<u64> = vec![start];
     for (i, s) in slots.iter().enumerate() {
         match s.inst {
             Inst::Jcc { target, .. } | Inst::Jmp { target, .. } => {
                 if let Target::Addr(t) = target {
                     if t >= start && t < end {
-                        leaders.insert(t);
+                        leaders.push(t);
                     }
                 }
                 if let Some(next) = slots.get(i + 1) {
-                    leaders.insert(next.addr);
+                    leaders.push(next.addr);
                 }
             }
             Inst::Ret | Inst::RepzRet | Inst::Ud2 | Inst::JmpInd { .. } => {
                 if let Some(next) = slots.get(i + 1) {
-                    leaders.insert(next.addr);
+                    leaders.push(next.addr);
                 }
             }
             _ => {}
         }
     }
     for jt in &jump_tables {
-        for t in &jt.targets {
-            leaders.insert(*t);
-        }
+        leaders.extend_from_slice(&jt.targets);
     }
-    // Landing pads referenced by the exception table.
-    for (&cs, &lp) in &ctx.exceptions.entries {
-        if cs >= start && cs < end {
-            if lp < start || lp >= end {
-                return Err(NonSimpleReason::OutOfRangeControlFlow);
-            }
-            leaders.insert(lp);
-        }
-    }
-    // Leaders must fall on instruction boundaries.
-    let inst_at: BTreeMap<u64, usize> =
-        slots.iter().enumerate().map(|(i, s)| (s.addr, i)).collect();
-    for l in &leaders {
-        if !inst_at.contains_key(l) {
+    // Landing pads of the function's call sites in the exception table.
+    let call_sites = || ctx.exceptions.entries.range(start..end);
+    for (_, &lp) in call_sites() {
+        if lp < start || lp >= end {
             return Err(NonSimpleReason::OutOfRangeControlFlow);
         }
+        leaders.push(lp);
     }
+    leaders.sort_unstable();
+    leaders.dedup();
+    // Leaders must fall on instruction boundaries: find each one's slot
+    // in one walk of both sorted lists.
+    let mut leader_slots: Vec<usize> = Vec::with_capacity(leaders.len());
+    let mut slot = 0;
+    for &l in &leaders {
+        while slots.get(slot).is_some_and(|s| s.addr < l) {
+            slot += 1;
+        }
+        if slots.get(slot).map(|s| s.addr) != Some(l) {
+            return Err(NonSimpleReason::OutOfRangeControlFlow);
+        }
+        leader_slots.push(slot);
+    }
+    // Block `r` starts at leader `r`.
+    let block_of_addr = |a: u64| -> BlockId {
+        let rank = leaders.binary_search(&a).expect("targets are leaders");
+        BlockId(rank as u32)
+    };
 
     // Build blocks.
     let mut func = bolt_ir::BinaryFunction::new(&raw.name, raw.address);
     func.size = raw.size;
     func.section = raw.section.clone();
-    let leader_list: Vec<u64> = leaders.iter().copied().collect();
-    let mut block_of_addr: BTreeMap<u64, BlockId> = BTreeMap::new();
-    for &l in &leader_list {
+    func.blocks.reserve_exact(leaders.len());
+    func.layout.reserve_exact(leaders.len());
+    for &l in &leaders {
         let mut b = BasicBlock::new();
         b.orig_addr = l;
-        let id = func.add_block(b);
-        block_of_addr.insert(l, id);
+        func.add_block(b);
     }
     // Assign instructions (discarding NOPs and alignment padding: paper
     // section 4, "BOLT's policy of discarding all NOPs after reading the
-    // input binary"). Leaders are slot addresses in address order, so
-    // block `r` holds the slots from leader `r` up to leader `r + 1`;
-    // counting them first sizes its vector exactly.
-    for (rank, &leader) in leader_list.iter().enumerate() {
-        let lo = inst_at[&leader];
-        let hi = leader_list
-            .get(rank + 1)
-            .map_or(slots.len(), |l| inst_at[l]);
+    // input binary"). Block `r` holds the slots from leader `r` up to
+    // leader `r + 1`; counting them first sizes its vector exactly. Line
+    // entries and call sites are sorted by address, like the slots, so
+    // a cursor into each walks forward from the function's start.
+    let lines = &ctx.lines.entries;
+    let mut next_line = lines.partition_point(|e| e.0 < start);
+    let mut call_sites = call_sites().peekable();
+    for (rank, &lo) in leader_slots.iter().enumerate() {
+        let hi = leader_slots.get(rank + 1).copied().unwrap_or(slots.len());
         let run = &slots[lo..hi];
         let is_code = |s: &&Slot| !matches!(s.inst, Inst::Nop { .. });
         let mut insts = Vec::with_capacity(run.iter().filter(is_code).count());
         for s in run.iter().filter(is_code) {
             let mut bi = BinaryInst::new(s.inst).at(s.addr);
-            if let Some((file, line)) = ctx.lines.lookup(s.addr) {
+            while lines.get(next_line).is_some_and(|e| e.0 < s.addr) {
+                next_line += 1;
+            }
+            if let Some(&(_, file, line)) = lines.get(next_line).filter(|e| e.0 == s.addr) {
                 bi.line = Some(LineInfo { file, line });
             }
             if s.inst.is_call() {
-                if let Some(lp) = ctx.exceptions.landing_pad_for(s.addr) {
-                    bi.landing_pad = block_of_addr.get(&lp).copied();
+                while call_sites.next_if(|(&cs, _)| cs < s.addr).is_some() {}
+                if let Some((_, &lp)) = call_sites.next_if(|(&cs, _)| cs == s.addr) {
+                    bi.landing_pad = Some(block_of_addr(lp));
                 }
             }
             insts.push(bi);
@@ -235,15 +246,12 @@ fn disassemble_function(
         func.blocks[rank].insts = insts;
     }
 
-    // Edges + intra-function target relabeling.
-    let blocks_in_order: Vec<(u64, BlockId)> =
-        block_of_addr.iter().map(|(&a, &b)| (a, b)).collect();
-    let next_block: BTreeMap<BlockId, BlockId> = blocks_in_order
-        .windows(2)
-        .map(|w| (w[0].1, w[1].1))
-        .collect();
-
-    for &(_, bid) in &blocks_in_order {
+    // Edges + intra-function target relabeling. Blocks are in address
+    // order, so a block falls through to the next id.
+    let n_blocks = leaders.len();
+    for rank in 0..n_blocks {
+        let bid = BlockId(rank as u32);
+        let next_block = (rank + 1 < n_blocks).then(|| BlockId(rank as u32 + 1));
         let term = func.block(bid).terminator().map(|t| t.inst);
         let falls = func.block(bid).can_fall_through();
         let mut succs: Vec<SuccEdge> = Vec::new();
@@ -251,7 +259,7 @@ fn disassemble_function(
             Some(Inst::Jcc { target, .. }) => {
                 let taken = match target {
                     Target::Addr(t) if t >= start && t < end => {
-                        let tb = block_of_addr[&t];
+                        let tb = block_of_addr(t);
                         // Relabel to a block reference.
                         func.block_mut(bid)
                             .terminator_mut()
@@ -268,7 +276,7 @@ fn disassemble_function(
                 if let Some(tb) = taken {
                     succs.push(SuccEdge::cold(tb));
                 }
-                let Some(&fb) = next_block.get(&bid) else {
+                let Some(fb) = next_block else {
                     return Err(NonSimpleReason::OutOfRangeControlFlow);
                 };
                 succs.push(SuccEdge::cold(fb));
@@ -276,7 +284,7 @@ fn disassemble_function(
             Some(Inst::Jmp { target, .. }) => {
                 if let Target::Addr(t) = target {
                     if t >= start && t < end {
-                        let tb = block_of_addr[&t];
+                        let tb = block_of_addr(t);
                         func.block_mut(bid)
                             .terminator_mut()
                             .expect("jmp")
@@ -291,10 +299,10 @@ fn disassemble_function(
                 // Jump table dispatch: edges to each distinct target.
                 let jmp_addr = func.block(bid).terminator().expect("jmpind").addr;
                 if let Some(jt) = jump_tables.iter().find(|j| j.jmp_addr == jmp_addr) {
-                    let mut seen = BTreeSet::new();
-                    for t in &jt.targets {
-                        let tb = block_of_addr[t];
-                        if seen.insert(tb) {
+                    let mut seen = vec![false; n_blocks];
+                    for &t in &jt.targets {
+                        let tb = block_of_addr(t);
+                        if !std::mem::replace(&mut seen[tb.index()], true) {
                             succs.push(SuccEdge::cold(tb));
                         }
                     }
@@ -303,7 +311,7 @@ fn disassemble_function(
             Some(Inst::Ret) | Some(Inst::RepzRet) | Some(Inst::Ud2) => {}
             Some(_) | None => {
                 if falls {
-                    let Some(&fb) = next_block.get(&bid) else {
+                    let Some(fb) = next_block else {
                         return Err(NonSimpleReason::OutOfRangeControlFlow);
                     };
                     succs.push(SuccEdge::cold(fb));
@@ -318,7 +326,7 @@ fn disassemble_function(
         func.jump_tables.push(JumpTable {
             addr: jt.table_addr,
             name: format!("jt_{:x}", jt.table_addr),
-            targets: jt.targets.iter().map(|t| block_of_addr[t]).collect(),
+            targets: jt.targets.iter().map(|&t| block_of_addr(t)).collect(),
             entry_size: 8,
         });
     }
@@ -501,5 +509,159 @@ mod tests {
             .flat_map(|b| &b.insts)
             .any(|i| i.inst == Inst::RepzRet);
         assert!(has_repz);
+    }
+
+    const BASE: u64 = 0x40_0000;
+    const TABLE: u64 = 0x50_0000;
+
+    /// Encodes `insts` back to back from `base`.
+    fn code(base: u64, insts: &[Inst]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for i in insts {
+            let at = base + bytes.len() as u64;
+            bytes.extend(bolt_isa::encode_at(i, at).expect("encodes").bytes);
+        }
+        bytes
+    }
+
+    /// Disassembles `insts`, placed at `BASE`, as one function.
+    fn disassemble_one(
+        ctx: &BinaryContext,
+        insts: &[Inst],
+    ) -> Result<bolt_ir::BinaryFunction, NonSimpleReason> {
+        let bytes = code(BASE, insts);
+        let raw = RawFunction {
+            name: "f".into(),
+            address: BASE,
+            size: bytes.len() as u64,
+            section: ".text".into(),
+        };
+        let mut elf = Elf::new(BASE);
+        elf.sections
+            .push(bolt_elf::Section::code(".text", BASE, bytes));
+        disassemble_function(ctx, &raw, &elf)
+    }
+
+    /// `movq $1, %rax` (7 bytes at `BASE`), a branch to `to`, `ret`.
+    fn branch_to(to: u64) -> [Inst; 3] {
+        let jcc = Inst::Jcc {
+            cond: bolt_isa::Cond::E,
+            target: Target::Addr(to),
+            width: bolt_isa::JumpWidth::Short,
+        };
+        [
+            Inst::MovRI {
+                dst: Reg::Rax,
+                imm: 1,
+            },
+            jcc,
+            Inst::Ret,
+        ]
+    }
+
+    #[test]
+    fn branch_into_the_middle_of_an_instruction_is_out_of_range() {
+        let ctx = BinaryContext::new();
+        assert!(disassemble_one(&ctx, &branch_to(BASE)).is_ok());
+        assert_eq!(
+            disassemble_one(&ctx, &branch_to(BASE + 2)).unwrap_err(),
+            NonSimpleReason::OutOfRangeControlFlow
+        );
+    }
+
+    /// A two-entry jump-table dispatch on `%rdi`, two arms returning,
+    /// and the read-only table holding `entries(arm0, arm1)`.
+    fn jump_table_case(entries: impl Fn(u64, u64) -> [u64; 2]) -> (BinaryContext, Vec<Inst>) {
+        let mut insts = vec![
+            Inst::AluI {
+                op: AluOp::Cmp,
+                dst: Reg::Rdi,
+                imm: 2,
+            },
+            Inst::Jcc {
+                cond: bolt_isa::Cond::Ae,
+                target: Target::Addr(0), // the last `ret`, set below
+                width: bolt_isa::JumpWidth::Near,
+            },
+            Inst::Lea {
+                dst: Reg::Rax,
+                mem: Mem::rip(Target::Addr(TABLE)),
+            },
+            Inst::Load {
+                dst: Reg::Rcx,
+                mem: Mem::BaseIndexScale {
+                    base: Reg::Rax,
+                    index: Reg::Rdi,
+                    scale: 8,
+                    disp: 0,
+                },
+            },
+            Inst::JmpInd {
+                rm: Rm::Reg(Reg::Rcx),
+            },
+        ];
+        let arm = |imm| Inst::MovRI { dst: Reg::Rax, imm };
+        insts.extend([arm(10), Inst::Ret, arm(11), Inst::Ret, Inst::Ret]);
+        let addr = |i: usize| BASE + code(BASE, &insts[..i]).len() as u64;
+        let (arm0, arm1, default) = (addr(5), addr(7), addr(9));
+        insts[1].set_target(Target::Addr(default));
+        let table = entries(arm0, arm1);
+        let mut ctx = BinaryContext::new();
+        ctx.rodata
+            .push((TABLE, table.iter().flat_map(|e| e.to_le_bytes()).collect()));
+        (ctx, insts)
+    }
+
+    #[test]
+    fn jump_table_entry_into_the_middle_of_an_instruction_is_out_of_range() {
+        let (ctx, insts) = jump_table_case(|arm0, arm1| [arm0, arm1]);
+        let func = disassemble_one(&ctx, &insts).expect("the dispatch is recognized");
+        assert_eq!(func.jump_tables.len(), 1);
+        let (ctx, insts) = jump_table_case(|arm0, arm1| [arm0, arm1 + 1]);
+        assert_eq!(
+            disassemble_one(&ctx, &insts).unwrap_err(),
+            NonSimpleReason::OutOfRangeControlFlow
+        );
+    }
+
+    #[test]
+    fn landing_pad_outside_its_function_is_out_of_range() {
+        let insts = [
+            Inst::Call {
+                target: Target::Addr(0x60_0000),
+            },
+            Inst::Ret,
+            Inst::Ret,
+        ];
+        let mut ctx = BinaryContext::new();
+        ctx.exceptions.add(BASE, BASE + 6); // the second `ret`
+        let func = disassemble_one(&ctx, &insts).expect("an in-function pad");
+        assert_eq!(func.blocks[0].insts[0].landing_pad, Some(BlockId(1)));
+        let mut ctx = BinaryContext::new();
+        ctx.exceptions.add(BASE, BASE + 7); // one past the end
+        assert_eq!(
+            disassemble_one(&ctx, &insts).unwrap_err(),
+            NonSimpleReason::OutOfRangeControlFlow
+        );
+    }
+
+    /// Line info comes from a cursor that starts at the function: the
+    /// entry on the previous function's last instruction, right before
+    /// this one's first (which has none), is not carried over.
+    #[test]
+    fn line_cursor_starts_at_the_function() {
+        let insts = [Inst::Push(Reg::Rbp), Inst::Pop(Reg::Rbp), Inst::Ret];
+        let mut ctx = BinaryContext::new();
+        let file = ctx.lines.intern_file("f.c");
+        ctx.lines.push(BASE - 1, file, 7); // the neighbour's last `ret`
+        ctx.lines.push(BASE + 1, file, 8);
+        ctx.lines.push(BASE + 3, file, 9); // past the end
+        let func = disassemble_one(&ctx, &insts).expect("disassembles");
+        let lines: Vec<_> = func.blocks[0]
+            .insts
+            .iter()
+            .map(|i| i.line.map(|l| l.line))
+            .collect();
+        assert_eq!(lines, [None, Some(8), None]);
     }
 }

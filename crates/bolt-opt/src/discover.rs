@@ -34,7 +34,13 @@ pub fn discover(elf: &Elf) -> (BinaryContext, Vec<RawFunction>) {
 
     // Metadata tables.
     if let Some(sec) = elf.section(sections::LINES) {
-        if let Ok(t) = LineTable::from_bytes(&sec.data) {
+        if let Ok(mut t) = LineTable::from_bytes(&sec.data) {
+            // Disassembly walks it in address order, and the rewrite
+            // merges it with the new entries, so it is kept sorted. A
+            // well-formed table already is.
+            if !t.entries.is_sorted() {
+                t.normalize();
+            }
             ctx.lines = t;
         }
     }

@@ -14,6 +14,7 @@ use bolt_profile::{
 use bolt_verify::{verify_rewrite, verify_semantics, VerifyReport};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// Everything a BOLT run produces.
 #[derive(Debug)]
@@ -32,6 +33,11 @@ pub struct BoltOutput {
     pub attach_stats: AttachStats,
     /// Rewrite statistics.
     pub rewrite_stats: RewriteStats,
+    /// Wall clock of the final round's [`prepare`] (`-time-passes`).
+    pub prepare_timing: PrepareTiming,
+    /// Wall clock of the before and after dyno-stats sweeps (`-time-passes`);
+    /// `None` without `-dyno-stats`.
+    pub dyno_time: Option<Duration>,
     /// Number of functions BOLT fully understood.
     pub simple_functions: usize,
     /// `-report-bad-layout` output, when requested.
@@ -246,6 +252,15 @@ impl QuarantineReport {
     }
 }
 
+/// Wall clock of [`prepare`]'s three stages (`-time-passes`): function
+/// discovery, disassembly with CFG construction, profile attachment.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrepareTiming {
+    pub discover: Duration,
+    pub disasm: Duration,
+    pub attach: Duration,
+}
+
 /// The driver's state right before the optimization pipeline runs:
 /// stages 1–5 of paper Figure 3 (discovery through profile attachment).
 #[derive(Debug)]
@@ -256,6 +271,8 @@ pub struct PreparedContext {
     pub attach_stats: AttachStats,
     /// Number of functions BOLT fully understood.
     pub simple_functions: usize,
+    /// How long each stage took.
+    pub timing: PrepareTiming,
 }
 
 /// Runs the pre-pipeline stages of [`optimize`] — function discovery,
@@ -264,11 +281,15 @@ pub struct PreparedContext {
 /// and tests that drive `PassManager` directly use this so they cannot
 /// drift from the real driver.
 pub fn prepare(elf: &Elf, profile: &Profile, opts: &BoltOptions) -> PreparedContext {
+    let started = Instant::now();
     // Figure 3: function discovery, read debug info, read profile data.
     let (mut ctx, raw_funcs) = discover(elf);
+    let discovered = Instant::now();
     // Disassembly + CFG construction (sharded across opts.threads
     // workers, like the per-function passes).
     let simple_functions = disassemble_all_with_threads(&mut ctx, &raw_funcs, elf, opts.threads);
+    drop(raw_funcs);
+    let disassembled = Instant::now();
     // Profile attachment (+ non-LBR call-graph inference, section 5.3).
     let attach_stats = attach_profile_opts(&mut ctx, profile, opts.non_lbr_tuned);
     if profile.mode == ProfileMode::IpSamples {
@@ -278,6 +299,11 @@ pub fn prepare(elf: &Elf, profile: &Profile, opts: &BoltOptions) -> PreparedCont
         ctx,
         attach_stats,
         simple_functions,
+        timing: PrepareTiming {
+            discover: discovered - started,
+            disasm: disassembled - discovered,
+            attach: disassembled.elapsed(),
+        },
     }
 }
 
@@ -321,6 +347,7 @@ pub fn optimize(elf: &Elf, profile: &Profile, opts: &BoltOptions) -> Result<Bolt
             mut ctx,
             attach_stats,
             simple_functions: _,
+            timing: prepare_timing,
         } = prepare(elf, profile, opts);
 
         for (name, action) in &demotions {
@@ -348,11 +375,17 @@ pub fn optimize(elf: &Elf, profile: &Profile, opts: &BoltOptions) -> Result<Bolt
             None
         };
 
-        let dyno_before = if opts.dyno_stats {
-            dyno::context_dyno_stats(&ctx)
-        } else {
-            DynoStats::default()
+        let mut dyno_time = opts.dyno_stats.then_some(Duration::ZERO);
+        let mut dyno_sweep = |ctx: &BinaryContext| match &mut dyno_time {
+            Some(time) => {
+                let started = Instant::now();
+                let stats = dyno::context_dyno_stats(ctx);
+                *time += started.elapsed();
+                stats
+            }
+            None => DynoStats::default(),
         };
+        let dyno_before = dyno_sweep(&ctx);
 
         // Optimization pipeline: the standard Table-1 registry, with
         // per-pass dyno attribution when both -time-passes and
@@ -436,11 +469,7 @@ pub fn optimize(elf: &Elf, profile: &Profile, opts: &BoltOptions) -> Result<Bolt
             continue 'ladder;
         }
 
-        let dyno_after = if opts.dyno_stats {
-            dyno::context_dyno_stats(&ctx)
-        } else {
-            DynoStats::default()
-        };
+        let dyno_after = dyno_sweep(&ctx);
 
         // Emit and rewrite. An emit error attributable to one function
         // quarantines it; anything else quarantines every still-emitted
@@ -547,6 +576,8 @@ pub fn optimize(elf: &Elf, profile: &Profile, opts: &BoltOptions) -> Result<Bolt
             ctx,
             attach_stats,
             rewrite_stats,
+            prepare_timing,
+            dyno_time,
             simple_functions,
             bad_layout,
             verify,

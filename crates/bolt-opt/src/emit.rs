@@ -52,13 +52,15 @@ pub struct RewriteStats {
 
 /// The line and exception tables of the rewritten binary (paper section
 /// 3.4): entries inside `moved` code go, `result`'s for its new home come.
+/// One sweep: the input table is sorted (`discover` normalizes it), the
+/// moved ranges are sorted and merged here, and the emitter's entries
+/// are sorted, so survivors and new entries merge without a sort.
 fn rebuild_tables(
     ctx: &BinaryContext,
     mut moved: Vec<(u64, u64)>,
     result: &EmitResult,
 ) -> (LineTable, ExceptionTable) {
-    // Sorted and merged into disjoint `[start, end)` ranges, the moved
-    // functions answer "is this address inside one?" by binary search.
+    // Sorted and merged into disjoint `[start, end)` ranges.
     moved.sort_unstable();
     moved.dedup_by(|next, last| {
         let joins = next.0 <= last.1;
@@ -67,26 +69,85 @@ fn rebuild_tables(
         }
         joins
     });
-    let inside_moved = |a: u64| -> bool {
-        let after = moved.partition_point(|r| r.0 <= a);
-        after > 0 && a < moved[after - 1].1
+    // "Is `a` inside a moved range?" for ascending `a`: a cursor past
+    // every range that ends at or before `a`.
+    let moved = &moved[..];
+    let inside_moved = || {
+        let mut next = 0;
+        move |a: u64| {
+            while moved.get(next).is_some_and(|r| r.1 <= a) {
+                next += 1;
+            }
+            moved.get(next).is_some_and(|r| r.0 <= a)
+        }
     };
-    let kept = ctx.lines.entries.iter().filter(|e| !inside_moved(e.0));
-    let new = result
-        .line_entries
-        .iter()
-        .map(|(a, li)| (*a, li.file, li.line));
-    let mut lines = LineTable {
+
+    debug_assert!(ctx.lines.entries.is_sorted(), "discover normalizes lines");
+    let kept = || {
+        let mut inside = inside_moved();
+        ctx.lines
+            .entries
+            .iter()
+            .filter(move |e| !inside(e.0))
+            .copied()
+    };
+    let new = || {
+        result
+            .line_entries
+            .iter()
+            .map(|(a, li)| (*a, li.file, li.line))
+    };
+    let mut entries = Vec::with_capacity(kept().count() + new().len());
+    // The new entries are sorted by address; two share one only if the
+    // hot and cold streams overlap, and then they are sorted here.
+    if new().is_sorted() {
+        merge_dedup(kept(), new(), &mut entries);
+    } else {
+        let mut sorted: Vec<_> = new().collect();
+        sorted.sort_unstable();
+        merge_dedup(kept(), sorted.into_iter(), &mut entries);
+    }
+    let lines = LineTable {
         files: ctx.lines.files.clone(),
-        entries: kept.copied().chain(new).collect(),
+        entries,
     };
-    lines.normalize();
-    let mut eh = ctx.exceptions.clone();
-    eh.entries.retain(|cs, _| !inside_moved(*cs));
+
+    let mut kept = inside_moved();
+    let mut eh = ExceptionTable {
+        entries: ctx
+            .exceptions
+            .entries
+            .iter()
+            .filter(|(cs, _)| !kept(**cs))
+            .map(|(&cs, &lp)| (cs, lp))
+            .collect(),
+    };
     for (call_addr, pad_label) in &result.eh_entries {
         eh.add(*call_addr, result.label_addrs[pad_label]);
     }
     (lines, eh)
+}
+
+/// Appends the merge of the sorted `a` and `b` to `out`, dropping
+/// repeats.
+fn merge_dedup<T: Ord + Copy>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T>,
+    out: &mut Vec<T>,
+) {
+    let mut b = b.peekable();
+    let mut push = |e| {
+        if out.last() != Some(&e) {
+            out.push(e);
+        }
+    };
+    for e in a {
+        while let Some(n) = b.next_if(|n| *n < e) {
+            push(n);
+        }
+        push(e);
+    }
+    b.for_each(push);
 }
 
 /// Rewrites `elf` according to the optimized `ctx`, emitting functions in
@@ -113,36 +174,42 @@ pub fn rewrite_binary(
     stats.emitted_functions = emitted.len();
     stats.skipped_functions = ctx.functions.len() - emitted.len();
 
-    // Label allocation: one per emitted block, in emission order.
-    let mut block_labels: HashMap<(usize, BlockId), Label> = HashMap::new();
+    // Label allocation: a run of labels per emitted function, in
+    // emission order; block `b` of function `fi` is `first_label[fi] + b`.
+    let mut first_label = vec![0u32; ctx.functions.len()];
+    let mut next_label = 0u32;
     for &fi in &emitted {
-        for &b in &ctx.functions[fi].layout {
-            block_labels.insert((fi, b), Label(block_labels.len() as u32));
-        }
+        first_label[fi] = next_label;
+        next_label += ctx.functions[fi].blocks.len() as u32;
     }
-    // Old entry address -> new entry label (through ICF folds).
-    let mut entry_label_of_addr: HashMap<u64, Label> = HashMap::new();
+    let block_label = |fi: usize, b: BlockId| Label(first_label[fi] + b.0);
+    // Old entry address -> new entry label (through ICF folds), sorted by
+    // address; of two functions at one address the later one wins.
     let mut is_emitted = vec![false; ctx.functions.len()];
     for &fi in &emitted {
         is_emitted[fi] = true;
     }
-    for (i, f) in ctx.functions.iter().enumerate() {
+    let mut entry_labels: Vec<(u64, Label)> = Vec::new();
+    for (i, f) in ctx.functions.iter().enumerate().rev() {
         let k = bolt_passes::icf::resolve_fold(ctx, i);
         if is_emitted[k] {
-            let entry = ctx.functions[k].entry();
-            entry_label_of_addr.insert(f.address, block_labels[&(k, entry)]);
+            entry_labels.push((f.address, block_label(k, ctx.functions[k].entry())));
         }
     }
+    entry_labels.sort_by_key(|e| e.0);
+    entry_labels.dedup_by_key(|e| e.0);
+    let entry_label_of = |addr: u64| -> Option<Label> {
+        let i = entry_labels.binary_search_by_key(&addr, |e| e.0).ok()?;
+        Some(entry_labels[i].1)
+    };
 
     // Convert functions to emission units.
     let map_target = |fi: usize, t: Target| -> Target {
         match t {
-            Target::Label(l) => {
-                // Intra-function block reference.
-                Target::Label(block_labels[&(fi, BlockId(l.0))])
-            }
-            Target::Addr(a) => match entry_label_of_addr.get(&a) {
-                Some(l) => Target::Label(*l),
+            // Intra-function block reference.
+            Target::Label(l) => Target::Label(block_label(fi, BlockId(l.0))),
+            Target::Addr(a) => match entry_label_of(a) {
+                Some(l) => Target::Label(l),
                 None => Target::Addr(a),
             },
         }
@@ -156,7 +223,7 @@ pub fn rewrite_binary(
         unit.cold_start = func.cold_start;
         unit.blocks.reserve_exact(func.layout.len());
         for &bid in &func.layout {
-            let mut eb = EmitBlock::new(block_labels[&(fi, bid)]);
+            let mut eb = EmitBlock::new(block_label(fi, bid));
             // BOLT discards alignment; blocks are packed tight.
             eb.align = 1;
             eb.insts.reserve_exact(func.block(bid).insts.len());
@@ -179,7 +246,7 @@ pub fn rewrite_binary(
                 }
                 let mut ei = EmitInst::new(m);
                 ei.line = inst.line;
-                ei.eh_pad = inst.landing_pad.map(|lp| block_labels[&(fi, lp)]);
+                ei.eh_pad = inst.landing_pad.map(|lp| block_label(fi, lp));
                 eb.insts.push(ei);
             }
             unit.blocks.push(eb);
@@ -215,7 +282,7 @@ pub fn rewrite_binary(
             for (k, target) in jt.targets.iter().enumerate() {
                 let entry_addr = jt.addr + 8 * k as u64;
                 if holds(sec, entry_addr) {
-                    let new_addr = result.label_addrs[&block_labels[&(fi, *target)]];
+                    let new_addr = result.label_addrs[&block_label(fi, *target)];
                     let off = (entry_addr - sec.addr) as usize;
                     sec.data[off..off + 8].copy_from_slice(&new_addr.to_le_bytes());
                     stats.patched_jump_table_entries += 1;
@@ -231,7 +298,7 @@ pub fn rewrite_binary(
     let mut old_entries: Vec<(u64, u64, Label)> = ctx
         .functions
         .iter()
-        .filter_map(|f| Some((f.address, f.size, *entry_label_of_addr.get(&f.address)?)))
+        .filter_map(|f| Some((f.address, f.size, entry_label_of(f.address)?)))
         .collect();
     old_entries.sort_unstable_by_key(|e| e.0);
     old_entries.dedup_by_key(|e| e.0);
@@ -306,8 +373,7 @@ pub fn rewrite_binary(
     if let Some(&fi) = ctx.by_name.get("_start") {
         let f = &ctx.functions[fi];
         if is_emitted[fi] {
-            let entry_label = block_labels[&(fi, f.entry())];
-            out.entry = result.label_addrs[&entry_label];
+            out.entry = result.label_addrs[&block_label(fi, f.entry())];
         }
     }
 

@@ -39,11 +39,12 @@ pub mod report;
 pub use disasm::{disassemble_all, disassemble_all_with_threads};
 pub use discover::discover;
 pub use driver::{
-    optimize, prepare, BoltError, BoltOutput, PreparedContext, QuarantineAction, QuarantineEvent,
-    QuarantineReport,
+    optimize, prepare, BoltError, BoltOutput, PrepareTiming, PreparedContext, QuarantineAction,
+    QuarantineEvent, QuarantineReport,
 };
 pub use emit::{rewrite_binary, RewriteStats, BOLT_COLD_BASE, BOLT_TEXT_BASE};
 pub use options::BoltOptions;
 pub use report::{
-    bad_layout_report, find_bad_layout, rewrite_timing_report, timing_report, BadLayoutCase,
+    bad_layout_report, find_bad_layout, prepare_timing_report, rewrite_timing_report,
+    timing_report, BadLayoutCase,
 };

@@ -3,6 +3,7 @@
 //! renders them with source attribution.
 
 use bolt_ir::{dump_function, BinaryContext, DumpOptions};
+use std::time::Duration;
 
 /// One bad-layout occurrence.
 #[derive(Debug, Clone)]
@@ -152,6 +153,47 @@ pub fn rewrite_timing_report(stats: &crate::RewriteStats) -> String {
     out
 }
 
+/// Renders the rows `-time-passes` prints above the pass table: the
+/// stages before the pipeline (paper Figure 3 stages 1–5) with their
+/// shares, then, with `-dyno-stats`, the before and after dyno-stats
+/// sweeps as a share of the pass total (`passes`).
+pub fn prepare_timing_report(
+    timing: &crate::PrepareTiming,
+    dyno: Option<Duration>,
+    passes: Duration,
+) -> String {
+    let total = timing.discover + timing.disasm + timing.attach;
+    let total_secs = total.as_secs_f64().max(f64::MIN_POSITIVE);
+    let mut out = String::from("BOLT prepare timing (wall clock):\n");
+    for (stage, time) in [
+        ("discover", timing.discover),
+        ("disasm", timing.disasm),
+        ("attach", timing.attach),
+    ] {
+        out.push_str(&format!(
+            "  {:<20} {:>12} {:>6.1}%\n",
+            stage,
+            format!("{time:.3?}"),
+            100.0 * time.as_secs_f64() / total_secs,
+        ));
+    }
+    out.push_str(&format!(
+        "  {:<20} {:>12}\n",
+        "total",
+        format!("{total:.3?}")
+    ));
+    if let Some(dyno) = dyno {
+        let passes_secs = passes.as_secs_f64().max(f64::MIN_POSITIVE);
+        out.push_str(&format!(
+            "  {:<20} {:>12} {:>6.1}% of the pass total\n",
+            "dyno-stats",
+            format!("{dyno:.3?}"),
+            100.0 * dyno.as_secs_f64() / passes_secs,
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +247,6 @@ mod tests {
     /// against a quadratic rebuild), so their names and columns are pinned.
     #[test]
     fn rewrite_timing_rows_are_pinned() {
-        use std::time::Duration;
         let stats = crate::RewriteStats {
             emit_time: Duration::from_millis(30),
             assemble_time: Duration::from_millis(5),
@@ -227,5 +268,50 @@ mod tests {
         assert_eq!(rows[4], ["total", "50.000ms"]);
         // An unmeasured rewrite renders without dividing by zero.
         assert!(rewrite_timing_report(&Default::default()).contains("0.0%"));
+    }
+
+    /// CI parses the `dyno-stats` row (its share of the pass total is
+    /// the tripwire against a per-instruction cost in the dyno sweep), so
+    /// the block's names and columns are pinned.
+    #[test]
+    fn prepare_timing_rows_are_pinned() {
+        let timing = crate::PrepareTiming {
+            discover: Duration::from_millis(2),
+            disasm: Duration::from_millis(15),
+            attach: Duration::from_millis(3),
+        };
+        let dyno = Some(Duration::from_millis(4));
+        let report = prepare_timing_report(&timing, dyno, Duration::from_millis(80));
+        let rows: Vec<Vec<&str>> = report
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            report.lines().next(),
+            Some("BOLT prepare timing (wall clock):")
+        );
+        assert_eq!(rows[1], ["discover", "2.000ms", "10.0%"]);
+        assert_eq!(rows[2], ["disasm", "15.000ms", "75.0%"]);
+        assert_eq!(rows[3], ["attach", "3.000ms", "15.0%"]);
+        assert_eq!(rows[4], ["total", "20.000ms"]);
+        assert_eq!(
+            rows[5],
+            [
+                "dyno-stats",
+                "4.000ms",
+                "5.0%",
+                "of",
+                "the",
+                "pass",
+                "total"
+            ]
+        );
+        assert_eq!(rows.len(), 6);
+        // Without -dyno-stats there is no sweep to report; an unmeasured
+        // run renders without dividing by zero.
+        let bare = prepare_timing_report(&Default::default(), None, Duration::ZERO);
+        assert!(bare.contains("0.0%") && !bare.contains("dyno-stats"));
+        let idle = prepare_timing_report(&Default::default(), dyno, Duration::ZERO);
+        assert!(idle.lines().last().unwrap().starts_with("  dyno-stats"));
     }
 }

@@ -6,7 +6,7 @@
 //! the layout avoided.
 
 use bolt_ir::{BinaryContext, BinaryFunction};
-use bolt_isa::{encoded_len, Inst};
+use bolt_isa::Inst;
 use std::fmt;
 
 /// Profile-weighted dynamic statistics.
@@ -142,13 +142,9 @@ pub fn function_dyno_stats(func: &BinaryFunction) -> DynoStats {
         let b = func.block(id);
         let exec = b.exec_count;
         s.executed_instructions += exec * b.insts.len() as u64;
-        for inst in &b.insts {
-            if inst.inst.is_call() {
-                s.executed_calls += exec;
-            }
-            // Count only size-affecting length once; encoded_len referenced
-            // to keep byte-weighted metrics possible later.
-            let _ = encoded_len(&inst.inst);
+        if exec > 0 {
+            let calls = b.insts.iter().filter(|i| i.inst.is_call()).count();
+            s.executed_calls += exec * calls as u64;
         }
         let Some(term) = b.terminator() else {
             continue;

@@ -9,7 +9,9 @@
 
 use bolt::elf::{read_elf, write_elf};
 use bolt::hfsort::Algorithm;
-use bolt::opt::{optimize, rewrite_timing_report, timing_report, BoltOptions};
+use bolt::opt::{
+    optimize, prepare_timing_report, rewrite_timing_report, timing_report, BoltOptions,
+};
 use bolt::passes::{BlockLayout, PassOptions, SplitMode};
 use bolt::profile::Profile;
 use std::process::ExitCode;
@@ -246,6 +248,11 @@ fn main() -> ExitCode {
         );
     }
     if opts.time_passes {
+        let passes = out.pipeline.total_duration();
+        eprint!(
+            "{}",
+            prepare_timing_report(&out.prepare_timing, out.dyno_time, passes)
+        );
         eprint!("{}", timing_report(&out.pipeline));
         eprint!("{}", rewrite_timing_report(&out.rewrite_stats));
     }

@@ -666,6 +666,23 @@ fn default_pipeline_under_verify_each_is_clean_on_tao() {
         report.contains("verify"),
         "-time-passes must show the verifier rows:\n{report}"
     );
+
+    // The stages before the pipeline, and the dyno-stats sweeps, have
+    // rows of their own: each one measured.
+    assert!(out.prepare_timing.disasm > std::time::Duration::ZERO);
+    let dyno = out.dyno_time.expect("paper_default collects dyno stats");
+    let passes = out.pipeline.total_duration();
+    let report = bolt::opt::prepare_timing_report(&out.prepare_timing, Some(dyno), passes);
+    let rows: Vec<&str> = report
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        rows,
+        ["discover", "disasm", "attach", "total", "dyno-stats"],
+        "-time-passes must show the prepare and dyno-stats rows:\n{report}"
+    );
 }
 
 /// The retired spellings fail loudly instead of falling through to
