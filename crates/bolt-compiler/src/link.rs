@@ -162,10 +162,28 @@ pub fn compile_and_link(
 
     let mut labels = Labels::new();
 
-    // Lower program functions in the requested order. Under PGO without
-    // an explicit order, model -freorder-functions: hot functions first by
-    // aggregated line heat (the compile-time analogue of HFSort's goal).
-    let pgo_order: Option<Vec<String>> = match (&opts.function_order, &opts.pgo) {
+    // Lower program functions in the requested order: an explicit order
+    // names functions first (unknown names skipped), then the rest follow
+    // in program order. Under PGO without an explicit order, model
+    // -freorder-functions: hot functions first by aggregated line heat
+    // (the compile-time analogue of HFSort's goal).
+    let order: Vec<usize> = match (&opts.function_order, &opts.pgo) {
+        (Some(names), _) => {
+            let index: HashMap<&str, usize> = program
+                .functions
+                .iter()
+                .enumerate()
+                .map(|(i, f)| (f.name.as_str(), i))
+                .collect();
+            let mut placed = vec![false; program.functions.len()];
+            let mut o = Vec::with_capacity(program.functions.len());
+            for &i in names.iter().filter_map(|n| index.get(n.as_str())) {
+                placed[i] = true;
+                o.push(i);
+            }
+            o.extend((0..program.functions.len()).filter(|&i| !placed[i]));
+            o
+        }
         (None, Some(profile)) => {
             let mut scored: Vec<(u64, usize)> = program
                 .functions
@@ -183,39 +201,16 @@ pub fn compile_and_link(
                 })
                 .collect();
             scored.sort_by_key(|&(heat, i)| (std::cmp::Reverse(heat), i));
-            Some(
-                scored
-                    .into_iter()
-                    .map(|(_, i)| program.functions[i].name.clone())
-                    .collect(),
-            )
+            scored.into_iter().map(|(_, i)| i).collect()
         }
-        _ => None,
-    };
-    let explicit_order = opts.function_order.clone().or(pgo_order);
-    let order: Vec<String> = match &explicit_order {
-        Some(order) => {
-            let mut o: Vec<String> = order
-                .iter()
-                .filter(|n| program.function(n).is_some())
-                .cloned()
-                .collect();
-            for f in &program.functions {
-                if !o.contains(&f.name) {
-                    o.push(f.name.clone());
-                }
-            }
-            o
-        }
-        None => program.functions.iter().map(|f| f.name.clone()).collect(),
+        (None, None) => (0..program.functions.len()).collect(),
     };
 
     let mut units: Vec<EmitUnit> = Vec::new();
     let mut jump_tables: Vec<JumpTableReq> = Vec::new();
     let mut gen_units: Vec<EmitUnit> = Vec::new();
-    for name in &order {
-        let func = program.function(name).expect("ordered name exists");
-        let gen = codegen_function(func, &program, &mut labels, opts);
+    for &i in &order {
+        let gen = codegen_function(&program.functions[i], &program, &mut labels, opts);
         gen_units.push(gen.unit);
         jump_tables.extend(gen.jump_tables);
     }

@@ -7,7 +7,7 @@
 //! AutoFDO does — including the precision loss of paper Figure 2 when a
 //! function is inlined into several callers.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A virtual register / stack slot within a function.
@@ -237,8 +237,13 @@ impl MirFunction {
         l
     }
 
-    /// Structural validation.
-    pub fn validate(&self, program: &MirProgram) -> Result<(), String> {
+    /// Structural validation against the program's function and global
+    /// names (see [`MirProgram::validate`]).
+    fn validate(
+        &self,
+        functions: &HashSet<&str>,
+        globals: &HashMap<&str, &Global>,
+    ) -> Result<(), String> {
         let err = |m: String| Err(format!("{}: {m}", self.name));
         if self.layout.is_empty() {
             return err("empty layout".into());
@@ -282,12 +287,12 @@ impl MirFunction {
                             }
                             Rvalue::LoadGlobal { global, index } => {
                                 check_op(index)?;
-                                if program.global(global).is_none() {
+                                if !globals.contains_key(global.as_str()) {
                                     return err(format!("unknown global {global}"));
                                 }
                             }
                             Rvalue::FuncAddr(f) => {
-                                if program.function(f).is_none() {
+                                if !functions.contains(f.as_str()) {
                                     return err(format!("address of unknown function {f}"));
                                 }
                             }
@@ -301,7 +306,7 @@ impl MirFunction {
                     } => {
                         check_op(index)?;
                         check_op(value)?;
-                        match program.global(global) {
+                        match globals.get(global.as_str()) {
                             None => return err(format!("unknown global {global}")),
                             Some(g) if !g.mutable => {
                                 return err(format!("store to read-only global {global}"))
@@ -328,7 +333,7 @@ impl MirFunction {
                             return err("more than six call arguments".into());
                         }
                         if let Callee::Direct(name) = callee {
-                            if program.function(name).is_none() {
+                            if !functions.contains(name.as_str()) {
                                 return err(format!("call to unknown function {name}"));
                             }
                         }
@@ -455,17 +460,27 @@ impl MirProgram {
         self.functions.iter_mut().find(|f| f.name == name)
     }
 
-    pub fn global(&self, name: &str) -> Option<&Global> {
-        self.globals.iter().find(|g| g.name == name)
-    }
-
-    /// Validates every function.
+    /// Validates every function, and that no two functions and no two
+    /// globals share a name (the linker, `Labels` and [`Interp`] each bind
+    /// a name to one of them).
     pub fn validate(&self) -> Result<(), String> {
-        if self.function(&self.entry).is_none() {
+        let mut functions = HashSet::with_capacity(self.functions.len());
+        for f in &self.functions {
+            if !functions.insert(f.name.as_str()) {
+                return Err(format!("duplicate function {}", f.name));
+            }
+        }
+        let mut globals = HashMap::with_capacity(self.globals.len());
+        for g in &self.globals {
+            if globals.insert(g.name.as_str(), g).is_some() {
+                return Err(format!("duplicate global {}", g.name));
+            }
+        }
+        if !functions.contains(self.entry.as_str()) {
             return Err(format!("entry function {} not found", self.entry));
         }
         for f in &self.functions {
-            f.validate(self)?;
+            f.validate(&functions, &globals)?;
         }
         Ok(())
     }
@@ -514,10 +529,31 @@ impl std::error::Error for InterpError {}
 /// valid program, `interpret(p, args) == emulate(compile(p), args)` (output
 /// and exit code). Function pointers are modeled as `i64` handles
 /// (`FUNC_HANDLE_BASE + function index`).
+///
+/// Cost model: [`Interp::new`] resolves every function and global name
+/// once, lowering the statements to ops that hold indices, so a run costs
+/// time linear in the statements it executes whatever the program's
+/// function count. Nothing is allocated per statement or per call: all
+/// frames share one locals stack, which like `output` only grows when it
+/// outgrows its capacity. Names are still checked lazily: a
+/// name that does not resolve fails only when its statement executes, so
+/// programs that fail [`MirProgram::validate`] run up to that point. Where
+/// a name repeats, calls and `FuncAddr` bind the first function of the
+/// name and global accesses the last global of the name.
 pub struct Interp<'p> {
     program: &'p MirProgram,
-    /// Mutable global state.
-    globals: HashMap<String, Vec<i64>>,
+    funcs: Vec<Func<'p>>,
+    /// Every function's ops; each block is a range of them.
+    ops: Vec<Op<'p>>,
+    /// Per function index, the first function of the same name (the one
+    /// an indirect call through that handle runs).
+    first_of_name: Vec<usize>,
+    /// Mutable global state, per global index.
+    globals: Vec<Vec<i64>>,
+    /// The locals of every active frame, the running one last.
+    stack: Vec<i64>,
+    /// The suspended callers of the running frame, innermost last.
+    frames: Vec<Frame>,
     pub output: Vec<i64>,
     steps: u64,
     max_steps: u64,
@@ -526,16 +562,222 @@ pub struct Interp<'p> {
 /// Base value for function-pointer handles in the interpreter.
 pub const FUNC_HANDLE_BASE: i64 = 0x4_0000_0000;
 
-impl<'p> Interp<'p> {
-    pub fn new(program: &'p MirProgram, max_steps: u64) -> Interp<'p> {
+/// Calls nest at most this deep below the function a run starts in.
+const MAX_CALL_DEPTH: usize = 256;
+
+/// A function name resolved by [`Interp::new`]: the function's index, or
+/// the name, reported as [`InterpError::UnknownFunction`] if it executes.
+type FuncRef<'p> = Result<usize, &'p str>;
+
+struct Func<'p> {
+    params: u32,
+    locals: u32,
+    entry: usize,
+    blocks: Vec<Block<'p>>,
+}
+
+struct Block<'p> {
+    /// The block's statements are `ops[start..end]`.
+    start: usize,
+    end: usize,
+    term: &'p Terminator,
+}
+
+/// A statement with its names resolved. A global that does not resolve
+/// is `None`.
+#[derive(Clone, Copy)]
+enum Op<'p> {
+    Use {
+        dst: LocalId,
+        src: Operand,
+    },
+    Bin {
+        dst: LocalId,
+        op: BinOp,
+        a: Operand,
+        b: Operand,
+    },
+    Shift {
+        dst: LocalId,
+        kind: ShiftKind,
+        a: Operand,
+        amt: u8,
+    },
+    Cmp {
+        dst: LocalId,
+        op: CmpOp,
+        a: Operand,
+        b: Operand,
+    },
+    Load {
+        dst: LocalId,
+        global: Option<usize>,
+        index: Operand,
+    },
+    FuncAddr {
+        dst: LocalId,
+        func: FuncRef<'p>,
+    },
+    Store {
+        global: Option<usize>,
+        index: Operand,
+        value: Operand,
+    },
+    Call {
+        dst: Option<LocalId>,
+        callee: Target<'p>,
+        args: &'p [Operand],
+    },
+    Emit(Operand),
+}
+
+#[derive(Clone, Copy)]
+enum Target<'p> {
+    Direct(FuncRef<'p>),
+    Indirect(Operand),
+}
+
+/// A suspended caller: where it resumes and where the result goes.
+struct Frame {
+    func: usize,
+    block: usize,
+    /// The op after the call.
+    pc: usize,
+    /// Where the caller's locals start on the stack.
+    base: usize,
+    dst: Option<LocalId>,
+}
+
+/// A program's name tables, built once by [`Interp::new`].
+struct Names<'p> {
+    functions: HashMap<&'p str, usize>,
+    globals: HashMap<&'p str, usize>,
+}
+
+impl<'p> Names<'p> {
+    fn new(program: &'p MirProgram) -> Names<'p> {
+        let mut functions = HashMap::with_capacity(program.functions.len());
+        for (i, f) in program.functions.iter().enumerate() {
+            functions.entry(f.name.as_str()).or_insert(i);
+        }
+        // A later global of a name replaces an earlier one.
         let globals = program
             .globals
             .iter()
-            .map(|g| (g.name.clone(), g.words.clone()))
+            .enumerate()
+            .map(|(i, g)| (g.name.as_str(), i))
             .collect();
+        Names { functions, globals }
+    }
+
+    fn function(&self, name: &'p str) -> FuncRef<'p> {
+        self.functions.get(name).copied().ok_or(name)
+    }
+
+    fn lower(&self, stmt: &'p Stmt) -> Op<'p> {
+        match stmt {
+            Stmt::Assign { dst, rv, .. } => {
+                let dst = *dst;
+                match rv {
+                    Rvalue::Use(src) => Op::Use { dst, src: *src },
+                    Rvalue::BinOp(op, a, b) => Op::Bin {
+                        dst,
+                        op: *op,
+                        a: *a,
+                        b: *b,
+                    },
+                    Rvalue::Shift(kind, a, amt) => Op::Shift {
+                        dst,
+                        kind: *kind,
+                        a: *a,
+                        amt: *amt,
+                    },
+                    Rvalue::Cmp(op, a, b) => Op::Cmp {
+                        dst,
+                        op: *op,
+                        a: *a,
+                        b: *b,
+                    },
+                    Rvalue::LoadGlobal { global, index } => Op::Load {
+                        dst,
+                        global: self.globals.get(global.as_str()).copied(),
+                        index: *index,
+                    },
+                    Rvalue::FuncAddr(name) => Op::FuncAddr {
+                        dst,
+                        func: self.function(name),
+                    },
+                }
+            }
+            Stmt::StoreGlobal {
+                global,
+                index,
+                value,
+                ..
+            } => Op::Store {
+                global: self.globals.get(global.as_str()).copied(),
+                index: *index,
+                value: *value,
+            },
+            Stmt::Call {
+                dst, callee, args, ..
+            } => Op::Call {
+                dst: *dst,
+                callee: match callee {
+                    Callee::Direct(name) => Target::Direct(self.function(name)),
+                    Callee::Indirect(p) => Target::Indirect(*p),
+                },
+                args,
+            },
+            Stmt::Emit { value, .. } => Op::Emit(*value),
+        }
+    }
+}
+
+fn get(frame: &[i64], op: Operand) -> i64 {
+    match op {
+        Operand::Local(l) => frame[l as usize],
+        Operand::Const(c) => c,
+    }
+}
+
+impl<'p> Interp<'p> {
+    /// Resolves `program`'s names. `max_steps` bounds the block entries of
+    /// every run this interpreter makes, together.
+    pub fn new(program: &'p MirProgram, max_steps: u64) -> Interp<'p> {
+        let names = Names::new(program);
+        let mut ops = Vec::new();
+        let mut funcs = Vec::with_capacity(program.functions.len());
+        for f in &program.functions {
+            let mut blocks = Vec::with_capacity(f.blocks.len());
+            for b in &f.blocks {
+                let start = ops.len();
+                ops.extend(b.stmts.iter().map(|s| names.lower(s)));
+                blocks.push(Block {
+                    start,
+                    end: ops.len(),
+                    term: &b.term,
+                });
+            }
+            funcs.push(Func {
+                params: f.params,
+                locals: f.locals,
+                entry: f.entry().index(),
+                blocks,
+            });
+        }
         Interp {
             program,
-            globals,
+            funcs,
+            ops,
+            first_of_name: program
+                .functions
+                .iter()
+                .map(|f| names.functions[f.name.as_str()])
+                .collect(),
+            globals: program.globals.iter().map(|g| g.words.clone()).collect(),
+            stack: Vec::new(),
+            frames: Vec::new(),
             output: Vec::new(),
             steps: 0,
             max_steps,
@@ -549,8 +791,8 @@ impl<'p> Interp<'p> {
     ///
     /// See [`InterpError`].
     pub fn run(&mut self, args: &[i64]) -> Result<i64, InterpError> {
-        let entry = self.program.entry.clone();
-        self.call(&entry, args, 0)
+        let program = self.program;
+        self.call_function(&program.entry, args)
     }
 
     /// Calls an arbitrary function by name (useful in tests).
@@ -559,180 +801,214 @@ impl<'p> Interp<'p> {
     ///
     /// See [`InterpError`].
     pub fn call_function(&mut self, name: &str, args: &[i64]) -> Result<i64, InterpError> {
-        self.call(name, args, 0)
-    }
-
-    fn func_index(&self, name: &str) -> Option<usize> {
-        self.program.functions.iter().position(|f| f.name == name)
-    }
-
-    fn call(&mut self, name: &str, args: &[i64], depth: u32) -> Result<i64, InterpError> {
-        if depth > 256 {
-            return Err(InterpError::StackOverflow);
-        }
-        let fidx = self
-            .func_index(name)
+        let func = self
+            .program
+            .functions
+            .iter()
+            .position(|f| f.name == name)
             .ok_or_else(|| InterpError::UnknownFunction(name.to_string()))?;
-        let func = &self.program.functions[fidx];
-        let mut locals = vec![0i64; func.locals as usize];
-        for (i, a) in args.iter().take(func.params as usize).enumerate() {
-            locals[i] = *a;
-        }
-        let mut bb = func.entry();
-        loop {
-            self.steps += 1;
-            if self.steps > self.max_steps {
-                return Err(InterpError::StepBudgetExhausted);
+        self.exec(func, args)
+    }
+
+    /// Runs function `func` to its return, holding callers on `frames`
+    /// instead of the host stack.
+    fn exec(&mut self, func: usize, args: &[i64]) -> Result<i64, InterpError> {
+        let Interp {
+            program,
+            funcs,
+            ops,
+            first_of_name,
+            globals,
+            stack,
+            frames,
+            output,
+            steps,
+            max_steps,
+        } = self;
+        // `steps` counts block entries; a return into a caller is none.
+        let mut enter_block = || {
+            *steps += 1;
+            if *steps > *max_steps {
+                Err(InterpError::StepBudgetExhausted)
+            } else {
+                Ok(())
             }
-            let block = func.block(bb);
-            // Collect calls to perform (to satisfy the borrow checker we
-            // execute statements with an explicit program reference).
-            for si in 0..block.stmts.len() {
-                let stmt = &func.block(bb).stmts[si];
-                match stmt {
-                    Stmt::Assign { dst, rv, .. } => {
-                        let v = self.eval_rvalue(rv, &locals)?;
-                        locals[*dst as usize] = v;
+        };
+        let out_of_bounds = |global: usize, index: i64| InterpError::GlobalIndexOutOfBounds {
+            global: program.globals[global].name.clone(),
+            index,
+        };
+        stack.clear();
+        frames.clear();
+        let (mut fidx, mut base) = (func, 0);
+        let mut f = &funcs[fidx];
+        stack.resize(f.locals as usize, 0);
+        for (i, a) in args.iter().take(f.params as usize).enumerate() {
+            stack[i] = *a;
+        }
+        let mut block = f.entry;
+        enter_block()?;
+        let mut pc = f.blocks[block].start;
+        'run: loop {
+            let current = &f.blocks[block];
+            while pc < current.end {
+                let op = ops[pc];
+                pc += 1;
+                let frame = &mut stack[base..];
+                match op {
+                    Op::Use { dst, src } => frame[dst as usize] = get(frame, src),
+                    Op::Bin { dst, op, a, b } => {
+                        let (a, b) = (get(frame, a), get(frame, b));
+                        frame[dst as usize] = match op {
+                            BinOp::Add => a.wrapping_add(b),
+                            BinOp::Sub => a.wrapping_sub(b),
+                            BinOp::Mul => a.wrapping_mul(b),
+                            BinOp::And => a & b,
+                            BinOp::Or => a | b,
+                            BinOp::Xor => a ^ b,
+                        };
                     }
-                    Stmt::StoreGlobal {
+                    Op::Shift { dst, kind, a, amt } => {
+                        let a = get(frame, a);
+                        frame[dst as usize] = match kind {
+                            ShiftKind::Shl => ((a as u64) << amt) as i64,
+                            ShiftKind::Shr => ((a as u64) >> amt) as i64,
+                            ShiftKind::Sar => a >> amt,
+                        };
+                    }
+                    Op::Cmp { dst, op, a, b } => {
+                        let (a, b) = (get(frame, a), get(frame, b));
+                        frame[dst as usize] = i64::from(match op {
+                            CmpOp::Lt => a < b,
+                            CmpOp::Le => a <= b,
+                            CmpOp::Gt => a > b,
+                            CmpOp::Ge => a >= b,
+                            CmpOp::Eq => a == b,
+                            CmpOp::Ne => a != b,
+                        });
+                    }
+                    Op::Load { dst, global, index } => {
+                        let idx = get(frame, index);
+                        let g = global.expect("validated global name");
+                        let words = &globals[g];
+                        if idx < 0 || idx as usize >= words.len() {
+                            return Err(out_of_bounds(g, idx));
+                        }
+                        frame[dst as usize] = words[idx as usize];
+                    }
+                    Op::FuncAddr { dst, func } => {
+                        let func = func.map_err(|n| InterpError::UnknownFunction(n.into()))?;
+                        frame[dst as usize] = FUNC_HANDLE_BASE + func as i64;
+                    }
+                    Op::Store {
                         global,
                         index,
                         value,
-                        ..
                     } => {
-                        let idx = self.eval_operand(index, &locals);
-                        let val = self.eval_operand(value, &locals);
-                        let words = self.globals.get_mut(global).expect("validated global name");
+                        let idx = get(frame, index);
+                        let val = get(frame, value);
+                        let g = global.expect("validated global name");
+                        let words = &mut globals[g];
                         if idx < 0 || idx as usize >= words.len() {
-                            return Err(InterpError::GlobalIndexOutOfBounds {
-                                global: global.clone(),
-                                index: idx,
-                            });
+                            return Err(out_of_bounds(g, idx));
                         }
                         words[idx as usize] = val;
                     }
-                    Stmt::Call {
-                        dst, callee, args, ..
-                    } => {
-                        let argv: Vec<i64> =
-                            args.iter().map(|a| self.eval_operand(a, &locals)).collect();
-                        let callee_name = match callee {
-                            Callee::Direct(n) => n.clone(),
-                            Callee::Indirect(p) => {
-                                let h = self.eval_operand(p, &locals);
+                    Op::Call { dst, callee, args } => {
+                        let callee = match callee {
+                            Target::Direct(func) => func,
+                            Target::Indirect(p) => {
+                                let h = get(frame, p);
                                 let idx = h - FUNC_HANDLE_BASE;
-                                if idx < 0 || idx as usize >= self.program.functions.len() {
+                                if idx < 0 || idx as usize >= first_of_name.len() {
                                     return Err(InterpError::BadFunctionPointer(h));
                                 }
-                                self.program.functions[idx as usize].name.clone()
+                                Ok(first_of_name[idx as usize])
                             }
                         };
-                        let r = self.call(&callee_name, &argv, depth + 1)?;
-                        if let Some(d) = dst {
-                            locals[*d as usize] = r;
+                        // The callee runs at depth `frames.len() + 1`.
+                        if frames.len() >= MAX_CALL_DEPTH {
+                            return Err(InterpError::StackOverflow);
                         }
+                        let callee = callee.map_err(|n| InterpError::UnknownFunction(n.into()))?;
+                        frames.push(Frame {
+                            func: fidx,
+                            block,
+                            pc,
+                            base,
+                            dst,
+                        });
+                        let callee_base = stack.len();
+                        fidx = callee;
+                        f = &funcs[fidx];
+                        stack.resize(callee_base + f.locals as usize, 0);
+                        let (caller, locals) = stack.split_at_mut(callee_base);
+                        for (i, a) in args.iter().take(f.params as usize).enumerate() {
+                            locals[i] = get(&caller[base..], *a);
+                        }
+                        base = callee_base;
+                        block = f.entry;
+                        enter_block()?;
+                        pc = f.blocks[block].start;
+                        continue 'run;
                     }
-                    Stmt::Emit { value, .. } => {
-                        let v = self.eval_operand(value, &locals);
-                        self.output.push(v);
-                    }
+                    Op::Emit(value) => output.push(get(frame, value)),
                 }
             }
-            match &func.block(bb).term {
-                Terminator::Goto(b) => bb = *b,
+            let frame = &stack[base..];
+            block = match current.term {
+                Terminator::Goto(t) => t.index(),
                 Terminator::Branch {
                     cond,
                     then_bb,
                     else_bb,
                 } => {
-                    bb = if self.eval_operand(cond, &locals) != 0 {
-                        *then_bb
+                    if get(frame, *cond) != 0 {
+                        then_bb.index()
                     } else {
-                        *else_bb
-                    };
+                        else_bb.index()
+                    }
                 }
                 Terminator::Switch {
                     scrut,
                     targets,
                     default,
                 } => {
-                    let v = self.eval_operand(scrut, &locals);
-                    bb = if v >= 0 && (v as usize) < targets.len() {
-                        targets[v as usize]
+                    let v = get(frame, *scrut);
+                    if v >= 0 && (v as usize) < targets.len() {
+                        targets[v as usize].index()
                     } else {
-                        *default
-                    };
+                        default.index()
+                    }
                 }
-                Terminator::Return(v) => return Ok(self.eval_operand(v, &locals)),
+                Terminator::Return(v) => {
+                    let r = get(frame, *v);
+                    let Some(caller) = frames.pop() else {
+                        return Ok(r);
+                    };
+                    stack.truncate(base);
+                    Frame {
+                        func: fidx,
+                        block,
+                        pc,
+                        base,
+                        ..
+                    } = caller;
+                    f = &funcs[fidx];
+                    if let Some(d) = caller.dst {
+                        stack[base..][d as usize] = r;
+                    }
+                    continue;
+                }
                 Terminator::Unreachable => {
                     return Err(InterpError::UnreachableExecuted {
-                        function: func.name.clone(),
+                        function: program.functions[fidx].name.clone(),
                     })
                 }
-            }
+            };
+            enter_block()?;
+            pc = f.blocks[block].start;
         }
-    }
-
-    fn eval_operand(&self, op: &Operand, locals: &[i64]) -> i64 {
-        match op {
-            Operand::Local(l) => locals[*l as usize],
-            Operand::Const(c) => *c,
-        }
-    }
-
-    fn eval_rvalue(&self, rv: &Rvalue, locals: &[i64]) -> Result<i64, InterpError> {
-        Ok(match rv {
-            Rvalue::Use(op) => self.eval_operand(op, locals),
-            Rvalue::BinOp(op, a, b) => {
-                let a = self.eval_operand(a, locals);
-                let b = self.eval_operand(b, locals);
-                match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                }
-            }
-            Rvalue::Shift(kind, a, amt) => {
-                let a = self.eval_operand(a, locals);
-                match kind {
-                    ShiftKind::Shl => ((a as u64) << amt) as i64,
-                    ShiftKind::Shr => ((a as u64) >> amt) as i64,
-                    ShiftKind::Sar => a >> amt,
-                }
-            }
-            Rvalue::Cmp(op, a, b) => {
-                let a = self.eval_operand(a, locals);
-                let b = self.eval_operand(b, locals);
-                i64::from(match op {
-                    CmpOp::Lt => a < b,
-                    CmpOp::Le => a <= b,
-                    CmpOp::Gt => a > b,
-                    CmpOp::Ge => a >= b,
-                    CmpOp::Eq => a == b,
-                    CmpOp::Ne => a != b,
-                })
-            }
-            Rvalue::LoadGlobal { global, index } => {
-                let idx = self.eval_operand(index, locals);
-                let words = &self.globals[global];
-                if idx < 0 || idx as usize >= words.len() {
-                    return Err(InterpError::GlobalIndexOutOfBounds {
-                        global: global.clone(),
-                        index: idx,
-                    });
-                }
-                words[idx as usize]
-            }
-            Rvalue::FuncAddr(name) => {
-                let idx = self
-                    .func_index(name)
-                    .ok_or_else(|| InterpError::UnknownFunction(name.clone()))?;
-                FUNC_HANDLE_BASE + idx as i64
-            }
-        })
     }
 }
 
@@ -778,6 +1054,26 @@ mod tests {
             line: 1,
         });
         assert!(p.validate().unwrap_err().contains("unknown function"));
+    }
+
+    #[test]
+    fn validation_rejects_duplicate_function_names() {
+        let mut p = max_program();
+        p.functions.push(p.functions[0].clone());
+        assert_eq!(p.validate().unwrap_err(), "duplicate function max");
+    }
+
+    #[test]
+    fn validation_rejects_duplicate_global_names() {
+        let mut p = max_program();
+        for words in [vec![1], vec![2, 3]] {
+            p.globals.push(Global {
+                name: "tbl".into(),
+                words,
+                mutable: false,
+            });
+        }
+        assert_eq!(p.validate().unwrap_err(), "duplicate global tbl");
     }
 
     #[test]
@@ -853,5 +1149,378 @@ mod tests {
         assert_eq!(Interp::new(&p, 100).run(&[2]).unwrap(), 102);
         assert_eq!(Interp::new(&p, 100).run(&[7]).unwrap(), -1);
         assert_eq!(Interp::new(&p, 100).run(&[-1]).unwrap(), -1);
+    }
+
+    /// A program with entry `main` of the given functions and globals.
+    /// Not validated: the interpreter must behave without that.
+    fn program(functions: Vec<MirFunction>, globals: Vec<Global>) -> MirProgram {
+        MirProgram {
+            entry: "main".into(),
+            functions,
+            globals,
+            ..MirProgram::default()
+        }
+    }
+
+    fn global(name: &str, words: Vec<i64>) -> Global {
+        Global {
+            name: name.into(),
+            words,
+            mutable: true,
+        }
+    }
+
+    /// `name() { return value; }`
+    fn constant(name: &str, value: i64) -> MirFunction {
+        let mut b = FunctionBuilder::new(name, 0, "lib.c", 0);
+        b.ret(Operand::Const(value));
+        b.finish()
+    }
+
+    /// `main(x) { if x != 0 { return callee(); } return 0; }`
+    fn main_calling_if_nonzero(callee: Callee) -> MirFunction {
+        let mut b = FunctionBuilder::new("main", 0, "main.c", 1);
+        let (then_bb, else_bb) = b.branch(Operand::Local(0));
+        b.switch_to(then_bb);
+        let r = b.new_local();
+        b.push_stmt(Stmt::Call {
+            dst: Some(r),
+            callee,
+            args: vec![],
+            landing_pad: None,
+            line: 0,
+        });
+        b.ret(Operand::Local(r));
+        b.switch_to(else_bb);
+        b.ret(Operand::Const(0));
+        b.finish()
+    }
+
+    #[test]
+    fn an_unknown_direct_callee_fails_only_when_called() {
+        let p = program(
+            vec![main_calling_if_nonzero(Callee::Direct("missing".into()))],
+            vec![],
+        );
+        assert!(p.validate().is_err());
+        assert_eq!(Interp::new(&p, 100).run(&[0]), Ok(0));
+        assert_eq!(
+            Interp::new(&p, 100).run(&[1]),
+            Err(InterpError::UnknownFunction("missing".into()))
+        );
+    }
+
+    #[test]
+    fn an_unknown_function_address_fails_only_when_taken() {
+        let mut b = FunctionBuilder::new("main", 0, "main.c", 1);
+        let (then_bb, else_bb) = b.branch(Operand::Local(0));
+        b.switch_to(then_bb);
+        let ptr = b.assign(Rvalue::FuncAddr("nowhere".into()));
+        b.ret(Operand::Local(ptr));
+        b.switch_to(else_bb);
+        b.ret(Operand::Const(0));
+        let p = program(vec![b.finish()], vec![]);
+        assert!(p.validate().is_err());
+        assert_eq!(Interp::new(&p, 100).run(&[0]), Ok(0));
+        assert_eq!(
+            Interp::new(&p, 100).run(&[1]),
+            Err(InterpError::UnknownFunction("nowhere".into()))
+        );
+        let p = program(vec![], vec![]);
+        assert_eq!(
+            Interp::new(&p, 100).run(&[]),
+            Err(InterpError::UnknownFunction("main".into()))
+        );
+    }
+
+    #[test]
+    fn a_handle_outside_the_function_table_is_a_bad_pointer() {
+        for handle in [FUNC_HANDLE_BASE + 2, FUNC_HANDLE_BASE - 1, 7] {
+            let p = program(
+                vec![
+                    main_calling_if_nonzero(Callee::Indirect(Operand::Const(handle))),
+                    constant("one", 1),
+                ],
+                vec![],
+            );
+            p.validate().unwrap();
+            assert_eq!(
+                Interp::new(&p, 100).run(&[1]),
+                Err(InterpError::BadFunctionPointer(handle))
+            );
+        }
+        let p = program(
+            vec![
+                main_calling_if_nonzero(Callee::Indirect(Operand::Const(FUNC_HANDLE_BASE + 1))),
+                constant("one", 1),
+            ],
+            vec![],
+        );
+        assert_eq!(Interp::new(&p, 100).run(&[1]), Ok(1));
+    }
+
+    /// `down(d) { emit d; if d < limit { return down(d + 1); } return last(); }`
+    fn descent(limit: i64, last: &str) -> MirProgram {
+        let mut b = FunctionBuilder::new("down", 0, "down.c", 1);
+        b.emit(Operand::Local(0));
+        let more = b.assign_cmp(CmpOp::Lt, Operand::Local(0), Operand::Const(limit));
+        let (then_bb, else_bb) = b.branch(Operand::Local(more));
+        b.switch_to(then_bb);
+        let next = b.assign(Rvalue::BinOp(
+            BinOp::Add,
+            Operand::Local(0),
+            Operand::Const(1),
+        ));
+        let r = b.call("down", vec![Operand::Local(next)]);
+        b.ret(Operand::Local(r));
+        b.switch_to(else_bb);
+        let r = b.call(last, vec![]);
+        b.ret(Operand::Local(r));
+        program(vec![b.finish(), constant("leaf", -1)], vec![])
+    }
+
+    #[test]
+    fn the_call_depth_limit_is_256_and_checked_before_the_lookup() {
+        // `down(0)` runs at depth 0, so `down(d)` at depth `d`.
+        let p = descent(255, "leaf");
+        let mut i = Interp::new(&p, 10_000);
+        assert_eq!(i.call_function("down", &[0]), Ok(-1));
+        assert_eq!(i.output, (0..=255).collect::<Vec<i64>>());
+        let p = descent(256, "leaf");
+        let mut i = Interp::new(&p, 10_000);
+        assert_eq!(
+            i.call_function("down", &[0]),
+            Err(InterpError::StackOverflow)
+        );
+        assert_eq!(i.output, (0..=256).collect::<Vec<i64>>());
+        // A missing callee at depth 256 is unknown; at 257 the depth
+        // check fires first.
+        let p = descent(255, "missing");
+        assert_eq!(
+            Interp::new(&p, 10_000).call_function("down", &[0]),
+            Err(InterpError::UnknownFunction("missing".into()))
+        );
+        let p = descent(256, "missing");
+        assert_eq!(
+            Interp::new(&p, 10_000).call_function("down", &[0]),
+            Err(InterpError::StackOverflow)
+        );
+        // Unbounded recursion: the 257th nested call overflows.
+        let p = descent(i64::MAX, "leaf");
+        let mut i = Interp::new(&p, 10_000);
+        assert_eq!(
+            i.call_function("down", &[0]),
+            Err(InterpError::StackOverflow)
+        );
+        assert_eq!(i.output.len(), 257);
+    }
+
+    #[test]
+    fn the_step_budget_counts_block_entries() {
+        // `main`'s entry, its `then` block, then `one`'s entry: the
+        // return into `main` mid-block is no entry.
+        let p = program(
+            vec![
+                main_calling_if_nonzero(Callee::Direct("one".into())),
+                constant("one", 1),
+            ],
+            vec![],
+        );
+        assert_eq!(Interp::new(&p, 3).run(&[1]), Ok(1));
+        assert_eq!(
+            Interp::new(&p, 2).run(&[1]),
+            Err(InterpError::StepBudgetExhausted)
+        );
+        assert_eq!(Interp::new(&p, 2).run(&[0]), Ok(0));
+        assert_eq!(
+            Interp::new(&p, 1).run(&[0]),
+            Err(InterpError::StepBudgetExhausted)
+        );
+        // The budget is the interpreter's, not the run's.
+        let mut i = Interp::new(&p, 5);
+        assert_eq!(i.run(&[0]), Ok(0));
+        assert_eq!(i.run(&[0]), Ok(0));
+        assert_eq!(i.run(&[0]), Err(InterpError::StepBudgetExhausted));
+    }
+
+    #[test]
+    fn unreachable_names_the_function_it_ran_in() {
+        let mut b = FunctionBuilder::new("dead", 0, "dead.c", 0);
+        b.unreachable();
+        let p = program(
+            vec![
+                main_calling_if_nonzero(Callee::Direct("dead".into())),
+                b.finish(),
+            ],
+            vec![],
+        );
+        p.validate().unwrap();
+        assert_eq!(
+            Interp::new(&p, 100).run(&[1]),
+            Err(InterpError::UnreachableExecuted {
+                function: "dead".into()
+            })
+        );
+    }
+
+    #[test]
+    fn global_indexes_are_bounds_checked_on_load_and_store() {
+        for index in [-1, 3] {
+            let mut b = FunctionBuilder::new("main", 0, "main.c", 0);
+            let v = b.assign(Rvalue::LoadGlobal {
+                global: "tbl".into(),
+                index: Operand::Const(index),
+            });
+            b.ret(Operand::Local(v));
+            let p = program(vec![b.finish()], vec![global("tbl", vec![1, 2, 3])]);
+            p.validate().unwrap();
+            assert_eq!(
+                Interp::new(&p, 100).run(&[]),
+                Err(InterpError::GlobalIndexOutOfBounds {
+                    global: "tbl".into(),
+                    index
+                })
+            );
+
+            let mut b = FunctionBuilder::new("main", 0, "main.c", 0);
+            b.emit(Operand::Const(5));
+            b.push_stmt(Stmt::StoreGlobal {
+                global: "tbl".into(),
+                index: Operand::Const(index),
+                value: Operand::Const(9),
+                line: 0,
+            });
+            b.ret(Operand::Const(0));
+            let p = program(vec![b.finish()], vec![global("tbl", vec![1, 2, 3])]);
+            p.validate().unwrap();
+            let mut i = Interp::new(&p, 100);
+            assert_eq!(
+                i.run(&[]),
+                Err(InterpError::GlobalIndexOutOfBounds {
+                    global: "tbl".into(),
+                    index
+                })
+            );
+            assert_eq!(i.output, vec![5], "output up to the error is kept");
+        }
+    }
+
+    #[test]
+    fn call_function_runs_any_function_and_keeps_globals_between_calls() {
+        // `bump(n) { tbl[0] = tbl[0] + n; return tbl[0]; }`
+        let mut b = FunctionBuilder::new("bump", 0, "bump.c", 1);
+        let old = b.assign(Rvalue::LoadGlobal {
+            global: "tbl".into(),
+            index: Operand::Const(0),
+        });
+        let new = b.assign(Rvalue::BinOp(
+            BinOp::Add,
+            Operand::Local(old),
+            Operand::Local(0),
+        ));
+        b.push_stmt(Stmt::StoreGlobal {
+            global: "tbl".into(),
+            index: Operand::Const(0),
+            value: Operand::Local(new),
+            line: 0,
+        });
+        b.ret(Operand::Local(new));
+        let p = program(
+            vec![constant("main", 0), b.finish()],
+            vec![global("tbl", vec![100])],
+        );
+        p.validate().unwrap();
+        let mut i = Interp::new(&p, 100);
+        assert_eq!(i.call_function("bump", &[5]), Ok(105));
+        assert_eq!(i.call_function("bump", &[-7]), Ok(98));
+        assert_eq!(i.run(&[]), Ok(0));
+        assert_eq!(
+            i.call_function("nobody", &[]),
+            Err(InterpError::UnknownFunction("nobody".into()))
+        );
+    }
+
+    #[test]
+    fn locals_start_at_zero_on_every_call() {
+        // `dirty() { emit x; x = 99; emit x; return x; }` with `x` never
+        // initialised: each call must see 0, whatever the previous
+        // frame left behind.
+        let mut b = FunctionBuilder::new("dirty", 0, "dirty.c", 0);
+        let x = b.new_local();
+        b.emit(Operand::Local(x));
+        b.assign_to(x, Rvalue::Use(Operand::Const(99)));
+        b.emit(Operand::Local(x));
+        b.ret(Operand::Local(x));
+        let dirty = b.finish();
+        let mut b = FunctionBuilder::new("main", 0, "main.c", 0);
+        let a = b.call("dirty", vec![]);
+        let c = b.call("dirty", vec![]);
+        let s = b.assign(Rvalue::BinOp(
+            BinOp::Add,
+            Operand::Local(a),
+            Operand::Local(c),
+        ));
+        b.ret(Operand::Local(s));
+        let p = program(vec![b.finish(), dirty], vec![]);
+        p.validate().unwrap();
+        let mut i = Interp::new(&p, 100);
+        assert_eq!(i.run(&[]), Ok(198));
+        assert_eq!(i.output, vec![0, 99, 0, 99]);
+    }
+
+    #[test]
+    fn arguments_past_the_parameters_are_dropped() {
+        // `first(a) { return a + y; }` with `y` a plain local.
+        let mut b = FunctionBuilder::new("first", 0, "first.c", 1);
+        let y = b.new_local();
+        let s = b.assign(Rvalue::BinOp(
+            BinOp::Add,
+            Operand::Local(0),
+            Operand::Local(y),
+        ));
+        b.ret(Operand::Local(s));
+        let first = b.finish();
+        let mut b = FunctionBuilder::new("main", 0, "main.c", 0);
+        let r = b.call(
+            "first",
+            vec![Operand::Const(5), Operand::Const(6), Operand::Const(7)],
+        );
+        b.ret(Operand::Local(r));
+        let p = program(vec![b.finish(), first], vec![]);
+        p.validate().unwrap();
+        assert_eq!(Interp::new(&p, 100).run(&[]), Ok(5));
+        let mut i = Interp::new(&p, 100);
+        assert_eq!(i.call_function("first", &[5, 6, 7]), Ok(5));
+        assert_eq!(i.call_function("first", &[]), Ok(0), "missing ones are 0");
+    }
+
+    #[test]
+    fn the_first_function_and_the_last_global_of_a_name_win() {
+        let read = |name: &str| {
+            let mut b = FunctionBuilder::new(name, 0, "g.c", 0);
+            let v = b.assign(Rvalue::LoadGlobal {
+                global: "g".into(),
+                index: Operand::Const(0),
+            });
+            b.ret(Operand::Local(v));
+            b.finish()
+        };
+        let mut b = FunctionBuilder::new("main", 0, "main.c", 0);
+        let direct = b.call("f", vec![]);
+        b.emit(Operand::Local(direct));
+        let ptr = b.assign(Rvalue::FuncAddr("f".into()));
+        b.emit(Operand::Local(ptr));
+        // A forged handle to the second `f` still runs the first.
+        let forged = b.call_indirect(Operand::Const(FUNC_HANDLE_BASE + 2), vec![]);
+        b.emit(Operand::Local(forged));
+        let g = b.call("read", vec![]);
+        b.ret(Operand::Local(g));
+        let p = program(
+            vec![b.finish(), constant("f", 1), constant("f", 2), read("read")],
+            vec![global("g", vec![10]), global("g", vec![20])],
+        );
+        let mut i = Interp::new(&p, 100);
+        assert_eq!(i.run(&[]), Ok(20));
+        assert_eq!(i.output, vec![1, FUNC_HANDLE_BASE + 1, 1]);
     }
 }

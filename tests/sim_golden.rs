@@ -22,16 +22,17 @@
 //! `CLANG_PROFILE` pins the repo benchmark's `clang_profile` op at its
 //! own scale — `Scale::Test` inputs are too small to reach much of the
 //! model and sampler state a profiling run at benchmark scale does —
-//! and `HHVM_LOOP` its `hhvm_loop` op (profile, BOLT, re-measure). Each
-//! takes seconds in release, so they are `#[ignore]`d and CI runs each
-//! as a step of its own.
+//! and `HHVM_LOOP` its `hhvm_loop` op (profile, BOLT, re-measure), whose
+//! test also holds both binaries to the MIR interpreter's exit and output
+//! and the interpreter to a time bound. Each takes seconds in release, so
+//! they are `#[ignore]`d and CI runs each as a step of its own.
 //!
 //! To regenerate after an *intended* model or optimizer change, run
 //! `cargo test --release --test sim_golden -- --ignored --nocapture`
 //! and paste the printed tables and the `CLANG_PROFILE` / `HHVM_LOOP`
 //! values the failing benchmark-scale tests report.
 
-use bolt::compiler::{compile_and_link, CompileOptions};
+use bolt::compiler::{compile_and_link, CompileOptions, Interp};
 use bolt::elf::{write_elf, Elf};
 use bolt::emu::{Engine, Exit, Machine, Tee, TraceSink};
 use bolt::opt::{optimize, BoltOptions};
@@ -39,6 +40,7 @@ use bolt::passes::PassOptions;
 use bolt::profile::{LbrSampler, Profile, SampleTrigger};
 use bolt::workloads::{clang_shape, compiler_like, Scale, Workload};
 use bolt_sim::{Counters, CpuModel, SimConfig};
+use std::time::{Duration, Instant};
 
 fn workloads() -> Vec<(&'static str, Elf)> {
     [
@@ -193,7 +195,7 @@ fn bench_scale_clang_profile_matches_the_pinned_literals() {
         .expect("workload compiles")
         .elf;
     for engine in [Engine::Step, Engine::Uop] {
-        let (counters, profile) = profiling_run(&elf, engine);
+        let (counters, profile, _) = profiling_run(&elf, engine);
         let got = (counters, fnv64(profile.to_fdata().as_bytes()));
         assert_eq!(got, CLANG_PROFILE, "{engine} engine (hash {:#018x})", got.1);
     }
@@ -201,20 +203,24 @@ fn bench_scale_clang_profile_matches_the_pinned_literals() {
 
 /// The benchmark's profiling run: `elf` under `Tee(LbrSampler::new(997,
 /// SampleTrigger::Instructions), CpuModel::new(SimConfig::server()))`.
-fn profiling_run(elf: &Elf, engine: Engine) -> (Counters, Profile) {
+fn profiling_run(elf: &Elf, engine: Engine) -> (Counters, Profile, Outcome) {
     let mut sampler = LbrSampler::new(997, SampleTrigger::Instructions);
     let mut model = CpuModel::new(SimConfig::server());
-    emulate(elf, &mut Tee(&mut sampler, &mut model), engine);
-    (model.counters(), sampler.profile)
+    let outcome = emulate(elf, &mut Tee(&mut sampler, &mut model), engine);
+    (model.counters(), sampler.profile, outcome)
 }
 
-fn emulate(elf: &Elf, sink: &mut impl TraceSink, engine: Engine) {
+/// How a run ended and what it emitted.
+type Outcome = (Exit, Vec<i64>);
+
+fn emulate(elf: &Elf, sink: &mut impl TraceSink, engine: Engine) -> Outcome {
     let mut machine = Machine::new();
     machine.load_elf(elf);
     let run = machine
         .run_engine(sink, u64::MAX, engine)
         .expect("the run completes");
     assert!(matches!(run.exit, Exit::Exited(_)), "{engine}: {run:?}");
+    (run.exit, machine.output)
 }
 
 /// `hhvm_loop`'s op at seed 1: the Bench-scale HHVM-like binary's
@@ -228,21 +234,42 @@ const HHVM_LOOP: (Counters, Counters) = (
     Counters { instructions: 47819609, cycles: 21601239.7, cond_branches: 2000001, branch_mispredicts: 398030, l1i_accesses: 50329596, l1i_misses: 152712, l1d_accesses: 22844176, l1d_misses: 323, l2_misses: 811, llc_misses: 811, itlb_misses: 9, dtlb_misses: 7 },
 );
 
+/// Also checks the benchmark's reference at that scale: the MIR
+/// interpreter's exit and output must be those of the input and the
+/// BOLTed binary on both engines, and interpreting the program (names
+/// resolved once, 1461 functions dispatched through pointers) must take
+/// no longer than the input binary's modelled uop run. That bound is a
+/// ratio of two timings on the same host, so host speed cancels out.
 #[test]
 #[ignore = "benchmark scale, seconds in release; run by a CI step of its own"]
 fn bench_scale_hhvm_loop_matches_the_pinned_literals() {
-    let elf = compile_and_link(
-        &Workload::Hhvm.build(Scale::Bench),
-        &CompileOptions::default(),
-    )
-    .expect("workload compiles")
-    .elf;
+    let program = Workload::Hhvm.build(Scale::Bench);
+    let start = Instant::now();
+    let mut oracle = Interp::new(&program, u64::MAX);
+    let exit = oracle.run(&[]).expect("the MIR interpreter completes");
+    let interp_time = start.elapsed();
+    let reference = (Exit::Exited(exit), oracle.output);
+
+    let elf = compile_and_link(&program, &CompileOptions::default())
+        .expect("workload compiles")
+        .elf;
     let mut profile = Profile::default();
+    let mut uop_time = Duration::ZERO;
     for engine in [Engine::Step, Engine::Uop] {
-        let (base, p) = profiling_run(&elf, engine);
+        let start = Instant::now();
+        let (base, p, outcome) = profiling_run(&elf, engine);
+        if engine == Engine::Uop {
+            uop_time = start.elapsed();
+        }
         assert_eq!(base, HHVM_LOOP.0, "{engine} engine, input binary");
+        assert_eq!(outcome, reference, "{engine} engine, input binary");
         profile = p;
     }
+    assert!(
+        interp_time <= uop_time,
+        "the MIR interpreter took {interp_time:?}, longer than the input binary's \
+         modelled uop run ({uop_time:?})"
+    );
     let opts = BoltOptions {
         threads: 2,
         ..BoltOptions::paper_default()
@@ -250,12 +277,13 @@ fn bench_scale_hhvm_loop_matches_the_pinned_literals() {
     let bolted = optimize(&elf, &profile, &opts).expect("BOLT succeeds").elf;
     for engine in [Engine::Step, Engine::Uop] {
         let mut model = CpuModel::new(SimConfig::server());
-        emulate(&bolted, &mut model, engine);
+        let outcome = emulate(&bolted, &mut model, engine);
         assert_eq!(
             model.counters(),
             HHVM_LOOP.1,
             "{engine} engine, BOLTed binary"
         );
+        assert_eq!(outcome, reference, "{engine} engine, BOLTed binary");
     }
 }
 
