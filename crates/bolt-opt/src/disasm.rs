@@ -9,9 +9,12 @@
 use crate::discover::RawFunction;
 use bolt_elf::Elf;
 use bolt_ir::{
-    BasicBlock, BinaryContext, BinaryInst, BlockId, JumpTable, LineInfo, NonSimpleReason, SuccEdge,
+    BasicBlock, BinaryContext, BinaryFunction, BinaryInst, BlockId, JumpTable, LineInfo,
+    NonSimpleReason, SuccEdge,
 };
 use bolt_isa::{decode, AluOp, Inst, Label, Mem, Reg, Rm, Target};
+use bolt_passes::sharded;
+use std::sync::mpsc::{channel, sync_channel};
 
 /// One decoded instruction with placement info.
 #[derive(Debug, Clone)]
@@ -31,18 +34,53 @@ struct JtInfo {
     targets: Vec<u64>,
 }
 
-/// Disassembles every discovered function into `ctx`, constructing CFGs.
-/// Functions are processed in parallel (BOLT processes functions
-/// concurrently; disassembly and CFG construction are per-function pure),
+/// Everything about one function that needs the decoder, and nothing of
+/// the IR: what the planner hands the builder.
+struct Plan {
+    /// The decoded instructions, in address order. The builder hands the
+    /// buffer back to the planner once it has built the function.
+    slots: Vec<Slot>,
+    /// Block start addresses, sorted: block `r` starts at leader `r`.
+    leaders: Vec<u64>,
+    /// Each leader's index in `slots`.
+    leader_slots: Vec<usize>,
+    jump_tables: Vec<JtInfo>,
+}
+
+/// Plans travel in batches of this many functions, so the builder waits
+/// (and is woken) at most once per batch.
+pub const PLAN_BATCH: usize = 16;
+
+/// Batches the planner may run ahead of the builder. A constant: with
+/// [`PLAN_BATCH`] it bounds the plans in flight, and so the decode
+/// buffers in circulation, whatever the input.
+const PLAN_QUEUE: usize = 2;
+
+/// Disassembles every discovered function into `ctx`, constructing CFGs,
 /// with the worker count resolved automatically. Returns the number of
 /// simple functions.
+///
+/// Each function is planned, then built. Planning — decoding,
+/// jump-table recognition, leaders — is per-function pure. Building —
+/// every block, instruction vector, edge and jump table of the IR — runs
+/// on the calling thread, so the whole IR is allocated by the thread
+/// that owns and later frees it: none of it lands in a worker's
+/// allocator arena, where it would stay resident beside the calling
+/// thread's heap. When the sweep is sharded (the rule of
+/// [`bolt_passes::sharded`]), one planner thread runs ahead of the
+/// builder, whatever the thread count: it sends plans in function-index
+/// order, in batches, through a bounded channel, and the builder hands
+/// each decode buffer back for reuse. Two threads is the most this
+/// stage uses: planning and building each take about half of its work,
+/// so more planners would only wait for the builder.
 pub fn disassemble_all(ctx: &mut BinaryContext, funcs: &[RawFunction], elf: &Elf) -> usize {
     disassemble_all_with_threads(ctx, funcs, elf, 0)
 }
 
 /// [`disassemble_all`] with an explicit worker-count knob (the driver's
 /// `-threads=N`): `0` = auto (`BOLT_THREADS` env override or
-/// `available_parallelism`), `1` forces the serial path. The resulting
+/// `available_parallelism`), `1` forces the serial path, any `N > 1`
+/// runs the one planner beside the building caller. The resulting
 /// context is identical at any value.
 pub fn disassemble_all_with_threads(
     ctx: &mut BinaryContext,
@@ -51,33 +89,51 @@ pub fn disassemble_all_with_threads(
     threads: usize,
 ) -> usize {
     let n_threads = bolt_emu::Knobs::get().threads(threads);
-    let results: Vec<Result<bolt_ir::BinaryFunction, NonSimpleReason>> =
-        if n_threads <= 1 || funcs.len() < 32 {
-            funcs
-                .iter()
-                .map(|raw| disassemble_function(ctx, raw, elf))
-                .collect()
-        } else {
-            let chunk = funcs.len().div_ceil(n_threads);
-            let ctx_ref = &*ctx;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = funcs
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            slice
-                                .iter()
-                                .map(|raw| disassemble_function(ctx_ref, raw, elf))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("disassembly worker"))
-                    .collect()
+    let ctx_ref = &*ctx;
+    // Builds from a plan; returns the plan's decode buffer for reuse.
+    let build = |raw, plan: Result<Plan, NonSimpleReason>| match plan {
+        Ok(plan) => (build_function(ctx_ref, raw, &plan), plan.slots),
+        Err(reason) => (Err(reason), Vec::new()),
+    };
+    let results: Vec<Result<BinaryFunction, NonSimpleReason>> = if !sharded(funcs.len(), n_threads)
+    {
+        let mut spare = Vec::new();
+        (funcs.iter())
+            .map(|raw| {
+                let plan = plan_function(ctx_ref, raw, elf, std::mem::take(&mut spare));
+                let (func, slots) = build(raw, plan);
+                spare = slots;
+                func
             })
-        };
+            .collect()
+    } else {
+        std::thread::scope(|scope| {
+            let (plans, queue) = sync_channel(PLAN_QUEUE);
+            let (give_back, spares) = channel();
+            scope.spawn(move || {
+                for batch in funcs.chunks(PLAN_BATCH) {
+                    let plan = |raw| {
+                        let slots = spares.try_recv().unwrap_or_default();
+                        plan_function(ctx_ref, raw, elf, slots)
+                    };
+                    if plans.send(batch.iter().map(plan).collect()).is_err() {
+                        return; // the builder is gone
+                    }
+                }
+            });
+            let mut results = Vec::with_capacity(funcs.len());
+            for batch in funcs.chunks(PLAN_BATCH) {
+                let plans: Vec<_> = queue.recv().expect("disassembly planner");
+                for (raw, plan) in batch.iter().zip(plans) {
+                    let (func, slots) = build(raw, plan);
+                    // Once the planner has finished it takes no buffer back.
+                    drop(give_back.send(slots));
+                    results.push(func);
+                }
+            }
+            results
+        })
+    };
 
     let mut simple = 0;
     for (fi, result) in results.into_iter().enumerate() {
@@ -97,11 +153,15 @@ pub fn disassemble_all_with_threads(
     simple
 }
 
-fn disassemble_function(
+/// Decodes `raw` into `slots` (a buffer to reuse), recognizes its jump
+/// tables and finds its blocks' leaders; fails where the function cannot
+/// be simple.
+fn plan_function(
     ctx: &BinaryContext,
     raw: &RawFunction,
     elf: &Elf,
-) -> Result<bolt_ir::BinaryFunction, NonSimpleReason> {
+    mut slots: Vec<Slot>,
+) -> Result<Plan, NonSimpleReason> {
     let start = raw.address;
     let end = raw.address + raw.size;
     let Some(bytes) = elf.read_vaddr(start, raw.size as usize) else {
@@ -109,7 +169,7 @@ fn disassemble_function(
     };
 
     // Linear decode.
-    let mut slots: Vec<Slot> = Vec::new();
+    slots.clear();
     let mut off = 0usize;
     while off < bytes.len() {
         let addr = start + off as u64;
@@ -174,8 +234,7 @@ fn disassemble_function(
         leaders.extend_from_slice(&jt.targets);
     }
     // Landing pads of the function's call sites in the exception table.
-    let call_sites = || ctx.exceptions.entries.range(start..end);
-    for (_, &lp) in call_sites() {
+    for (_, &lp) in ctx.exceptions.entries.range(start..end) {
         if lp < start || lp >= end {
             return Err(NonSimpleReason::OutOfRangeControlFlow);
         }
@@ -196,6 +255,30 @@ fn disassemble_function(
         }
         leader_slots.push(slot);
     }
+    Ok(Plan {
+        slots,
+        leaders,
+        leader_slots,
+        jump_tables,
+    })
+}
+
+/// Builds `raw`'s IR from its plan: blocks, instructions (with line info
+/// and landing pads), edges and jump tables; fails where the CFG does
+/// not hold together.
+fn build_function(
+    ctx: &BinaryContext,
+    raw: &RawFunction,
+    plan: &Plan,
+) -> Result<BinaryFunction, NonSimpleReason> {
+    let start = raw.address;
+    let end = raw.address + raw.size;
+    let Plan {
+        slots,
+        leaders,
+        leader_slots,
+        jump_tables,
+    } = plan;
     // Block `r` starts at leader `r`.
     let block_of_addr = |a: u64| -> BlockId {
         let rank = leaders.binary_search(&a).expect("targets are leaders");
@@ -203,12 +286,12 @@ fn disassemble_function(
     };
 
     // Build blocks.
-    let mut func = bolt_ir::BinaryFunction::new(&raw.name, raw.address);
+    let mut func = BinaryFunction::new(&raw.name, raw.address);
     func.size = raw.size;
     func.section = raw.section.clone();
     func.blocks.reserve_exact(leaders.len());
     func.layout.reserve_exact(leaders.len());
-    for &l in &leaders {
+    for &l in leaders {
         let mut b = BasicBlock::new();
         b.orig_addr = l;
         func.add_block(b);
@@ -221,7 +304,7 @@ fn disassemble_function(
     // a cursor into each walks forward from the function's start.
     let lines = &ctx.lines.entries;
     let mut next_line = lines.partition_point(|e| e.0 < start);
-    let mut call_sites = call_sites().peekable();
+    let mut call_sites = ctx.exceptions.entries.range(start..end).peekable();
     for (rank, &lo) in leader_slots.iter().enumerate() {
         let hi = leader_slots.get(rank + 1).copied().unwrap_or(slots.len());
         let run = &slots[lo..hi];
@@ -245,7 +328,6 @@ fn disassemble_function(
         }
         func.blocks[rank].insts = insts;
     }
-
     // Edges + intra-function target relabeling. Blocks are in address
     // order, so a block falls through to the next id.
     let n_blocks = leaders.len();
@@ -322,7 +404,7 @@ fn disassemble_function(
     }
 
     // Register recognized jump tables with block targets.
-    for jt in &jump_tables {
+    for jt in jump_tables {
         func.jump_tables.push(JumpTable {
             addr: jt.table_addr,
             name: format!("jt_{:x}", jt.table_addr),
@@ -528,7 +610,7 @@ mod tests {
     fn disassemble_one(
         ctx: &BinaryContext,
         insts: &[Inst],
-    ) -> Result<bolt_ir::BinaryFunction, NonSimpleReason> {
+    ) -> Result<BinaryFunction, NonSimpleReason> {
         let bytes = code(BASE, insts);
         let raw = RawFunction {
             name: "f".into(),
@@ -539,7 +621,8 @@ mod tests {
         let mut elf = Elf::new(BASE);
         elf.sections
             .push(bolt_elf::Section::code(".text", BASE, bytes));
-        disassemble_function(ctx, &raw, &elf)
+        let plan = plan_function(ctx, &raw, &elf, Vec::new())?;
+        build_function(ctx, &raw, &plan)
     }
 
     /// `movq $1, %rax` (7 bytes at `BASE`), a branch to `to`, `ret`.

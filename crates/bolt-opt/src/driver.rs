@@ -285,8 +285,8 @@ pub fn prepare(elf: &Elf, profile: &Profile, opts: &BoltOptions) -> PreparedCont
     // Figure 3: function discovery, read debug info, read profile data.
     let (mut ctx, raw_funcs) = discover(elf);
     let discovered = Instant::now();
-    // Disassembly + CFG construction (sharded across opts.threads
-    // workers, like the per-function passes).
+    // Disassembly + CFG construction (planned on one worker when
+    // opts.threads > 1, built on this thread).
     let simple_functions = disassemble_all_with_threads(&mut ctx, &raw_funcs, elf, opts.threads);
     drop(raw_funcs);
     let disassembled = Instant::now();

@@ -27,8 +27,9 @@ pub struct BoltOptions {
     /// Use the layout-trusting non-LBR edge inference (paper section 5.1
     /// compares the naive and tuned inference). No effect in LBR mode.
     pub non_lbr_tuned: bool,
-    /// Worker threads for per-function work — disassembly sharding and
-    /// the per-function pure passes (`-threads=N`). `0` (default)
+    /// Worker threads for per-function work (`-threads=N`): the
+    /// per-function pure passes use all of them; above one, disassembly
+    /// plans on one worker beside the building caller. `0` (default)
     /// resolves through `bolt_emu::Knobs::threads` (the `BOLT_THREADS`
     /// environment override, else available parallelism); `1` forces
     /// the serial path. Output is byte-identical at any value.

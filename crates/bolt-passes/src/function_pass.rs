@@ -5,8 +5,9 @@
 //! time. A registry row whose body is a pure per-function [`Kernel`]
 //! ([`PassRow::per_function`](crate::PassRow::per_function)) is run by
 //! [`run_function_pass`], which shards `ctx.functions` across
-//! `std::thread::scope` workers the same way
-//! `bolt-opt::disasm::disassemble_all` shards disassembly.
+//! `std::thread::scope` workers when the one sharding rule,
+//! [`sharded`], says so; `bolt-opt::disasm::disassemble_all` asks the
+//! same rule whether to plan on a worker.
 //!
 //! Determinism: each kernel owns exactly one function and nothing else,
 //! so the post-pass context is identical at any worker count, and the
@@ -19,12 +20,21 @@
 use bolt_ir::{BinaryContext, BinaryFunction, NonSimpleReason};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Below this many functions the sharded path stays serial: thread
-/// spawn/join overhead dwarfs the kernel work on such small contexts
-/// (disassembly uses the same kind of fallback). Kept low enough that
-/// the Scale::Test workload fixtures (~20 functions) still exercise
-/// sharding in the integration tests.
+/// Below this many functions a sweep stays serial: thread spawn/join
+/// overhead dwarfs the per-function work on such small contexts. Kept
+/// low enough that the Scale::Test workload fixtures (~20 functions)
+/// still exercise sharding in the integration tests.
 const PARALLEL_THRESHOLD: usize = 8;
+
+/// The one sharding rule for sweeps over a binary's functions
+/// (per-function passes, disassembly): whether a sweep over `len`
+/// functions at `n_threads` threads (an effective count, see
+/// `bolt_emu::Knobs::threads`) uses worker threads. It stays serial on
+/// the calling thread at one thread or below [`PARALLEL_THRESHOLD`]
+/// functions.
+pub fn sharded(len: usize, n_threads: usize) -> bool {
+    n_threads > 1 && len >= PARALLEL_THRESHOLD
+}
 
 /// A pure per-function kernel: runs on one function and returns the
 /// number of changes it made.
@@ -90,7 +100,7 @@ fn run_one(kernel: &Kernel, func: &mut BinaryFunction, out: &mut KernelRun) {
 /// `catch_unwind`, so a panicking kernel poisons only its own function
 /// (see [`KernelRun`]).
 pub fn run_function_pass(kernel: &Kernel, ctx: &mut BinaryContext, n_threads: usize) -> KernelRun {
-    if n_threads <= 1 || ctx.functions.len() < PARALLEL_THRESHOLD {
+    if !sharded(ctx.functions.len(), n_threads) {
         let mut out = KernelRun::default();
         for f in ctx.functions.iter_mut() {
             run_one(kernel, f, &mut out);
@@ -158,6 +168,13 @@ mod tests {
             assert_eq!(run.changes, 41, "threads={n}");
             assert!(run.failures.is_empty(), "threads={n}");
         }
+    }
+
+    #[test]
+    fn one_sharding_rule() {
+        assert!(!sharded(PARALLEL_THRESHOLD - 1, 8), "too few functions");
+        assert!(!sharded(100, 1), "one thread");
+        assert!(sharded(PARALLEL_THRESHOLD, 2));
     }
 
     /// A kernel that panics on chosen functions: a stand-in for any

@@ -90,7 +90,7 @@ pub mod sctc;
 pub mod uce;
 
 pub use dyno::DynoStats;
-pub use function_pass::{panic_message, run_function_pass, Kernel, KernelRun};
+pub use function_pass::{panic_message, run_function_pass, sharded, Kernel, KernelRun};
 pub use layout::{BlockLayout, SplitMode};
 pub use manager::{LintMode, ManagerConfig, PassManager, PassRow};
 

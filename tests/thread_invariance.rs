@@ -1,14 +1,20 @@
 //! Thread-count invariance: `PassManager::run` (and the whole driver)
-//! must produce byte-identical results whether the per-function passes
-//! run serially (`-threads=1`) or sharded across workers (`-threads=8`),
-//! on the profiled TAO fixture.
+//! must produce byte-identical results whether disassembly and the
+//! per-function passes run serially (`-threads=1`) or sharded across
+//! workers, on the profiled TAO fixture: at `-threads=8`, at
+//! `-threads=2` (the disassembly planner beside the building caller,
+//! two pass workers) and at `-threads=3` (uneven pass chunks). A variant
+//! of TAO whose non-simple functions sit on the planner's batch
+//! boundaries and the passes' chunk boundaries holds the same at every
+//! one of those thread counts.
 
 use bolt::compiler::{compile_and_link, CompileOptions};
 use bolt::elf::{write_elf, Elf};
 use bolt::emu::Machine;
-use bolt::ir::{dump_function, BinaryContext, DumpOptions};
-use bolt::opt::{optimize, BoltOptions};
-use bolt::passes::{PassManager, PassOptions};
+use bolt::ir::{dump_function, BinaryContext, DumpOptions, NonSimpleReason};
+use bolt::isa::{decode, encode_at, Cond, Inst, JumpWidth, Reg, Rm, Target};
+use bolt::opt::{disasm::PLAN_BATCH, discover, optimize, BoltOptions};
+use bolt::passes::{PassManager, PassOptions, PipelineResult};
 use bolt::profile::{LbrSampler, Profile, SampleTrigger};
 use bolt::workloads::{Scale, Workload};
 use bolt_bench::prepare_ctx;
@@ -31,10 +37,11 @@ fn tao_fixture() -> &'static (Elf, Profile) {
 
 /// Every function's printed IR — the pipeline's observable output,
 /// normalized through the dumper so block order, terminators, and edges
-/// are all covered.
+/// are all covered — and why each non-simple function is.
 fn dump_all(ctx: &BinaryContext) -> String {
     let mut out = String::new();
     for f in &ctx.functions {
+        out.push_str(&format!("{}: {:?}\n", f.name, f.non_simple_reason));
         out.push_str(&dump_function(
             f,
             None,
@@ -79,26 +86,134 @@ fn pass_manager_output_identical_at_1_and_8_threads() {
     }
 }
 
+/// One `optimize` run at `threads`: the rewritten ELF's bytes, the
+/// optimized context's dump and the pipeline result.
+fn driver_run(elf: &Elf, profile: &Profile, threads: usize) -> (Vec<u8>, String, PipelineResult) {
+    let opts = BoltOptions {
+        threads,
+        ..BoltOptions::paper_default()
+    };
+    let out = optimize(elf, profile, &opts).expect("bolt succeeds");
+    let bytes = write_elf(&out.elf).expect("serializes");
+    (bytes, dump_all(&out.ctx), out.pipeline)
+}
+
+/// Runs the driver serially and at each of `threads`; every run must
+/// match the serial one byte for byte.
+fn assert_driver_invariant(label: &str, elf: &Elf, profile: &Profile, threads: &[usize]) {
+    let (bytes, dump, pipeline) = driver_run(elf, profile, 1);
+    for &n in threads {
+        let (n_bytes, n_dump, n_pipeline) = driver_run(elf, profile, n);
+        assert_eq!(
+            pipeline.reports, n_pipeline.reports,
+            "{label}: reports at {n} threads"
+        );
+        assert_eq!(
+            pipeline.function_order, n_pipeline.function_order,
+            "{label}: function order at {n} threads"
+        );
+        assert_eq!(dump, n_dump, "{label}: optimized context at {n} threads");
+        assert!(
+            bytes == n_bytes,
+            "{label}: rewritten binaries must be byte-identical at 1 vs {n} threads"
+        );
+    }
+}
+
 #[test]
 fn full_driver_binary_identical_at_1_and_8_threads() {
     let (elf, profile) = tao_fixture();
-    let mut outputs = Vec::new();
-    for threads in [1usize, 8] {
-        let opts = BoltOptions {
-            threads,
-            ..BoltOptions::paper_default()
-        };
-        let out = optimize(elf, profile, &opts).expect("bolt succeeds");
-        outputs.push((write_elf(&out.elf).expect("serializes"), out.pipeline));
+    assert_driver_invariant("tao", elf, profile, &[8]);
+}
+
+/// `-threads=2` is the planner beside the building caller and two pass
+/// workers (what the benchmark runs); `-threads=3` splits the passes
+/// into uneven chunks.
+#[test]
+fn full_driver_binary_identical_at_2_and_3_threads() {
+    let (elf, profile) = tao_fixture();
+    assert_driver_invariant("tao", elf, profile, &[2, 3]);
+}
+
+/// The three ways disassembly gives a function up, each written over a
+/// function's bytes (which must be at least 2 long).
+const BREAKS: [NonSimpleReason; 3] = [
+    NonSimpleReason::UndecodableBytes,
+    NonSimpleReason::UnresolvedIndirectJump,
+    NonSimpleReason::OutOfRangeControlFlow,
+];
+
+/// Bytes for a function at `addr` of `len` bytes that disassembles to
+/// `reason`: an opcode the decoder rejects throughout; `jmp *%rax` that
+/// matches no jump table; a branch into the middle of itself. The rest
+/// is `ret`s.
+fn broken_body(reason: NonSimpleReason, addr: u64, len: usize) -> Vec<u8> {
+    let mut body = Vec::new();
+    let mut put = |inst: Inst| {
+        let at = addr + body.len() as u64;
+        body.extend(encode_at(&inst, at).expect("encodes").bytes);
+    };
+    match reason {
+        NonSimpleReason::UndecodableBytes => {
+            let bad = (0..=u8::MAX).find(|&b| decode(&[b; 16], addr).is_err());
+            return vec![bad.expect("some opcode does not decode"); len];
+        }
+        NonSimpleReason::UnresolvedIndirectJump => put(Inst::JmpInd {
+            rm: Rm::Reg(Reg::Rax),
+        }),
+        NonSimpleReason::OutOfRangeControlFlow => put(Inst::Jcc {
+            cond: Cond::E,
+            target: Target::Addr(addr + 1),
+            width: JumpWidth::Short,
+        }),
+        other => unreachable!("{other:?}"),
     }
-    let (serial, parallel) = (&outputs[0], &outputs[1]);
-    assert_eq!(serial.1.reports, parallel.1.reports, "driver reports");
-    assert_eq!(
-        serial.1.function_order, parallel.1.function_order,
-        "driver function order"
-    );
-    assert_eq!(
-        serial.0, parallel.0,
-        "rewritten binaries must be byte-identical at 1 vs 8 threads"
-    );
+    body.resize(len, 0xC3);
+    body
+}
+
+/// TAO with a non-simple function of each kind, in turn, on the first
+/// and last function and on both sides of every boundary between the
+/// disassembly planner's batches and between the per-function passes'
+/// chunks at 2, 3 and 8 threads; with the profile of TAO.
+fn boundary_fixture() -> (Elf, Vec<(usize, NonSimpleReason)>) {
+    let (tao, _) = tao_fixture();
+    let mut elf = tao.clone();
+    let (_, funcs) = discover(&elf);
+    let n = funcs.len();
+    assert!(n > PLAN_BATCH, "TAO spans more than one batch of plans");
+    let mut at = vec![0, n - 1];
+    for chunk in [PLAN_BATCH, n.div_ceil(2), n.div_ceil(3), n.div_ceil(8)] {
+        for edge in (chunk..n).step_by(chunk) {
+            at.extend([edge - 1, edge]);
+        }
+    }
+    at.sort_unstable();
+    at.dedup();
+    let broken: Vec<_> = at.into_iter().zip(BREAKS.into_iter().cycle()).collect();
+    for &(fi, reason) in &broken {
+        let raw = &funcs[fi];
+        assert!(raw.size >= 2, "{} is {} bytes", raw.name, raw.size);
+        let (si, section) = elf.section_at(raw.address).expect("in a section");
+        let off = (raw.address - section.addr) as usize;
+        let body = broken_body(reason, raw.address, raw.size as usize);
+        elf.sections[si].data[off..off + body.len()].copy_from_slice(&body);
+    }
+    (elf, broken)
+}
+
+#[test]
+fn non_simple_functions_on_batch_and_chunk_boundaries_are_thread_invariant() {
+    let (elf, broken) = boundary_fixture();
+    let (_, profile) = tao_fixture();
+    let opts = BoltOptions {
+        threads: 1,
+        ..BoltOptions::paper_default()
+    };
+    let out = optimize(&elf, profile, &opts).expect("bolt succeeds");
+    for &(fi, reason) in &broken {
+        let f = &out.ctx.functions[fi];
+        assert_eq!(f.non_simple_reason, Some(reason), "{}", f.name);
+    }
+    assert_driver_invariant("tao with broken functions", &elf, profile, &[2, 3, 8]);
 }
