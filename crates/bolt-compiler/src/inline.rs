@@ -236,9 +236,14 @@ pub fn run_inlining(program: &mut MirProgram, opts: &CompileOptions) -> InlineSt
         return stats;
     }
     for round in 0..MAX_ROUNDS {
+        // The round's callees as they stood at its start. Only inlinable
+        // functions can be inlined, so only they are copied; a callee
+        // missing here is skipped like one that is not inlinable (names
+        // are unique: `validate` rejects duplicates).
         let snapshot: HashMap<String, MirFunction> = program
             .functions
             .iter()
+            .filter(|f| inlinable(f))
             .map(|f| (f.name.clone(), f.clone()))
             .collect();
         let mut any = false;
@@ -262,7 +267,7 @@ pub fn run_inlining(program: &mut MirProgram, opts: &CompileOptions) -> InlineSt
                             let Some(callee) = snapshot.get(name) else {
                                 continue;
                             };
-                            if inlinable(callee) && should_inline(func, callee, *line, opts) {
+                            if should_inline(func, callee, *line, opts) {
                                 site = Some((bb, si, name.clone()));
                                 break 'scan;
                             }

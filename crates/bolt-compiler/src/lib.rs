@@ -18,7 +18,7 @@ pub mod pgo;
 
 pub use builder::FunctionBuilder;
 pub use codegen::{codegen_function, GenFunction, JumpTableReq, Labels, RT_EMIT, RT_EXIT};
-pub use link::{compile_and_link, CompileError, CompiledBinary};
+pub use link::{compile_and_link, compile_and_link_phases, CompileError, CompiledBinary};
 pub use mir::{
     BinOp, Callee, CmpOp, Global, Interp, InterpError, LocalId, MirBlock, MirBlockId, MirFunction,
     MirProgram, Operand, Rvalue, ShiftKind, Stmt, Terminator,

@@ -4,12 +4,13 @@
 
 use crate::codegen::{codegen_function, is_external, JumpTableReq, Labels, RT_EMIT, RT_EXIT};
 use crate::inline::run_inlining;
-use crate::mir::MirProgram;
+use crate::mir::{MirFunction, MirProgram};
 use crate::options::CompileOptions;
 use crate::pgo::pgo_layout;
 use bolt_elf::{reloc, Elf, Rela, Section, SymBind, SymKind, SymSection, Symbol};
 use bolt_ir::{
-    emit_units, EmitBlock, EmitError, EmitInst, EmitUnit, ExceptionTable, LabelAddrs, LineTable,
+    emit_units, EmitBlock, EmitError, EmitInst, EmitUnit, ExceptionTable, LabelAddrs, LineInfo,
+    LineTable,
 };
 use bolt_isa::{AluOp, FixupKind, Inst, JumpWidth, Label, Mem, Reg, Rm, Target};
 use std::collections::HashMap;
@@ -65,36 +66,6 @@ pub struct CompiledBinary {
     pub elf: Elf,
     /// Resolved code-label addresses (for tests and the profiler).
     pub label_addrs: LabelAddrs,
-    /// The MIR program after compiler transformations (inlining, layout) —
-    /// what debug info describes.
-    pub transformed: MirProgram,
-}
-
-/// Builds the `_start` unit: calls `main`, passes its result to the exit
-/// runtime call.
-fn make_start(labels: &mut Labels, opts: &CompileOptions, entry_fn: &str) -> EmitUnit {
-    let start_label = labels.func("_start");
-    let main_label = labels.func(entry_fn);
-    let exit_target = if opts.plt {
-        labels.plt(RT_EXIT)
-    } else {
-        labels.func(RT_EXIT)
-    };
-    let mut b = EmitBlock::new(start_label);
-    b.insts.push(EmitInst::new(Inst::Call {
-        target: Target::Label(main_label),
-    }));
-    b.insts.push(EmitInst::new(Inst::MovRR {
-        dst: Reg::Rdi,
-        src: Reg::Rax,
-    }));
-    b.insts.push(EmitInst::new(Inst::Call {
-        target: Target::Label(exit_target),
-    }));
-    b.insts.push(EmitInst::new(Inst::Ud2));
-    let mut u = EmitUnit::new("_start");
-    u.blocks = vec![b];
-    u
 }
 
 /// Builds the runtime functions.
@@ -148,6 +119,26 @@ pub fn compile_and_link(
     program: &MirProgram,
     opts: &CompileOptions,
 ) -> Result<CompiledBinary, CompileError> {
+    compile_and_link_phases(program, opts, &mut |_| {})
+}
+
+/// [`compile_and_link`], calling `phase` with the name of each phase as
+/// it ends: `clone+inline`, `codegen`, `emit`, `tables`, `assemble`
+/// (memory ledgers measure the phases through it).
+///
+/// Each phase frees what the next does not read: a function's MIR once
+/// it is lowered, the emission units once they are encoded, the
+/// emitter's line entries once they are written out, and the code
+/// streams move into the ELF.
+///
+/// # Errors
+///
+/// As [`compile_and_link`].
+pub fn compile_and_link_phases(
+    program: &MirProgram,
+    opts: &CompileOptions,
+    phase: &mut dyn FnMut(&'static str),
+) -> Result<CompiledBinary, CompileError> {
     program.validate().map_err(CompileError::InvalidMir)?;
     let mut program = program.clone();
 
@@ -159,6 +150,7 @@ pub fn compile_and_link(
         }
     }
     program.validate().map_err(CompileError::InvalidMir)?;
+    phase("clone+inline");
 
     let mut labels = Labels::new();
 
@@ -178,8 +170,10 @@ pub fn compile_and_link(
             let mut placed = vec![false; program.functions.len()];
             let mut o = Vec::with_capacity(program.functions.len());
             for &i in names.iter().filter_map(|n| index.get(n.as_str())) {
-                placed[i] = true;
-                o.push(i);
+                // A name given twice is placed where it first appears.
+                if !std::mem::replace(&mut placed[i], true) {
+                    o.push(i);
+                }
             }
             o.extend((0..program.functions.len()).filter(|&i| !placed[i]));
             o
@@ -206,20 +200,24 @@ pub fn compile_and_link(
         (None, None) => (0..program.functions.len()).collect(),
     };
 
-    let mut units: Vec<EmitUnit> = Vec::new();
+    // Each function's MIR is freed once it is lowered: codegen reads
+    // only the program's line-to-file map besides the function itself.
     let mut jump_tables: Vec<JumpTableReq> = Vec::new();
-    let mut gen_units: Vec<EmitUnit> = Vec::new();
+    let mut gen_units: Vec<EmitUnit> = Vec::with_capacity(order.len());
+    let mut functions: Vec<Option<MirFunction>> = std::mem::take(&mut program.functions)
+        .into_iter()
+        .map(Some)
+        .collect();
     for &i in &order {
-        let gen = codegen_function(&program.functions[i], &program, &mut labels, opts);
+        let func = functions[i].take().expect("each function is lowered once");
+        let gen = codegen_function(&func, &program, &mut labels, opts);
         gen_units.push(gen.unit);
         jump_tables.extend(gen.jump_tables);
     }
+    drop(functions);
 
     // Runtime + _start (synthesized after program codegen so PLT demand is
     // known).
-    let start_unit = make_start(&mut labels, &Default::default(), &program.entry);
-    let _ = &start_unit;
-    // NOTE: make_start takes options for PLT routing; pass the real ones.
     let start_unit = {
         let mut l = EmitUnit::new("_start");
         l.blocks = make_start_blocks(&mut labels, opts, &program.entry);
@@ -235,10 +233,12 @@ pub fn compile_and_link(
         plt_units.push(make_plt_stub(name, *stub, got));
     }
 
+    let mut units = Vec::with_capacity(1 + plt_units.len() + runtime_units.len() + gen_units.len());
     units.push(start_unit);
     units.extend(plt_units);
     units.extend(runtime_units);
     units.extend(gen_units);
+    phase("codegen");
 
     // ---- Data layout ----
     let mut rodata = Vec::new();
@@ -296,7 +296,8 @@ pub fn compile_and_link(
     }
 
     // ---- Emit code ----
-    let result = emit_units(&units, TEXT_BASE, COLD_BASE, &extern_labels)?;
+    let mut result = emit_units(&units, TEXT_BASE, COLD_BASE, &extern_labels)?;
+    drop(units);
 
     // Patch jump tables with resolved block addresses.
     for (jti, addr) in &jt_offsets {
@@ -314,30 +315,27 @@ pub fn compile_and_link(
         got[8 * i..8 * i + 8].copy_from_slice(&a.to_le_bytes());
     }
 
+    phase("emit");
+
     // ---- Metadata tables ----
-    let mut lines = LineTable::new();
-    for f in &program.files {
-        lines.intern_file(f);
-    }
-    for (addr, li) in &result.line_entries {
-        lines.push(*addr, li.file, li.line);
-    }
-    lines.normalize();
+    let lines = line_table_bytes(&program.files, &std::mem::take(&mut result.line_entries));
 
     let mut eh = ExceptionTable::new();
     for (call_addr, pad_label) in &result.eh_entries {
         eh.add(*call_addr, result.label_addrs[pad_label]);
     }
+    phase("tables");
 
     // ---- Assemble the ELF ----
     let entry = result.label_addrs[&labels.func("_start")];
     let mut elf = Elf::new(entry);
-    elf.sections
-        .push(Section::code(".text", TEXT_BASE, result.text.clone()));
+    let text = std::mem::take(&mut result.text);
+    elf.sections.push(Section::code(".text", TEXT_BASE, text));
     let text_idx = 0usize;
     if !result.cold.is_empty() {
+        let cold = std::mem::take(&mut result.cold);
         elf.sections
-            .push(Section::code(".text.cold", COLD_BASE, result.cold.clone()));
+            .push(Section::code(".text.cold", COLD_BASE, cold));
     }
     let rodata_idx = elf.sections.len();
     elf.sections
@@ -346,8 +344,7 @@ pub fn compile_and_link(
     elf.sections.push(Section::data(".data", DATA_BASE, data));
     let got_idx = elf.sections.len();
     elf.sections.push(Section::data(".got", GOT_BASE, got));
-    elf.sections
-        .push(Section::metadata(".bolt.lines", lines.to_bytes()));
+    elf.sections.push(Section::metadata(".bolt.lines", lines));
     elf.sections
         .push(Section::metadata(".bolt.eh", eh.to_bytes()));
 
@@ -435,15 +432,36 @@ pub fn compile_and_link(
         }
     }
 
+    phase("assemble");
     Ok(CompiledBinary {
         elf,
         label_addrs: result.label_addrs,
-        transformed: program,
     })
 }
 
-/// Blocks of the `_start` unit (see [`make_start`]); split out so option
-/// routing is testable.
+/// The `.bolt.lines` section for the source `files` and the emitter's
+/// line entries: what [`LineTable::normalize`] and
+/// [`LineTable::to_bytes`] make of them, written straight from the
+/// entries when they are strictly sorted (as the emitter leaves them
+/// unless the cold stream starts below the hot one), since normalizing
+/// leaves such entries as they are.
+fn line_table_bytes(files: &[String], entries: &[(u64, LineInfo)]) -> Vec<u8> {
+    let mut table = LineTable::new();
+    for f in files {
+        table.intern_file(f);
+    }
+    let entries = entries.iter().map(|(a, li)| (*a, li.file, li.line));
+    if entries.clone().is_sorted_by(|a, b| a < b) {
+        return LineTable::write(&table.files, entries.len(), entries);
+    }
+    table.entries = entries.collect();
+    table.normalize();
+    table.to_bytes()
+}
+
+/// Blocks of the `_start` unit: align the stack, call the entry function
+/// and pass its result to the exit runtime call (through the PLT when
+/// `opts.plt`).
 fn make_start_blocks(labels: &mut Labels, opts: &CompileOptions, entry_fn: &str) -> Vec<EmitBlock> {
     let start_label = labels.func("_start");
     let main_label = labels.func(entry_fn);
@@ -483,6 +501,7 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::mir::{BinOp, CmpOp, Interp, Operand, Rvalue};
+    use bolt_elf::write_elf;
     use bolt_emu::{Exit, Machine, NullSink};
 
     /// Builds a program exercising branches, loops, calls, globals, jump
@@ -659,6 +678,17 @@ mod tests {
         let addr = |n: &str| bin.elf.symbol(n).unwrap().value;
         assert!(addr("main") < addr("weigh"));
         assert!(addr("weigh") < addr("classify"));
+        // A name given twice is placed where it is first named.
+        let twice = CompileOptions {
+            function_order: Some(
+                ["main", "weigh", "main", "classify"]
+                    .map(String::from)
+                    .into(),
+            ),
+            ..CompileOptions::default()
+        };
+        let again = compile_and_link(&p, &twice).unwrap();
+        assert_eq!(write_elf(&again.elf).unwrap(), write_elf(&bin.elf).unwrap());
         // And execution still works.
         let mut m = Machine::new();
         m.load_elf(&bin.elf);
@@ -688,5 +718,61 @@ mod tests {
         let got = bin.elf.symbol("__got___bolt_emit").unwrap().value;
         let target = bin.elf.read_u64(got).unwrap();
         assert_eq!(target, bin.elf.symbol(RT_EMIT).unwrap().value);
+    }
+
+    #[test]
+    fn plt_false_builds_no_plt_stub_or_got_slot() {
+        let p = kitchen_sink();
+        let opts = CompileOptions {
+            plt: false,
+            ..CompileOptions::default()
+        };
+        let bin = compile_and_link(&p, &opts).unwrap();
+        let indirect: Vec<&str> = (bin.elf.symbols.iter())
+            .map(|s| s.name.as_str())
+            .filter(|n| n.starts_with("__plt_") || n.starts_with("__got_"))
+            .collect();
+        assert!(indirect.is_empty(), "plt: false built {indirect:?}");
+    }
+
+    /// The linker's line table, written straight from the emitter's
+    /// entries, equals the normalized table's bytes on units with hot and
+    /// cold code, whether the cold stream lies above the hot one (the
+    /// entries come sorted) or below it (they do not), and with repeated
+    /// or out-of-range file names.
+    #[test]
+    fn line_table_bytes_equal_the_normalized_table() {
+        let mut unit = EmitUnit::new("split");
+        for (i, line) in [3u32, 1, 4, 1, 5].into_iter().enumerate() {
+            let mut b = EmitBlock::new(Label(i as u32));
+            let mut inst = EmitInst::new(Inst::Push(Reg::Rbp));
+            inst.line = Some(LineInfo {
+                file: line % 3,
+                line,
+            });
+            b.insts.push(inst);
+            b.insts.push(EmitInst::new(Inst::Pop(Reg::Rbp)));
+            let mut ret = EmitInst::new(Inst::Ret);
+            ret.line = Some(LineInfo { file: 0, line: 9 });
+            b.insts.push(ret);
+            unit.blocks.push(b);
+        }
+        unit.cold_start = Some(2);
+        let files: Vec<String> = ["a.c", "b.c", "a.c"].map(String::from).into();
+        for cold_base in [COLD_BASE, TEXT_BASE - 0x1000, TEXT_BASE + 4] {
+            let units = [unit.clone()];
+            let result = emit_units(&units, TEXT_BASE, cold_base, &HashMap::new()).unwrap();
+            assert_eq!(result.line_entries.len(), 10);
+            let mut reference = LineTable::new();
+            for f in &files {
+                reference.intern_file(f);
+            }
+            for (a, li) in &result.line_entries {
+                reference.push(*a, li.file, li.line);
+            }
+            reference.normalize();
+            let bytes = line_table_bytes(&files, &result.line_entries);
+            assert_eq!(bytes, reference.to_bytes(), "cold base {cold_base:#x}");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The whole-binary rewriting context shared by passes.
 
-use crate::{BinaryFunction, ExceptionTable, LineTable};
+use crate::{BinaryFunction, ExceptionTable};
 use std::collections::{BTreeMap, HashMap};
 
 /// Read-only data the rewriter needs beyond per-function CFGs: read-only
@@ -18,8 +18,11 @@ pub struct BinaryContext {
     pub rodata: Vec<(u64, Vec<u8>)>,
     /// PLT stub address → final target function name.
     pub plt_stubs: HashMap<u64, String>,
-    /// The line table read from `.bolt.lines`.
-    pub lines: LineTable,
+    /// The file names of the line table in `.bolt.lines`, indexed by
+    /// `LineInfo::file`. Its entries are read from the section's bytes
+    /// where they are needed ([`crate::LineRecords`]) and live on in each
+    /// instruction's `line`.
+    pub line_files: Vec<String>,
     /// The exception table read from `.bolt.eh`.
     pub exceptions: ExceptionTable,
     /// Program entry point.

@@ -17,7 +17,7 @@ use std::fmt;
 
 /// An instruction queued for emission, with the metadata that must survive
 /// relocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct EmitInst {
     pub inst: Inst,
     /// Source line to record in the output line table.
@@ -188,7 +188,7 @@ impl std::ops::Index<&Label> for LabelAddrs {
 /// The result of emitting a set of functions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EmitResult {
-    /// Hot code bytes, based at the `text_base` passed to [`emit_units`].
+    /// Hot code bytes, based at the `text_base` passed to [`emit`].
     pub text: Vec<u8>,
     /// Cold code bytes, based at `cold_base`.
     pub cold: Vec<u8>,
@@ -306,7 +306,82 @@ impl Branch {
     }
 }
 
-/// Emits `units` in order. Hot fragments go to a stream based at
+/// What the emitter reads: an ordered list of functions ("units"), each
+/// an ordered list of labelled blocks of instructions. Two sources
+/// exist: a slice of [`EmitUnit`]s (the linker's), and the optimizer's
+/// view of its IR in emission order, which maps branch targets to labels
+/// as it hands each instruction out instead of copying the functions.
+pub trait EmitSource {
+    /// Whether the fixups applied are recorded in [`EmitResult::relocs`].
+    const RELOCS: bool;
+    /// Number of units.
+    fn units(&self) -> usize;
+    fn name(&self, unit: usize) -> &str;
+    /// Start alignment of the unit's hot (and cold) fragment.
+    fn align(&self, unit: usize) -> u16;
+    /// First block placed in the cold stream, if the unit is split.
+    fn cold_start(&self, unit: usize) -> Option<usize>;
+    /// Number of blocks in the unit.
+    fn blocks(&self, unit: usize) -> usize;
+    /// The block's label, unique across the source.
+    fn label(&self, unit: usize, block: usize) -> Label;
+    /// The block's start alignment (1 = none).
+    fn block_align(&self, unit: usize, block: usize) -> u16;
+    /// The block's instructions, in order.
+    fn insts(&self, unit: usize, block: usize) -> impl Iterator<Item = EmitInst> + '_;
+}
+
+impl EmitSource for [EmitUnit] {
+    const RELOCS: bool = true;
+
+    fn units(&self) -> usize {
+        self.len()
+    }
+
+    fn name(&self, unit: usize) -> &str {
+        &self[unit].name
+    }
+
+    fn align(&self, unit: usize) -> u16 {
+        self[unit].align
+    }
+
+    fn cold_start(&self, unit: usize) -> Option<usize> {
+        self[unit].cold_start
+    }
+
+    fn blocks(&self, unit: usize) -> usize {
+        self[unit].blocks.len()
+    }
+
+    fn label(&self, unit: usize, block: usize) -> Label {
+        self[unit].blocks[block].label
+    }
+
+    fn block_align(&self, unit: usize, block: usize) -> u16 {
+        self[unit].blocks[block].align
+    }
+
+    fn insts(&self, unit: usize, block: usize) -> impl Iterator<Item = EmitInst> + '_ {
+        self[unit].blocks[block].insts.iter().copied()
+    }
+}
+
+/// Emits `units` in order: [`emit`] over the units as an [`EmitSource`].
+///
+/// # Errors
+///
+/// See [`EmitError`].
+pub fn emit_units(
+    units: &[EmitUnit],
+    text_base: u64,
+    cold_base: u64,
+    extern_labels: &HashMap<Label, u64>,
+) -> Result<EmitResult, EmitError> {
+    emit(units, text_base, cold_base, extern_labels)
+}
+
+/// Emits `src`'s units in order. Hot fragments go to a stream based at
 /// `text_base`; blocks past each unit's `cold_start` go to a stream based
 /// at `cold_base`. `extern_labels` resolves references to labels defined
 /// outside the emitted code (data, PLT, GOT, unmodified functions).
@@ -319,23 +394,23 @@ impl Branch {
 /// # Errors
 ///
 /// See [`EmitError`].
-pub fn emit_units(
-    units: &[EmitUnit],
+pub fn emit<S: EmitSource + ?Sized>(
+    src: &S,
     text_base: u64,
     cold_base: u64,
     extern_labels: &HashMap<Label, u64>,
 ) -> Result<EmitResult, EmitError> {
     // Every block label, checked for duplicates in unit order.
-    let n_blocks: usize = units.iter().map(|u| u.blocks.len()).sum();
-    let labels = units
-        .iter()
-        .flat_map(|u| &u.blocks)
-        .map(|b| b.label.0 as usize);
+    let n_units = src.units();
+    let all_blocks = || (0..n_units).flat_map(|u| (0..src.blocks(u)).map(move |b| (u, b)));
+    let n_blocks = all_blocks().count();
+    let labels = all_blocks().map(|(u, b)| src.label(u, b).0 as usize);
     let dense_len = labels.max().map_or(0, |l| l + 1).min(2 * n_blocks + 64);
     let mut label_addrs = LabelAddrs::with_dense_len(dense_len);
-    for b in units.iter().flat_map(|u| &u.blocks) {
-        if label_addrs.insert(b.label, 0).is_some() {
-            return Err(EmitError::DuplicateLabel(b.label));
+    for (u, b) in all_blocks() {
+        let label = src.label(u, b);
+        if label_addrs.insert(label, 0).is_some() {
+            return Err(EmitError::DuplicateLabel(label));
         }
     }
 
@@ -345,24 +420,21 @@ pub fn emit_units(
     let mut branches: Vec<Branch> = Vec::new();
     let mut n_lines = 0;
     for cold in [false, true] {
-        for (ui, u) in units.iter().enumerate() {
-            let split = u.cold_start.unwrap_or(u.blocks.len());
-            let range = if cold {
-                split..u.blocks.len()
-            } else {
-                0..split
-            };
+        for ui in 0..n_units {
+            let n = src.blocks(ui);
+            let cold_start = src.cold_start(ui);
+            let split = cold_start.unwrap_or(n);
+            let range = if cold { split..n } else { 0..split };
             for bi in range {
-                let block = &u.blocks[bi];
-                let is_fragment_start = bi == 0 || u.cold_start == Some(bi);
+                let is_fragment_start = bi == 0 || cold_start == Some(bi);
                 let align = if is_fragment_start {
-                    u.align
+                    src.align(ui)
                 } else {
-                    block.align
+                    src.block_align(ui, bi)
                 };
                 let first_branch = branches.len() as u32;
                 let mut fixed = 0u32;
-                for einst in &block.insts {
+                for einst in src.insts(ui, bi) {
                     n_lines += usize::from(einst.line.is_some());
                     match einst.inst {
                         Inst::Jcc { target, .. } | Inst::Jmp { target, .. } => {
@@ -387,7 +459,7 @@ pub fn emit_units(
                     block: bi as u32,
                     cold,
                     align: align.max(1),
-                    label: block.label,
+                    label: src.label(ui, bi),
                     fixed,
                     first_branch,
                     end_branch: branches.len() as u32,
@@ -447,17 +519,16 @@ pub fn emit_units(
     let bases = [text_base, cold_base];
     let mut streams = [0, 1].map(|s| Vec::with_capacity((ends[s] - bases[s]) as usize));
     // Per-unit fragment extents, `[hot, cold]`: (start, end).
-    let mut frags: Vec<[Option<(u64, u64)>; 2]> = vec![[None; 2]; units.len()];
+    let mut frags: Vec<[Option<(u64, u64)>; 2]> = vec![[None; 2]; n_units];
     let mut next_branch = 0usize;
     for p in &placed {
         let stream = usize::from(p.cold);
-        let block = &units[p.unit as usize].blocks[p.block as usize];
         let buf = &mut streams[stream];
         let cur_addr = bases[stream] + buf.len() as u64;
         debug_assert!(p.start >= cur_addr);
         push_nops(buf, p.start - cur_addr);
 
-        for einst in &block.insts {
+        for einst in src.insts(p.unit as usize, p.block as usize) {
             let addr = bases[stream] + buf.len() as u64;
             let mut working = einst.inst;
             if let Inst::Jcc { .. } | Inst::Jmp { .. } = working {
@@ -469,11 +540,13 @@ pub fn emit_units(
                 let to = resolve(&label_addrs, f.label)?;
                 let len = enc.bytes.len();
                 apply_fixup(&mut enc.bytes, &f, addr, len, to)?;
-                result.relocs.push(EmitReloc {
-                    at: addr + f.offset as u64,
-                    kind: f.kind,
-                    label: f.label,
-                });
+                if S::RELOCS {
+                    result.relocs.push(EmitReloc {
+                        at: addr + f.offset as u64,
+                        kind: f.kind,
+                        label: f.label,
+                    });
+                }
             }
             if let Some(line) = einst.line {
                 result.line_entries.push((addr, line));
@@ -493,8 +566,8 @@ pub fn emit_units(
     // fall through (callers are responsible for terminating layouts).
     let last_hot = placed.iter().rfind(|p| !p.cold);
     for p in last_hot.into_iter().chain(placed.last().filter(|p| p.cold)) {
-        let unit = &units[p.unit as usize];
-        let falls = match unit.blocks[p.block as usize].insts.last() {
+        let unit = p.unit as usize;
+        let falls = match src.insts(unit, p.block as usize).last() {
             None => true,
             Some(i) => {
                 !i.inst.is_uncond_branch()
@@ -504,16 +577,16 @@ pub fn emit_units(
         };
         if falls {
             return Err(EmitError::TrailingFallthrough {
-                function: unit.name.clone(),
+                function: src.name(unit).to_string(),
             });
         }
     }
 
     // Symbols.
-    for (u, [hot, cold]) in units.iter().zip(frags) {
+    for (u, [hot, cold]) in frags.into_iter().enumerate() {
         if let Some((start, end)) = hot {
             result.symbols.push(EmitSymbol {
-                name: u.name.clone(),
+                name: src.name(u).to_string(),
                 addr: start,
                 size: end - start,
                 is_cold_fragment: false,
@@ -521,7 +594,7 @@ pub fn emit_units(
         }
         if let Some((start, end)) = cold {
             result.symbols.push(EmitSymbol {
-                name: format!("{}.cold", u.name),
+                name: format!("{}.cold", src.name(u)),
                 addr: start,
                 size: end - start,
                 is_cold_fragment: true,

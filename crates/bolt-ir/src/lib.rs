@@ -47,10 +47,10 @@ pub use dataflow::{
     Liveness, RegSet,
 };
 pub use emit::{
-    emit_units, EmitBlock, EmitError, EmitInst, EmitReloc, EmitResult, EmitSymbol, EmitUnit,
-    LabelAddrs,
+    emit, emit_units, EmitBlock, EmitError, EmitInst, EmitReloc, EmitResult, EmitSource,
+    EmitSymbol, EmitUnit, LabelAddrs,
 };
 pub use function::{edges, BinaryFunction, JumpTable, NonSimpleReason, OptTier};
 pub use inst::{BinaryInst, LineInfo};
-pub use meta::{ExceptionTable, LineTable, MetaError};
+pub use meta::{ExceptionTable, LineRecords, LineTable, MetaError};
 pub use print::{dump_function, DumpOptions};

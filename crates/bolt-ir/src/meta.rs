@@ -3,6 +3,7 @@
 //! (`.bolt.eh`, standing in for the LSDA). Both are emitted by the linker
 //! and *rewritten* by BOLT when code moves (paper section 3.4).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -84,19 +85,36 @@ impl LineTable {
 
     /// Serializes to the `.bolt.lines` binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let names: usize = self.files.iter().map(|f| 4 + f.len()).sum();
-        let mut out = Vec::with_capacity(8 + names + 16 * self.entries.len());
-        out.extend_from_slice(&(self.files.len() as u32).to_le_bytes());
-        for f in &self.files {
+        LineTable::write(
+            &self.files,
+            self.entries.len(),
+            self.entries.iter().copied(),
+        )
+    }
+
+    /// Serializes `files` and `entries` (in the order given, up to about
+    /// `max_entries` of them: the buffer is sized for that many) to the
+    /// `.bolt.lines` binary format without building a table.
+    pub fn write(
+        files: &[String],
+        max_entries: usize,
+        entries: impl IntoIterator<Item = (u64, u32, u32)>,
+    ) -> Vec<u8> {
+        let names: usize = files.iter().map(|f| 4 + f.len()).sum();
+        let mut out = Vec::with_capacity(8 + names + RECORD * max_entries);
+        out.extend_from_slice(&(files.len() as u32).to_le_bytes());
+        for f in files {
             out.extend_from_slice(&(f.len() as u32).to_le_bytes());
             out.extend_from_slice(f.as_bytes());
         }
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (a, f, l) in &self.entries {
-            out.extend_from_slice(&a.to_le_bytes());
-            out.extend_from_slice(&f.to_le_bytes());
-            out.extend_from_slice(&l.to_le_bytes());
+        let count_at = out.len();
+        out.extend_from_slice(&0u32.to_le_bytes());
+        let mut n = 0u32;
+        for e in entries {
+            push_record(&mut out, e);
+            n += 1;
         }
+        out[count_at..count_at + 4].copy_from_slice(&n.to_le_bytes());
         out
     }
 
@@ -106,31 +124,125 @@ impl LineTable {
     ///
     /// Returns an error on truncated input or invalid UTF-8 file names.
     pub fn from_bytes(data: &[u8]) -> Result<LineTable, MetaError> {
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Result<&[u8], MetaError> {
-            let end = pos.checked_add(n).ok_or(MetaError::Truncated)?;
-            let s = data.get(pos..end).ok_or(MetaError::Truncated)?;
-            pos = end;
-            Ok(s)
+        let (files, records) = split_lines(data)?;
+        let entries = records.chunks_exact(RECORD).map(record).collect();
+        Ok(LineTable { files, entries })
+    }
+}
+
+/// Bytes per `.bolt.lines` entry: address, file, line.
+const RECORD: usize = 16;
+
+fn push_record(out: &mut Vec<u8>, (a, f, l): (u64, u32, u32)) {
+    out.extend_from_slice(&a.to_le_bytes());
+    out.extend_from_slice(&f.to_le_bytes());
+    out.extend_from_slice(&l.to_le_bytes());
+}
+
+fn record(r: &[u8]) -> (u64, u32, u32) {
+    let a = u64::from_le_bytes(r[..8].try_into().expect("8 bytes"));
+    let f = u32::from_le_bytes(r[8..12].try_into().expect("4 bytes"));
+    let l = u32::from_le_bytes(r[12..16].try_into().expect("4 bytes"));
+    (a, f, l)
+}
+
+/// Splits a `.bolt.lines` section into its file names and the bytes of
+/// its entry records (exactly as many as it declares; bytes after them
+/// are ignored).
+fn split_lines(data: &[u8]) -> Result<(Vec<String>, &[u8]), MetaError> {
+    let mut pos = 0usize;
+    let mut take = |n: usize| -> Result<&[u8], MetaError> {
+        let end = pos.checked_add(n).ok_or(MetaError::Truncated)?;
+        let s = data.get(pos..end).ok_or(MetaError::Truncated)?;
+        pos = end;
+        Ok(s)
+    };
+    let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize;
+    let nfiles = word(take(4)?);
+    // Each name takes 4 bytes at least, which bounds a corrupt count.
+    let mut files = Vec::with_capacity(nfiles.min(data.len() / 4));
+    for _ in 0..nfiles {
+        let len = word(take(4)?);
+        let name = std::str::from_utf8(take(len)?).map_err(|_| MetaError::BadUtf8)?;
+        files.push(name.to_string());
+    }
+    let nentries = word(take(4)?);
+    let records = take(nentries.checked_mul(RECORD).ok_or(MetaError::Truncated)?)?;
+    Ok((files, records))
+}
+
+/// A `.bolt.lines` section read in place: its file names, and its
+/// entries as the section's own 16-byte records, or, when those are not
+/// sorted, an owned sorted and deduplicated copy of them (what
+/// [`LineTable::normalize`] would make). Lookups walk the records; no
+/// entry is copied into a table.
+#[derive(Debug, Clone, Default)]
+pub struct LineRecords<'a> {
+    /// File names, indexed by `LineInfo::file`.
+    pub files: Vec<String>,
+    records: Cow<'a, [u8]>,
+}
+
+impl<'a> LineRecords<'a> {
+    /// Reads a `.bolt.lines` section.
+    ///
+    /// # Errors
+    ///
+    /// As [`LineTable::from_bytes`].
+    pub fn parse(data: &'a [u8]) -> Result<LineRecords<'a>, MetaError> {
+        let (files, records) = split_lines(data)?;
+        let sorted = records
+            .chunks_exact(RECORD)
+            .map(record)
+            .is_sorted_by(|a, b| a <= b);
+        let records = if sorted {
+            Cow::Borrowed(records)
+        } else {
+            let mut t = LineTable {
+                files: Vec::new(),
+                entries: records.chunks_exact(RECORD).map(record).collect(),
+            };
+            t.normalize();
+            let mut bytes = Vec::with_capacity(RECORD * t.entries.len());
+            t.entries
+                .into_iter()
+                .for_each(|e| push_record(&mut bytes, e));
+            Cow::Owned(bytes)
         };
-        let mut t = LineTable::new();
-        let nfiles = u32::from_le_bytes(take(4)?.try_into().unwrap());
-        for _ in 0..nfiles {
-            let len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-            let name = std::str::from_utf8(take(len)?).map_err(|_| MetaError::BadUtf8)?;
-            t.files.push(name.to_string());
+        Ok(LineRecords { files, records })
+    }
+
+    pub fn len(&self) -> usize {
+        self.records.len() / RECORD
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Entry `i`, `(address, file, line)`.
+    pub fn get(&self, i: usize) -> Option<(u64, u32, u32)> {
+        self.records.get(i * RECORD..(i + 1) * RECORD).map(record)
+    }
+
+    /// The number of leading entries whose address satisfies `pred`
+    /// (entries are sorted, so `pred` must be true on a prefix).
+    pub fn partition_point(&self, mut pred: impl FnMut(u64) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.get(mid).expect("in range").0) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        let nentries = u32::from_le_bytes(take(4)?.try_into().unwrap());
-        // Each entry takes 16 bytes, which bounds a corrupt count.
-        t.entries
-            .reserve_exact((nentries as usize).min(data.len() / 16));
-        for _ in 0..nentries {
-            let a = u64::from_le_bytes(take(8)?.try_into().unwrap());
-            let f = u32::from_le_bytes(take(4)?.try_into().unwrap());
-            let l = u32::from_le_bytes(take(4)?.try_into().unwrap());
-            t.entries.push((a, f, l));
-        }
-        Ok(t)
+        lo
+    }
+
+    /// Every entry, in address order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, u32, u32)> + Clone + '_ {
+        self.records.chunks_exact(RECORD).map(record)
     }
 }
 

@@ -1,23 +1,20 @@
 //! CFG pretty-printer producing dumps in the style of paper Figure 4.
 
-use crate::{BinaryFunction, LineTable};
+use crate::BinaryFunction;
 use std::fmt::Write;
 
 /// Options controlling [`dump_function`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DumpOptions {
-    /// Print per-instruction source lines when a line table is provided.
+    /// Print per-instruction source lines (`file:line` when the line
+    /// table's file names are provided).
     pub print_debug_info: bool,
 }
 
 /// Renders a function's CFG in the BOLT dump format (paper Figure 4):
 /// a header block with function-level facts followed by each basic block
 /// with its instructions, successor edges, and landing-pad links.
-pub fn dump_function(
-    func: &BinaryFunction,
-    lines: Option<&LineTable>,
-    opts: DumpOptions,
-) -> String {
+pub fn dump_function(func: &BinaryFunction, files: Option<&[String]>, opts: DumpOptions) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Binary Function \"{}\" {{", func.name);
     let _ = writeln!(out, "  State       : CFG constructed");
@@ -63,12 +60,9 @@ pub fn dump_function(
             }
             if opts.print_debug_info {
                 if let Some(li) = inst.line {
-                    let desc = lines
-                        .and_then(|t| {
-                            t.files
-                                .get(li.file as usize)
-                                .map(|f| format!("{f}:{}", li.line))
-                        })
+                    let desc = files
+                        .and_then(|files| files.get(li.file as usize))
+                        .map(|f| format!("{f}:{}", li.line))
                         .unwrap_or_else(|| li.to_string());
                     line.push_str(&format!(" # {desc}"));
                 }
@@ -115,11 +109,9 @@ mod tests {
         f.block_mut(lp).exec_count = 4;
         f.rebuild_preds();
 
-        let mut lt = LineTable::new();
-        lt.intern_file("exception4.cpp");
         let s = dump_function(
             &f,
-            Some(&lt),
+            Some(&["exception4.cpp".to_string()]),
             DumpOptions {
                 print_debug_info: true,
             },

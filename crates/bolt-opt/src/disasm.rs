@@ -7,10 +7,10 @@
 //! tables living in writable memory.
 
 use crate::discover::RawFunction;
-use bolt_elf::Elf;
+use bolt_elf::{sections, Elf};
 use bolt_ir::{
     BasicBlock, BinaryContext, BinaryFunction, BinaryInst, BlockId, JumpTable, LineInfo,
-    NonSimpleReason, SuccEdge,
+    LineRecords, NonSimpleReason, SuccEdge,
 };
 use bolt_isa::{decode, AluOp, Inst, Label, Mem, Reg, Rm, Target};
 use bolt_passes::sharded;
@@ -90,9 +90,10 @@ pub fn disassemble_all_with_threads(
 ) -> usize {
     let n_threads = bolt_emu::Knobs::get().threads(threads);
     let ctx_ref = &*ctx;
+    let lines = line_records(elf);
     // Builds from a plan; returns the plan's decode buffer for reuse.
     let build = |raw, plan: Result<Plan, NonSimpleReason>| match plan {
-        Ok(plan) => (build_function(ctx_ref, raw, &plan), plan.slots),
+        Ok(plan) => (build_function(ctx_ref, &lines, raw, &plan), plan.slots),
         Err(reason) => (Err(reason), Vec::new()),
     };
     let results: Vec<Result<BinaryFunction, NonSimpleReason>> = if !sharded(funcs.len(), n_threads)
@@ -151,6 +152,14 @@ pub fn disassemble_all_with_threads(
     }
     ctx.reindex();
     simple
+}
+
+/// The entries of `elf`'s line table, read in place; none when it has no
+/// `.bolt.lines` section or the section does not parse.
+pub(crate) fn line_records(elf: &Elf) -> LineRecords<'_> {
+    let data = elf.section(sections::LINES).map(|s| &s.data[..]);
+    data.and_then(|d| LineRecords::parse(d).ok())
+        .unwrap_or_default()
 }
 
 /// Decodes `raw` into `slots` (a buffer to reuse), recognizes its jump
@@ -268,6 +277,7 @@ fn plan_function(
 /// not hold together.
 fn build_function(
     ctx: &BinaryContext,
+    lines: &LineRecords,
     raw: &RawFunction,
     plan: &Plan,
 ) -> Result<BinaryFunction, NonSimpleReason> {
@@ -302,8 +312,7 @@ fn build_function(
     // leader `r + 1`; counting them first sizes its vector exactly. Line
     // entries and call sites are sorted by address, like the slots, so
     // a cursor into each walks forward from the function's start.
-    let lines = &ctx.lines.entries;
-    let mut next_line = lines.partition_point(|e| e.0 < start);
+    let mut next_line = lines.partition_point(|a| a < start);
     let mut call_sites = ctx.exceptions.entries.range(start..end).peekable();
     for (rank, &lo) in leader_slots.iter().enumerate() {
         let hi = leader_slots.get(rank + 1).copied().unwrap_or(slots.len());
@@ -315,7 +324,7 @@ fn build_function(
             while lines.get(next_line).is_some_and(|e| e.0 < s.addr) {
                 next_line += 1;
             }
-            if let Some(&(_, file, line)) = lines.get(next_line).filter(|e| e.0 == s.addr) {
+            if let Some((_, file, line)) = lines.get(next_line).filter(|e| e.0 == s.addr) {
                 bi.line = Some(LineInfo { file, line });
             }
             if s.inst.is_call() {
@@ -611,6 +620,15 @@ mod tests {
         ctx: &BinaryContext,
         insts: &[Inst],
     ) -> Result<BinaryFunction, NonSimpleReason> {
+        disassemble_with_lines(ctx, &LineRecords::default(), insts)
+    }
+
+    /// [`disassemble_one`] with a line table.
+    fn disassemble_with_lines(
+        ctx: &BinaryContext,
+        lines: &LineRecords,
+        insts: &[Inst],
+    ) -> Result<BinaryFunction, NonSimpleReason> {
         let bytes = code(BASE, insts);
         let raw = RawFunction {
             name: "f".into(),
@@ -622,7 +640,7 @@ mod tests {
         elf.sections
             .push(bolt_elf::Section::code(".text", BASE, bytes));
         let plan = plan_function(ctx, &raw, &elf, Vec::new())?;
-        build_function(ctx, &raw, &plan)
+        build_function(ctx, lines, &raw, &plan)
     }
 
     /// `movq $1, %rax` (7 bytes at `BASE`), a branch to `to`, `ret`.
@@ -734,12 +752,15 @@ mod tests {
     #[test]
     fn line_cursor_starts_at_the_function() {
         let insts = [Inst::Push(Reg::Rbp), Inst::Pop(Reg::Rbp), Inst::Ret];
-        let mut ctx = BinaryContext::new();
-        let file = ctx.lines.intern_file("f.c");
-        ctx.lines.push(BASE - 1, file, 7); // the neighbour's last `ret`
-        ctx.lines.push(BASE + 1, file, 8);
-        ctx.lines.push(BASE + 3, file, 9); // past the end
-        let func = disassemble_one(&ctx, &insts).expect("disassembles");
+        let mut table = bolt_ir::LineTable::new();
+        let file = table.intern_file("f.c");
+        table.push(BASE - 1, file, 7); // the neighbour's last `ret`
+        table.push(BASE + 1, file, 8);
+        table.push(BASE + 3, file, 9); // past the end
+        let bytes = table.to_bytes();
+        let lines = LineRecords::parse(&bytes).expect("parses");
+        let func =
+            disassemble_with_lines(&BinaryContext::new(), &lines, &insts).expect("disassembles");
         let lines: Vec<_> = func.blocks[0]
             .insts
             .iter()

@@ -5,7 +5,7 @@
 //! relies on correct ELF symbol table information for code discovery").
 
 use bolt_elf::{sections, Elf, SymKind};
-use bolt_ir::{BinaryContext, BinaryFunction, ExceptionTable, LineTable};
+use bolt_ir::{BinaryContext, BinaryFunction, ExceptionTable, LineRecords};
 use std::collections::HashMap;
 
 /// A discovered-but-not-yet-disassembled function.
@@ -32,16 +32,11 @@ pub fn discover(elf: &Elf) -> (BinaryContext, Vec<RawFunction>) {
         }
     }
 
-    // Metadata tables.
+    // Metadata tables. Of the line table only the file names are kept:
+    // disassembly and the rewrite read its entries from the section.
     if let Some(sec) = elf.section(sections::LINES) {
-        if let Ok(mut t) = LineTable::from_bytes(&sec.data) {
-            // Disassembly walks it in address order, and the rewrite
-            // merges it with the new entries, so it is kept sorted. A
-            // well-formed table already is.
-            if !t.entries.is_sorted() {
-                t.normalize();
-            }
-            ctx.lines = t;
+        if let Ok(t) = LineRecords::parse(&sec.data) {
+            ctx.line_files = t.files;
         }
     }
     if let Some(sec) = elf.section(sections::EH) {
@@ -144,6 +139,7 @@ pub fn discover(elf: &Elf) -> (BinaryContext, Vec<RawFunction>) {
 mod tests {
     use super::*;
     use bolt_elf::{Section, Symbol};
+    use bolt_ir::LineTable;
 
     fn sample_elf() -> Elf {
         let mut e = Elf::new(0x400000);
@@ -171,7 +167,7 @@ mod tests {
         assert_eq!(funcs[1].size, 0x20, "size from next symbol");
         assert_eq!(ctx.functions.len(), 3);
         assert!(ctx.is_rodata_addr(0x500000));
-        assert_eq!(ctx.lines.describe(0x400000).unwrap(), "a.c:10");
+        assert_eq!(ctx.line_files, ["a.c"]);
     }
 
     #[test]

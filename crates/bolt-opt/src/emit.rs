@@ -15,10 +15,11 @@
 //! and a `MovRSym` materialises the original address, because that is
 //! the value any pointer it is compared against holds.
 
+use crate::disasm::line_records;
 use bolt_elf::{sections, Elf, Section, SymKind};
 use bolt_ir::{
-    emit_units, BinaryContext, BlockId, EmitBlock, EmitError, EmitInst, EmitResult, EmitUnit,
-    ExceptionTable, LineTable,
+    emit, BinaryContext, BinaryFunction, BlockId, EmitError, EmitInst, EmitResult, EmitSource,
+    ExceptionTable, LineRecords, LineTable,
 };
 use bolt_isa::{encode_at, Inst, JumpWidth, Label, Target};
 use std::collections::HashMap;
@@ -51,15 +52,18 @@ pub struct RewriteStats {
 }
 
 /// The line and exception tables of the rewritten binary (paper section
-/// 3.4): entries inside `moved` code go, `result`'s for its new home come.
-/// One sweep: the input table is sorted (`discover` normalizes it), the
-/// moved ranges are sorted and merged here, and the emitter's entries
-/// are sorted, so survivors and new entries merge without a sort.
+/// 3.4), the line table as `.bolt.lines` bytes: entries inside `moved`
+/// code go, `result`'s for its new home come. One sweep: the input's
+/// entries are sorted ([`LineRecords`] sorts a copy only when they are
+/// not), the moved ranges are sorted and merged here, and the emitter's
+/// entries are sorted, so survivors and new entries merge without a sort,
+/// straight into the output bytes.
 fn rebuild_tables(
-    ctx: &BinaryContext,
+    lines: &LineRecords,
+    exceptions: &ExceptionTable,
     mut moved: Vec<(u64, u64)>,
     result: &EmitResult,
-) -> (LineTable, ExceptionTable) {
+) -> (Vec<u8>, ExceptionTable) {
     // Sorted and merged into disjoint `[start, end)` ranges.
     moved.sort_unstable();
     moved.dedup_by(|next, last| {
@@ -82,14 +86,9 @@ fn rebuild_tables(
         }
     };
 
-    debug_assert!(ctx.lines.entries.is_sorted(), "discover normalizes lines");
     let kept = || {
         let mut inside = inside_moved();
-        ctx.lines
-            .entries
-            .iter()
-            .filter(move |e| !inside(e.0))
-            .copied()
+        lines.iter().filter(move |e| !inside(e.0))
     };
     let new = || {
         result
@@ -97,25 +96,24 @@ fn rebuild_tables(
             .iter()
             .map(|(a, li)| (*a, li.file, li.line))
     };
-    let mut entries = Vec::with_capacity(kept().count() + new().len());
+    let at_most = kept().count() + new().len();
     // The new entries are sorted by address; two share one only if the
     // hot and cold streams overlap, and then they are sorted here.
-    if new().is_sorted() {
-        merge_dedup(kept(), new(), &mut entries);
+    let lines = if new().is_sorted() {
+        LineTable::write(&lines.files, at_most, merge_dedup(kept(), new()))
     } else {
         let mut sorted: Vec<_> = new().collect();
         sorted.sort_unstable();
-        merge_dedup(kept(), sorted.into_iter(), &mut entries);
-    }
-    let lines = LineTable {
-        files: ctx.lines.files.clone(),
-        entries,
+        LineTable::write(
+            &lines.files,
+            at_most,
+            merge_dedup(kept(), sorted.into_iter()),
+        )
     };
 
     let mut kept = inside_moved();
     let mut eh = ExceptionTable {
-        entries: ctx
-            .exceptions
+        entries: exceptions
             .entries
             .iter()
             .filter(|(cs, _)| !kept(**cs))
@@ -128,26 +126,163 @@ fn rebuild_tables(
     (lines, eh)
 }
 
-/// Appends the merge of the sorted `a` and `b` to `out`, dropping
-/// repeats.
+/// The merge of the sorted `a` and `b`, without repeats.
 fn merge_dedup<T: Ord + Copy>(
     a: impl Iterator<Item = T>,
     b: impl Iterator<Item = T>,
-    out: &mut Vec<T>,
-) {
-    let mut b = b.peekable();
-    let mut push = |e| {
-        if out.last() != Some(&e) {
-            out.push(e);
+) -> impl Iterator<Item = T> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    let mut last = None;
+    std::iter::from_fn(move || loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y < x => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        }?;
+        if last.replace(next) != Some(next) {
+            return Some(next);
         }
-    };
-    for e in a {
-        while let Some(n) = b.next_if(|n| *n < e) {
-            push(n);
+    })
+}
+
+/// The optimized IR as the emitter reads it ([`EmitSource`]): the
+/// emitted functions in emission order, each one's blocks in layout
+/// order, every branch and call target mapped to a label as its
+/// instruction is read. Nothing is copied; the output carries no
+/// relocations, so none are recorded.
+struct IrSource<'a> {
+    ctx: &'a BinaryContext,
+    /// Function indices, in emission order.
+    emitted: Vec<usize>,
+    /// A run of labels per emitted function, in emission order: block
+    /// `b` of function `fi` is `first_label[fi] + b`.
+    first_label: Vec<u32>,
+    /// Old entry address -> new entry label (through ICF folds), sorted
+    /// by address; of two functions at one address the later one wins.
+    entry_labels: Vec<(u64, Label)>,
+}
+
+impl<'a> IrSource<'a> {
+    /// The simple, unfolded functions of `order`, in that order.
+    fn new(ctx: &'a BinaryContext, order: &[usize]) -> IrSource<'a> {
+        let emitted: Vec<usize> = order
+            .iter()
+            .copied()
+            .filter(|&i| ctx.functions[i].is_simple && ctx.functions[i].folded_into.is_none())
+            .collect();
+        let mut first_label = vec![0u32; ctx.functions.len()];
+        let mut next_label = 0u32;
+        for &fi in &emitted {
+            first_label[fi] = next_label;
+            next_label += ctx.functions[fi].blocks.len() as u32;
         }
-        push(e);
+        let mut source = IrSource {
+            ctx,
+            emitted,
+            first_label,
+            entry_labels: Vec::new(),
+        };
+        let mut is_emitted = vec![false; ctx.functions.len()];
+        for &fi in &source.emitted {
+            is_emitted[fi] = true;
+        }
+        for (i, f) in ctx.functions.iter().enumerate().rev() {
+            let k = bolt_passes::icf::resolve_fold(ctx, i);
+            if is_emitted[k] {
+                let entry = source.block_label(k, ctx.functions[k].entry());
+                source.entry_labels.push((f.address, entry));
+            }
+        }
+        source.entry_labels.sort_by_key(|e| e.0);
+        source.entry_labels.dedup_by_key(|e| e.0);
+        source
     }
-    b.for_each(push);
+
+    fn block_label(&self, fi: usize, b: BlockId) -> Label {
+        Label(self.first_label[fi] + b.0)
+    }
+
+    /// The new entry label of the function that started at `addr`.
+    fn entry_label_of(&self, addr: u64) -> Option<Label> {
+        let i = (self.entry_labels)
+            .binary_search_by_key(&addr, |e| e.0)
+            .ok()?;
+        Some(self.entry_labels[i].1)
+    }
+
+    fn func(&self, unit: usize) -> (usize, &'a BinaryFunction) {
+        let fi = self.emitted[unit];
+        (fi, &self.ctx.functions[fi])
+    }
+}
+
+impl EmitSource for IrSource<'_> {
+    const RELOCS: bool = false;
+
+    fn units(&self) -> usize {
+        self.emitted.len()
+    }
+
+    fn name(&self, unit: usize) -> &str {
+        &self.func(unit).1.name
+    }
+
+    fn align(&self, _: usize) -> u16 {
+        16
+    }
+
+    fn cold_start(&self, unit: usize) -> Option<usize> {
+        self.func(unit).1.cold_start
+    }
+
+    fn blocks(&self, unit: usize) -> usize {
+        self.func(unit).1.layout.len()
+    }
+
+    fn label(&self, unit: usize, block: usize) -> Label {
+        let (fi, func) = self.func(unit);
+        self.block_label(fi, func.layout[block])
+    }
+
+    /// BOLT discards alignment; blocks are packed tight.
+    fn block_align(&self, _: usize, _: usize) -> u16 {
+        1
+    }
+
+    fn insts(&self, unit: usize, block: usize) -> impl Iterator<Item = EmitInst> + '_ {
+        let (fi, func) = self.func(unit);
+        let map_target = move |t: Target| match t {
+            // Intra-function block reference.
+            Target::Label(l) => Target::Label(self.block_label(fi, BlockId(l.0))),
+            Target::Addr(a) => self.entry_label_of(a).map_or(t, Target::Label),
+        };
+        func.block(func.layout[block])
+            .insts
+            .iter()
+            .map(move |inst| {
+                let mut m = inst.inst;
+                match &mut m {
+                    Inst::Jcc { target, .. } | Inst::Jmp { target, .. } | Inst::Call { target } => {
+                        *target = map_target(*target);
+                    }
+                    // ICP's guard is the only `MovRSym` in optimizer IR (the
+                    // decoder reports `movabs` as `MovRI`). It is compared
+                    // against a function pointer, which holds the callee's
+                    // original entry, so its target stays put.
+                    Inst::MovRSym { .. } => {}
+                    // Data references (loads/stores/lea, indirect calls
+                    // through the GOT) stay absolute: data does not move, and
+                    // RIP-relative fields are re-encoded against the
+                    // instruction's new location automatically.
+                    _ => {}
+                }
+                EmitInst {
+                    inst: m,
+                    line: inst.line,
+                    eh_pad: inst.landing_pad.map(|lp| self.block_label(fi, lp)),
+                }
+            })
+    }
 }
 
 /// Rewrites `elf` according to the optimized `ctx`, emitting functions in
@@ -162,119 +297,52 @@ pub fn rewrite_binary(
     ctx: &BinaryContext,
     order: &[usize],
 ) -> Result<(Elf, RewriteStats), EmitError> {
+    rewrite_with(elf, ctx, order, |source| {
+        emit(source, BOLT_TEXT_BASE, BOLT_COLD_BASE, &HashMap::new())
+    })
+}
+
+/// [`rewrite_binary`], emitting the code with `emit_code`.
+fn rewrite_with(
+    elf: &Elf,
+    ctx: &BinaryContext,
+    order: &[usize],
+    emit_code: impl FnOnce(&IrSource) -> Result<EmitResult, EmitError>,
+) -> Result<(Elf, RewriteStats), EmitError> {
     let mut stats = RewriteStats::default();
     let started = Instant::now();
 
-    // Which functions get re-emitted.
-    let emitted: Vec<usize> = order
-        .iter()
-        .copied()
-        .filter(|&i| ctx.functions[i].is_simple && ctx.functions[i].folded_into.is_none())
-        .collect();
-    stats.emitted_functions = emitted.len();
-    stats.skipped_functions = ctx.functions.len() - emitted.len();
-
-    // Label allocation: a run of labels per emitted function, in
-    // emission order; block `b` of function `fi` is `first_label[fi] + b`.
-    let mut first_label = vec![0u32; ctx.functions.len()];
-    let mut next_label = 0u32;
-    for &fi in &emitted {
-        first_label[fi] = next_label;
-        next_label += ctx.functions[fi].blocks.len() as u32;
-    }
-    let block_label = |fi: usize, b: BlockId| Label(first_label[fi] + b.0);
-    // Old entry address -> new entry label (through ICF folds), sorted by
-    // address; of two functions at one address the later one wins.
-    let mut is_emitted = vec![false; ctx.functions.len()];
-    for &fi in &emitted {
-        is_emitted[fi] = true;
-    }
-    let mut entry_labels: Vec<(u64, Label)> = Vec::new();
-    for (i, f) in ctx.functions.iter().enumerate().rev() {
-        let k = bolt_passes::icf::resolve_fold(ctx, i);
-        if is_emitted[k] {
-            entry_labels.push((f.address, block_label(k, ctx.functions[k].entry())));
-        }
-    }
-    entry_labels.sort_by_key(|e| e.0);
-    entry_labels.dedup_by_key(|e| e.0);
-    let entry_label_of = |addr: u64| -> Option<Label> {
-        let i = entry_labels.binary_search_by_key(&addr, |e| e.0).ok()?;
-        Some(entry_labels[i].1)
-    };
-
-    // Convert functions to emission units.
-    let map_target = |fi: usize, t: Target| -> Target {
-        match t {
-            // Intra-function block reference.
-            Target::Label(l) => Target::Label(block_label(fi, BlockId(l.0))),
-            Target::Addr(a) => match entry_label_of(a) {
-                Some(l) => Target::Label(l),
-                None => Target::Addr(a),
-            },
-        }
-    };
-
-    let mut units = Vec::with_capacity(emitted.len());
-    for &fi in &emitted {
-        let func = &ctx.functions[fi];
-        let mut unit = EmitUnit::new(&func.name);
-        unit.align = 16;
-        unit.cold_start = func.cold_start;
-        unit.blocks.reserve_exact(func.layout.len());
-        for &bid in &func.layout {
-            let mut eb = EmitBlock::new(block_label(fi, bid));
-            // BOLT discards alignment; blocks are packed tight.
-            eb.align = 1;
-            eb.insts.reserve_exact(func.block(bid).insts.len());
-            for inst in &func.block(bid).insts {
-                let mut m = inst.inst;
-                match &mut m {
-                    Inst::Jcc { target, .. } | Inst::Jmp { target, .. } | Inst::Call { target } => {
-                        *target = map_target(fi, *target);
-                    }
-                    // ICP's guard is the only `MovRSym` in optimizer IR
-                    // (the decoder reports `movabs` as `MovRI`). It is
-                    // compared against a function pointer, which holds the
-                    // callee's original entry, so its target stays put.
-                    Inst::MovRSym { .. } => {}
-                    // Data references (loads/stores/lea, indirect calls
-                    // through the GOT) stay absolute: data does not move,
-                    // and RIP-relative fields are re-encoded against the
-                    // instruction's new location automatically.
-                    _ => {}
-                }
-                let mut ei = EmitInst::new(m);
-                ei.line = inst.line;
-                ei.eh_pad = inst.landing_pad.map(|lp| block_label(fi, lp));
-                eb.insts.push(ei);
-            }
-            unit.blocks.push(eb);
-        }
-        units.push(unit);
-    }
-
-    let mut result = emit_units(&units, BOLT_TEXT_BASE, BOLT_COLD_BASE, &HashMap::new())?;
-    // The units copy every emitted instruction, and the relocations are
-    // the linker's (this output carries none): nothing reads them again.
-    drop((units, std::mem::take(&mut result.relocs)));
+    let source = IrSource::new(ctx, order);
+    stats.emitted_functions = source.emitted.len();
+    stats.skipped_functions = ctx.functions.len() - source.emitted.len();
+    let mut result = emit_code(&source)?;
     stats.hot_text_size = result.text.len() as u64;
     stats.cold_text_size = result.cold.len() as u64;
     stats.emit_time = started.elapsed();
 
     // ---- assemble the output ELF ----
-    let mut out = elf.clone();
-    // The line and exception tables are rebuilt below; the input's copies
-    // need not stay alive beside the new ones.
-    for name in [sections::LINES, sections::EH] {
-        if let Some(sec) = out.section_mut(name) {
-            sec.data = Vec::new();
-        }
-    }
+    // The input, but for the line and exception tables, which are
+    // rebuilt below, and the relocations, which would describe the old
+    // text.
+    let mut out = Elf {
+        entry: elf.entry,
+        sections: (elf.sections.iter())
+            .map(|s| match s.name.as_str() {
+                sections::LINES | sections::EH => Section {
+                    name: s.name.clone(),
+                    data: Vec::new(),
+                    ..*s
+                },
+                _ => s.clone(),
+            })
+            .collect(),
+        symbols: elf.symbols.clone(),
+        relocations: Vec::new(),
+    };
 
     // Patch jump tables in read-only data; a table lies in one section.
     let holds = |s: &Section, a| s.is_alloc() && !s.is_exec() && s.addr_range().contains(&a);
-    for &fi in &emitted {
+    for &fi in &source.emitted {
         for jt in &ctx.functions[fi].jump_tables {
             let Some(sec) = out.sections.iter_mut().find(|s| holds(s, jt.addr)) else {
                 continue;
@@ -282,7 +350,7 @@ pub fn rewrite_binary(
             for (k, target) in jt.targets.iter().enumerate() {
                 let entry_addr = jt.addr + 8 * k as u64;
                 if holds(sec, entry_addr) {
-                    let new_addr = result.label_addrs[&block_label(fi, *target)];
+                    let new_addr = result.label_addrs[&source.block_label(fi, *target)];
                     let off = (entry_addr - sec.addr) as usize;
                     sec.data[off..off + 8].copy_from_slice(&new_addr.to_le_bytes());
                     stats.patched_jump_table_entries += 1;
@@ -298,7 +366,7 @@ pub fn rewrite_binary(
     let mut old_entries: Vec<(u64, u64, Label)> = ctx
         .functions
         .iter()
-        .filter_map(|f| Some((f.address, f.size, entry_label_of(f.address)?)))
+        .filter_map(|f| Some((f.address, f.size, source.entry_label_of(f.address)?)))
         .collect();
     old_entries.sort_unstable_by_key(|e| e.0);
     old_entries.dedup_by_key(|e| e.0);
@@ -372,23 +440,21 @@ pub fn rewrite_binary(
     // Entry point follows _start if it moved.
     if let Some(&fi) = ctx.by_name.get("_start") {
         let f = &ctx.functions[fi];
-        if is_emitted[fi] {
-            out.entry = result.label_addrs[&block_label(fi, f.entry())];
+        if source.emitted.contains(&fi) {
+            out.entry = result.label_addrs[&source.block_label(fi, f.entry())];
         }
     }
-
-    // Relocations in the output would describe the old text; drop them.
-    out.relocations.clear();
 
     let tables_started = Instant::now();
     stats.assemble_time = tables_started - started - stats.emit_time;
 
     // Rebuild the line and exception tables for the moved functions.
-    let moved = emitted.iter().map(|&fi| &ctx.functions[fi]);
+    let moved = source.emitted.iter().map(|&fi| &ctx.functions[fi]);
     let moved = moved.map(|f| (f.address, f.address + f.size)).collect();
-    let (lines, eh) = rebuild_tables(ctx, moved, &result);
+    let lines = line_records(elf);
+    let (lines, eh) = rebuild_tables(&lines, &ctx.exceptions, moved, &result);
     if let Some(sec) = out.section_mut(sections::LINES) {
-        sec.data = lines.to_bytes();
+        sec.data = lines;
     }
     if let Some(sec) = out.section_mut(sections::EH) {
         sec.data = eh.to_bytes();
@@ -401,41 +467,51 @@ pub fn rewrite_binary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolt_ir::LineInfo;
+    use bolt_compiler::{compile_and_link, CompileOptions};
+    use bolt_elf::write_elf;
+    use bolt_emu::Machine;
+    use bolt_ir::{emit_units, EmitBlock, EmitUnit, LineInfo};
+    use bolt_passes::PassOptions;
+    use bolt_profile::{LbrSampler, Profile, SampleTrigger};
+    use bolt_workloads::{Scale, Workload};
 
     /// The rebuild this file used to do: every table entry tested against
-    /// every moved range in turn. Kept as the reference the sorted-range
-    /// rebuild must match byte for byte.
+    /// every moved range in turn, on the table parsed from the input's
+    /// `.bolt.lines` bytes (none if they do not parse). Kept as the
+    /// reference the sorted-range rebuild must match byte for byte.
     fn rebuild_tables_quadratic(
-        ctx: &BinaryContext,
+        line_bytes: &[u8],
+        exceptions: &ExceptionTable,
         moved: &[(u64, u64)],
         result: &EmitResult,
-    ) -> (LineTable, ExceptionTable) {
+    ) -> (Vec<u8>, ExceptionTable) {
         let inside_moved = |a: u64| -> bool { moved.iter().any(|&(s, e)| a >= s && a < e) };
-        let mut lines = ctx.lines.clone();
+        let mut lines = LineTable::from_bytes(line_bytes).unwrap_or_default();
         lines.entries.retain(|e| !inside_moved(e.0));
         for (addr, li) in &result.line_entries {
             lines.push(*addr, li.file, li.line);
         }
         lines.normalize();
-        let mut eh = ctx.exceptions.clone();
+        let mut eh = exceptions.clone();
         eh.entries.retain(|cs, _| !inside_moved(*cs));
         for (call_addr, pad_label) in &result.eh_entries {
             eh.add(*call_addr, result.label_addrs[pad_label]);
         }
-        (lines, eh)
+        (lines.to_bytes(), eh)
     }
 
-    /// A context with a line entry and a call site on every address of
-    /// `0x0FF0..0x1100`, so each range boundary below is hit exactly.
-    fn dense_ctx() -> BinaryContext {
-        let mut ctx = BinaryContext::new();
-        let file = ctx.lines.intern_file("dense.cpp");
+    /// Tables with a line entry and a call site on every address of
+    /// `0x0FF0..0x1100`, so each range boundary below is hit exactly: the
+    /// `.bolt.lines` bytes and the exception table.
+    fn dense_tables() -> (Vec<u8>, ExceptionTable) {
+        let mut lines = LineTable::new();
+        let mut eh = ExceptionTable::new();
+        let file = lines.intern_file("dense.cpp");
         for addr in 0x0FF0..0x1100u64 {
-            ctx.lines.push(addr, file, addr as u32 & 0xFF);
-            ctx.exceptions.add(addr, 0x5000 + addr);
+            lines.push(addr, file, addr as u32 & 0xFF);
+            eh.add(addr, 0x5000 + addr);
         }
-        ctx
+        (lines.to_bytes(), eh)
     }
 
     /// New-home entries plus three that land on addresses surviving in the
@@ -455,17 +531,20 @@ mod tests {
         result
     }
 
-    fn assert_same_tables(ctx: &BinaryContext, moved: &[(u64, u64)]) {
+    /// The rebuild from `line_bytes` (read as the rewrite reads an
+    /// input's section) equals the quadratic reference's.
+    fn assert_same_tables(line_bytes: &[u8], eh: &ExceptionTable, moved: &[(u64, u64)]) {
         let result = emitted();
-        let (lines, eh) = rebuild_tables(ctx, moved.to_vec(), &result);
-        let (ref_lines, ref_eh) = rebuild_tables_quadratic(ctx, moved, &result);
-        assert_eq!(lines.to_bytes(), ref_lines.to_bytes(), "lines, {moved:x?}");
-        assert_eq!(eh.to_bytes(), ref_eh.to_bytes(), "eh, {moved:x?}");
+        let records = LineRecords::parse(line_bytes).unwrap_or_default();
+        let (lines, eh_new) = rebuild_tables(&records, eh, moved.to_vec(), &result);
+        let (ref_lines, ref_eh) = rebuild_tables_quadratic(line_bytes, eh, moved, &result);
+        assert_eq!(lines, ref_lines, "lines, {moved:x?}");
+        assert_eq!(eh_new.to_bytes(), ref_eh.to_bytes(), "eh, {moved:x?}");
     }
 
     #[test]
     fn table_rebuild_matches_the_quadratic_reference_at_every_boundary() {
-        let ctx = dense_ctx();
+        let (line_bytes, eh) = dense_tables();
         // Moved and unmoved functions interleaved, given out of address
         // order as a function order would: a gap, two adjacent ranges, a
         // zero-size function between and inside ranges, a range starting
@@ -480,8 +559,10 @@ mod tests {
             (0x10F0, 0x1200),
             (0x1060, 0x1061),
         ];
-        assert_same_tables(&ctx, &moved);
-        let (lines, eh) = rebuild_tables(&ctx, moved.to_vec(), &emitted());
+        assert_same_tables(&line_bytes, &eh, &moved);
+        let records = LineRecords::parse(&line_bytes).unwrap();
+        let (lines, eh) = rebuild_tables(&records, &eh, moved.to_vec(), &emitted());
+        let lines = LineTable::from_bytes(&lines).unwrap();
         // `addr == start` goes, `addr == end` stays; adjacent ranges leave
         // no survivor between them; a zero-size function moves nothing.
         for (addr, kept) in [
@@ -510,8 +591,22 @@ mod tests {
 
     #[test]
     fn table_rebuild_matches_the_quadratic_reference_on_seeded_ranges() {
-        let ctx = dense_ctx();
-        assert_same_tables(&ctx, &[]);
+        let (line_bytes, eh) = dense_tables();
+        // The same entries shuffled, with repeats (an input `discover`
+        // used to normalize), and cut short (one it used to ignore).
+        let mut shuffled = LineTable::from_bytes(&line_bytes).unwrap();
+        let n = shuffled.entries.len();
+        for i in 0..n {
+            shuffled.entries.swap(i, (i * 7919 + 13) % n);
+        }
+        shuffled.entries.extend_from_within(..40);
+        let shuffled = shuffled.to_bytes();
+        let truncated = &line_bytes[..line_bytes.len() - 9];
+        assert!(LineTable::from_bytes(truncated).is_err());
+        let inputs: [&[u8]; 3] = [&line_bytes, &shuffled, truncated];
+        for input in inputs {
+            assert_same_tables(input, &eh, &[]);
+        }
         // Overlapping, nested, empty and duplicate ranges in any order
         // (a xorshift stream; 200 range sets of up to 12 ranges).
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -528,7 +623,161 @@ mod tests {
                     (start, start + next(0x28))
                 })
                 .collect();
-            assert_same_tables(&ctx, &moved);
+            for input in inputs {
+                assert_same_tables(input, &eh, &moved);
+            }
         }
+    }
+
+    /// The emission this file used to do: a copy of every emitted
+    /// function as `EmitUnit`s, with its own label allocation and target
+    /// mapping, emitted through `emit_units`. Kept as the reference the
+    /// emission straight from the IR must match byte for byte.
+    fn emit_through_units(source: &IrSource) -> Result<EmitResult, EmitError> {
+        let (ctx, emitted) = (source.ctx, &source.emitted);
+        let mut first_label = vec![0u32; ctx.functions.len()];
+        let mut next_label = 0u32;
+        for &fi in emitted {
+            first_label[fi] = next_label;
+            next_label += ctx.functions[fi].blocks.len() as u32;
+        }
+        let block_label = |fi: usize, b: BlockId| Label(first_label[fi] + b.0);
+        let mut is_emitted = vec![false; ctx.functions.len()];
+        for &fi in emitted {
+            is_emitted[fi] = true;
+        }
+        let mut entry_labels: Vec<(u64, Label)> = Vec::new();
+        for (i, f) in ctx.functions.iter().enumerate().rev() {
+            let k = bolt_passes::icf::resolve_fold(ctx, i);
+            if is_emitted[k] {
+                entry_labels.push((f.address, block_label(k, ctx.functions[k].entry())));
+            }
+        }
+        entry_labels.sort_by_key(|e| e.0);
+        entry_labels.dedup_by_key(|e| e.0);
+        let entry_label_of = |addr: u64| -> Option<Label> {
+            let i = entry_labels.binary_search_by_key(&addr, |e| e.0).ok()?;
+            Some(entry_labels[i].1)
+        };
+        let map_target = |fi: usize, t: Target| -> Target {
+            match t {
+                Target::Label(l) => Target::Label(block_label(fi, BlockId(l.0))),
+                Target::Addr(a) => match entry_label_of(a) {
+                    Some(l) => Target::Label(l),
+                    None => Target::Addr(a),
+                },
+            }
+        };
+        let mut units = Vec::with_capacity(emitted.len());
+        for &fi in emitted {
+            let func = &ctx.functions[fi];
+            let mut unit = EmitUnit::new(&func.name);
+            unit.align = 16;
+            unit.cold_start = func.cold_start;
+            for &bid in &func.layout {
+                let mut eb = EmitBlock::new(block_label(fi, bid));
+                eb.align = 1;
+                for inst in &func.block(bid).insts {
+                    let mut m = inst.inst;
+                    if let Inst::Jcc { target, .. }
+                    | Inst::Jmp { target, .. }
+                    | Inst::Call { target } = &mut m
+                    {
+                        *target = map_target(fi, *target);
+                    }
+                    let mut ei = EmitInst::new(m);
+                    ei.line = inst.line;
+                    ei.eh_pad = inst.landing_pad.map(|lp| block_label(fi, lp));
+                    eb.insts.push(ei);
+                }
+                unit.blocks.push(eb);
+            }
+            units.push(unit);
+        }
+        let mut result = emit_units(&units, BOLT_TEXT_BASE, BOLT_COLD_BASE, &HashMap::new())?;
+        result.relocs.clear();
+        Ok(result)
+    }
+
+    /// A `Scale::Test` workload binary and one LBR profile of it.
+    fn profiled(workload: Workload) -> (Elf, Profile) {
+        let program = workload.build(Scale::Test);
+        let elf = compile_and_link(&program, &CompileOptions::default())
+            .expect("workload compiles")
+            .elf;
+        let mut machine = Machine::new();
+        machine.load_elf(&elf);
+        let mut sampler = LbrSampler::new(997, SampleTrigger::Instructions);
+        machine
+            .run(&mut sampler, 100_000_000)
+            .expect("workload runs");
+        (elf, sampler.profile)
+    }
+
+    fn bolt(elf: &Elf, profile: &Profile, preset: &str) -> crate::BoltOutput {
+        let opts = crate::BoltOptions {
+            passes: PassOptions::preset(preset).expect("a preset"),
+            ..crate::BoltOptions::paper_default()
+        };
+        let out = crate::optimize(elf, profile, &opts).expect("BOLT succeeds");
+        assert!(out.quarantine.is_clean(), "{}", out.quarantine.render());
+        out
+    }
+
+    #[test]
+    fn emission_from_the_ir_matches_the_unit_building_oracle() {
+        for workload in [Workload::Tao, Workload::Hhvm] {
+            let (elf, profile) = profiled(workload);
+            for &preset in PassOptions::PRESETS {
+                let out = bolt(&elf, &profile, preset);
+                let order = &out.pipeline.function_order;
+                let (oracle, _) = rewrite_with(&elf, &out.ctx, order, emit_through_units)
+                    .expect("the oracle rewrites");
+                assert!(
+                    write_elf(&out.elf).unwrap() == write_elf(&oracle).unwrap(),
+                    "{} under {preset}",
+                    workload.name()
+                );
+            }
+        }
+    }
+
+    /// An input line table that is unsorted, truncated or absent. The
+    /// rewrite used to normalize an unsorted table on reading it and to
+    /// ignore one that did not parse; it now reads the section's bytes
+    /// where they are needed. Either way an unsorted table rewrites as
+    /// its sorted form, a truncated one as an empty table, and a binary
+    /// without one as with an empty one but for that section.
+    #[test]
+    fn line_table_inputs_rewrite_as_their_normal_forms() {
+        let (elf, profile) = profiled(Workload::Tao);
+        let with_lines = |lines: Option<Vec<u8>>| {
+            let mut elf = elf.clone();
+            match lines {
+                Some(bytes) => elf.section_mut(sections::LINES).unwrap().data = bytes,
+                None => elf.sections.retain(|s| s.name != sections::LINES),
+            }
+            bolt(&elf, &profile, "default").elf
+        };
+        let bytes = elf.section(sections::LINES).unwrap().data.clone();
+        let mut unsorted = LineTable::from_bytes(&bytes).unwrap();
+        assert!(unsorted.entries.len() > 100 && unsorted.entries.is_sorted());
+        unsorted.entries.reverse();
+        unsorted.entries.push(unsorted.entries[7]);
+        let sorted = with_lines(Some(bytes.clone()));
+        assert!(with_lines(Some(unsorted.to_bytes())) == sorted, "unsorted");
+
+        let empty = with_lines(Some(LineTable::new().to_bytes()));
+        let truncated = with_lines(Some(bytes[..bytes.len() - 1].to_vec()));
+        assert!(truncated == empty, "truncated");
+        let absent = with_lines(None);
+        assert!(absent.section(sections::LINES).is_none());
+        let code = |elf: &Elf| elf.section(".text.bolt").unwrap().data.clone();
+        assert!(code(&absent) == code(&empty), "absent");
+        // The rewrite with line info carries it to the new code.
+        let lines = LineTable::from_bytes(&sorted.section(sections::LINES).unwrap().data);
+        let lines = lines.unwrap();
+        assert!(lines.entries.iter().any(|e| e.0 >= BOLT_TEXT_BASE));
+        assert!(lines.entries.is_sorted());
     }
 }

@@ -35,7 +35,7 @@ pub fn find_bad_layout(ctx: &BinaryContext) -> Vec<BadLayoutCase> {
                 for blk in func.layout.iter().map(|&i| func.block(i)) {
                     for inst in &blk.insts {
                         if let Some(li) = inst.line {
-                            if let Some(name) = ctx.lines.files.get(li.file as usize) {
+                            if let Some(name) = ctx.line_files.get(li.file as usize) {
                                 if !files.contains(name) {
                                     files.push(name.clone());
                                 }
@@ -81,7 +81,7 @@ pub fn bad_layout_report(ctx: &BinaryContext, print_debug_info: bool) -> String 
                 out.push('\n');
                 out.push_str(&dump_function(
                     &ctx.functions[fi],
-                    Some(&ctx.lines),
+                    Some(&ctx.line_files),
                     DumpOptions {
                         print_debug_info: true,
                     },

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{}",
         dump_function(
             &ctx.functions[hottest],
-            Some(&ctx.lines),
+            Some(&ctx.line_files),
             DumpOptions {
                 print_debug_info: true
             }
