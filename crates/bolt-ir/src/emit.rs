@@ -196,8 +196,8 @@ pub struct EmitResult {
     pub label_addrs: LabelAddrs,
     /// Function symbols (hot fragments plus `.cold` fragments).
     pub symbols: Vec<EmitSymbol>,
-    /// `(address, line)` pairs for the output line table, sorted by
-    /// address.
+    /// `(address, line)` pairs for the output line table, sorted (by
+    /// address, then line).
     pub line_entries: Vec<(u64, LineInfo)>,
     /// `(call-site address, landing-pad label)` pairs for the output
     /// exception table.
@@ -250,11 +250,12 @@ fn pad_len(pos: u64, align: u16) -> u64 {
     (a - pos % a) % a
 }
 
-fn push_nops(bytes: &mut Vec<u8>, mut n: u64) {
-    while n > 0 {
-        let chunk = n.min(9) as usize;
-        bytes.extend_from_slice(bolt_isa::NOP_SEQUENCES[chunk - 1]);
-        n -= chunk as u64;
+/// Fills `out` with NOPs, as few and as long as they come.
+fn fill_nops(mut out: &mut [u8]) {
+    while !out.is_empty() {
+        let chunk = out.len().min(9);
+        out[..chunk].copy_from_slice(bolt_isa::NOP_SEQUENCES[chunk - 1]);
+        out = &mut out[chunk..];
     }
 }
 
@@ -273,6 +274,158 @@ struct Placed {
     end_branch: u32,
     /// Start address in the current round.
     start: u64,
+}
+
+impl Placed {
+    /// End address in the current round.
+    fn end(&self, branches: &[Branch]) -> u64 {
+        let branches = &branches[self.first_branch as usize..self.end_branch as usize];
+        self.start + u64::from(self.fixed) + branches.iter().map(Branch::len).sum::<u64>()
+    }
+}
+
+/// Fewest placed blocks a shard of the length and encoding passes
+/// takes. Kept low enough that the `Scale::Test` workloads (70 to 180
+/// blocks) still shard in the integration tests.
+pub const MIN_SHARD_BLOCKS: usize = 16;
+
+/// Runs `work` on each job, the first on the calling thread and each
+/// other on a scoped worker; the results come back in job order.
+fn run_jobs<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Sync) -> Vec<R> {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let mut jobs = jobs.into_iter();
+        let first = jobs.next();
+        let workers: Vec<_> = jobs.map(|job| scope.spawn(move || work(job))).collect();
+        let mut results = Vec::with_capacity(1 + workers.len());
+        results.extend(first.map(work));
+        for worker in workers {
+            results.push(worker.join().expect("emit worker"));
+        }
+        results
+    })
+}
+
+/// Measures `placed`'s blocks: sets their fixed lengths, and returns
+/// their relaxable branches, numbered from 0, and how many of their
+/// instructions carry a line and a landing pad.
+fn measure<S: EmitSource + ?Sized>(src: &S, placed: &mut [Placed]) -> (Vec<Branch>, [usize; 2]) {
+    let mut branches = Vec::new();
+    let mut counts = [0; 2];
+    for p in placed {
+        p.first_branch = branches.len() as u32;
+        let mut fixed = 0u32;
+        for einst in src.insts(p.unit as usize, p.block as usize) {
+            counts[0] += usize::from(einst.line.is_some());
+            counts[1] += usize::from(einst.eh_pad.is_some());
+            match einst.inst {
+                Inst::Jcc { target, .. } | Inst::Jmp { target, .. } => {
+                    let mut working = einst.inst;
+                    set_width(&mut working, JumpWidth::Short);
+                    let short_len = encoded_len(&working) as u8;
+                    set_width(&mut working, JumpWidth::Near);
+                    branches.push(Branch {
+                        target,
+                        prefix: fixed,
+                        short_len,
+                        near_len: encoded_len(&working) as u8,
+                        near: false,
+                        end: 0,
+                    });
+                }
+                _ => fixed += encoded_len(&einst.inst) as u32,
+            }
+        }
+        p.fixed = fixed;
+        p.end_branch = branches.len() as u32;
+    }
+    (branches, counts)
+}
+
+/// One shard of the encoding pass: a run of placed blocks and the parts
+/// of the output that are theirs.
+struct EncodeJob<'a> {
+    placed: &'a [Placed],
+    /// The hot and cold bytes from the end of the blocks before, with
+    /// the address each part starts at.
+    streams: [(u64, &'a mut [u8]); 2],
+    lines: &'a mut [(u64, LineInfo)],
+    pads: &'a mut [(u64, Label)],
+}
+
+/// What every encoding shard reads.
+struct Encoder<'a, S: ?Sized> {
+    src: &'a S,
+    branches: &'a [Branch],
+    label_addrs: &'a LabelAddrs,
+    extern_labels: &'a HashMap<Label, u64>,
+}
+
+/// The address of `l`: a block's, else one defined outside the code.
+fn resolve(
+    label_addrs: &LabelAddrs,
+    extern_labels: &HashMap<Label, u64>,
+    l: Label,
+) -> Result<u64, EmitError> {
+    (label_addrs.get(l))
+        .or_else(|| extern_labels.get(&l).copied())
+        .ok_or(EmitError::UnresolvedLabel(l))
+}
+
+impl<S: EmitSource + ?Sized> Encoder<'_, S> {
+    /// Encodes the job's blocks into its parts of the output; returns the
+    /// fixups applied, if the source records them.
+    fn encode(&self, job: EncodeJob) -> Result<Vec<EmitReloc>, EmitError> {
+        let EncodeJob {
+            placed,
+            mut streams,
+            lines,
+            pads,
+        } = job;
+        let mut relocs = Vec::new();
+        let (mut lines, mut pads) = (lines.iter_mut(), pads.iter_mut());
+        let mut next_branch = placed.first().map_or(0, |p| p.first_branch as usize);
+        let mut ends = streams.each_ref().map(|s| s.0);
+        for p in placed {
+            let stream = usize::from(p.cold);
+            let (base, ref mut buf) = streams[stream];
+            let at = |addr: u64| (addr - base) as usize;
+            debug_assert!(p.start >= ends[stream]);
+            fill_nops(&mut buf[at(ends[stream])..at(p.start)]);
+            let mut addr = p.start;
+            for einst in self.src.insts(p.unit as usize, p.block as usize) {
+                let mut working = einst.inst;
+                if let Inst::Jcc { .. } | Inst::Jmp { .. } = working {
+                    set_width(&mut working, self.branches[next_branch].width());
+                    next_branch += 1;
+                }
+                let mut enc = encode_at(&working, addr)?;
+                let len = enc.bytes.len();
+                if let Some(f) = enc.fixup {
+                    let to = resolve(self.label_addrs, self.extern_labels, f.label)?;
+                    apply_fixup(&mut enc.bytes, &f, addr, len, to)?;
+                    if S::RELOCS {
+                        relocs.push(EmitReloc {
+                            at: addr + f.offset as u64,
+                            kind: f.kind,
+                            label: f.label,
+                        });
+                    }
+                }
+                if let Some(line) = einst.line {
+                    *lines.next().expect("a slot per line") = (addr, line);
+                }
+                if let Some(pad) = einst.eh_pad {
+                    *pads.next().expect("a slot per landing pad") = (addr, pad);
+                }
+                buf[at(addr)..at(addr) + len].copy_from_slice(&enc.bytes);
+                addr += len as u64;
+            }
+            debug_assert_eq!(addr, p.end(self.branches));
+            ends[stream] = addr;
+        }
+        Ok(relocs)
+    }
 }
 
 /// A relaxable branch (`jcc` / `jmp`): short until its target is out of
@@ -394,11 +547,45 @@ pub fn emit_units(
 /// # Errors
 ///
 /// See [`EmitError`].
-pub fn emit<S: EmitSource + ?Sized>(
+pub fn emit<S: EmitSource + Sync + ?Sized>(
     src: &S,
     text_base: u64,
     cold_base: u64,
     extern_labels: &HashMap<Label, u64>,
+) -> Result<EmitResult, EmitError> {
+    emit_with_threads(src, text_base, cold_base, extern_labels, 1)
+}
+
+/// [`emit`] on up to `n_threads` threads: the passes over every
+/// instruction, lengths and encoding, run in shards of consecutive
+/// placed blocks, the first on the calling thread. Relaxation, which
+/// only re-sums lengths, runs on the calling thread, which also sizes
+/// every output buffer: the shards write into their parts of them. The
+/// result is the same at any thread count, the first error in placement
+/// order included.
+///
+/// # Errors
+///
+/// See [`EmitError`].
+pub fn emit_with_threads<S: EmitSource + Sync + ?Sized>(
+    src: &S,
+    text_base: u64,
+    cold_base: u64,
+    extern_labels: &HashMap<Label, u64>,
+    n_threads: usize,
+) -> Result<EmitResult, EmitError> {
+    let n_blocks: usize = (0..src.units()).map(|u| src.blocks(u)).sum();
+    let shards = n_threads.clamp(1, (n_blocks / MIN_SHARD_BLOCKS).max(1));
+    emit_in_shards(src, text_base, cold_base, extern_labels, shards)
+}
+
+/// [`emit`], with the length and encoding passes in `shards` shards.
+fn emit_in_shards<S: EmitSource + Sync + ?Sized>(
+    src: &S,
+    text_base: u64,
+    cold_base: u64,
+    extern_labels: &HashMap<Label, u64>,
+    shards: usize,
 ) -> Result<EmitResult, EmitError> {
     // Every block label, checked for duplicates in unit order.
     let n_units = src.units();
@@ -415,10 +602,8 @@ pub fn emit<S: EmitSource + ?Sized>(
     }
 
     // Placement order: every unit's hot blocks, then every unit's cold
-    // blocks. Lengths are computed here, once.
+    // blocks.
     let mut placed: Vec<Placed> = Vec::with_capacity(n_blocks);
-    let mut branches: Vec<Branch> = Vec::new();
-    let mut n_lines = 0;
     for cold in [false, true] {
         for ui in 0..n_units {
             let n = src.blocks(ui);
@@ -432,49 +617,39 @@ pub fn emit<S: EmitSource + ?Sized>(
                 } else {
                     src.block_align(ui, bi)
                 };
-                let first_branch = branches.len() as u32;
-                let mut fixed = 0u32;
-                for einst in src.insts(ui, bi) {
-                    n_lines += usize::from(einst.line.is_some());
-                    match einst.inst {
-                        Inst::Jcc { target, .. } | Inst::Jmp { target, .. } => {
-                            let mut working = einst.inst;
-                            set_width(&mut working, JumpWidth::Short);
-                            let short_len = encoded_len(&working) as u8;
-                            set_width(&mut working, JumpWidth::Near);
-                            branches.push(Branch {
-                                target,
-                                prefix: fixed,
-                                short_len,
-                                near_len: encoded_len(&working) as u8,
-                                near: false,
-                                end: 0,
-                            });
-                        }
-                        _ => fixed += encoded_len(&einst.inst) as u32,
-                    }
-                }
                 placed.push(Placed {
                     unit: ui as u32,
                     block: bi as u32,
                     cold,
                     align: align.max(1),
                     label: src.label(ui, bi),
-                    fixed,
-                    first_branch,
-                    end_branch: branches.len() as u32,
+                    fixed: 0,
+                    first_branch: 0,
+                    end_branch: 0,
                     start: 0,
                 });
             }
         }
     }
 
-    let resolve = |label_addrs: &LabelAddrs, l: Label| -> Result<u64, EmitError> {
-        label_addrs
-            .get(l)
-            .or_else(|| extern_labels.get(&l).copied())
-            .ok_or(EmitError::UnresolvedLabel(l))
-    };
+    // Lengths, computed here once, in shards of equal block counts. Each
+    // shard numbers its branches from 0; they are renumbered as the
+    // lists are joined.
+    let per_shard = n_blocks.div_ceil(shards).max(1);
+    let measured = run_jobs(placed.chunks_mut(per_shard).collect(), |chunk| {
+        measure(src, chunk)
+    });
+    let counts: Vec<[usize; 2]> = measured.iter().map(|m| m.1).collect();
+    let mut lists = measured.into_iter().map(|m| m.0);
+    let mut branches = lists.next().unwrap_or_default();
+    for (chunk, list) in placed.chunks_mut(per_shard).skip(1).zip(lists) {
+        let base = branches.len() as u32;
+        for p in chunk {
+            p.first_branch += base;
+            p.end_branch += base;
+        }
+        branches.extend(list);
+    }
 
     // Relaxation loop: compute addresses with current widths, grow any
     // short branch whose target does not fit, repeat.
@@ -499,7 +674,7 @@ pub fn emit<S: EmitSource + ?Sized>(
         for b in branches.iter_mut().filter(|b| !b.near) {
             let to = match b.target {
                 Target::Addr(a) => a,
-                Target::Label(l) => resolve(&label_addrs, l)?,
+                Target::Label(l) => resolve(&label_addrs, extern_labels, l)?,
             };
             if i8::try_from(to.wrapping_sub(b.end) as i64).is_err() {
                 b.near = true;
@@ -511,53 +686,57 @@ pub fn emit<S: EmitSource + ?Sized>(
         }
     };
 
-    // Final encoding pass, straight into streams sized exactly.
-    let mut result = EmitResult {
-        line_entries: Vec::with_capacity(n_lines),
-        ..EmitResult::default()
-    };
+    // Final encoding pass, in the same shards, into output buffers sized
+    // exactly: each shard's part of a stream runs from the end of the
+    // blocks before it to the end of its own.
     let bases = [text_base, cold_base];
-    let mut streams = [0, 1].map(|s| Vec::with_capacity((ends[s] - bases[s]) as usize));
+    let mut streams = [0, 1].map(|s| vec![0u8; (ends[s] - bases[s]) as usize]);
+    let [n_lines, n_pads] = counts
+        .iter()
+        .fold([0; 2], |a, c| [a[0] + c[0], a[1] + c[1]]);
+    let mut line_entries = vec![(0, LineInfo { file: 0, line: 0 }); n_lines];
+    let mut eh_entries = vec![(0, Label(0)); n_pads];
+    let mut jobs = Vec::with_capacity(counts.len());
+    let [mut hot, mut cold] = streams.each_mut().map(|s| &mut s[..]);
+    let (mut lines, mut pads) = (&mut line_entries[..], &mut eh_entries[..]);
+    let mut starts = bases;
+    for (chunk, &[n_lines, n_pads]) in placed.chunks(per_shard).zip(&counts) {
+        let mut upto = starts;
+        for p in chunk {
+            upto[usize::from(p.cold)] = p.end(&branches);
+        }
+        let cut = |s: usize| (upto[s] - starts[s]) as usize;
+        let (h, hot_rest) = std::mem::take(&mut hot).split_at_mut(cut(0));
+        let (c, cold_rest) = std::mem::take(&mut cold).split_at_mut(cut(1));
+        let (l, lines_rest) = std::mem::take(&mut lines).split_at_mut(n_lines);
+        let (e, pads_rest) = std::mem::take(&mut pads).split_at_mut(n_pads);
+        (hot, cold, lines, pads) = (hot_rest, cold_rest, lines_rest, pads_rest);
+        jobs.push(EncodeJob {
+            placed: chunk,
+            streams: [(starts[0], h), (starts[1], c)],
+            lines: l,
+            pads: e,
+        });
+        starts = upto;
+    }
+    let encoder = Encoder {
+        src,
+        branches: &branches,
+        label_addrs: &label_addrs,
+        extern_labels,
+    };
+    let mut result = EmitResult::default();
+    for relocs in run_jobs(jobs, |job| encoder.encode(job)) {
+        result.relocs.extend(relocs?);
+    }
+    result.line_entries = line_entries;
+    result.eh_entries = eh_entries;
+
     // Per-unit fragment extents, `[hot, cold]`: (start, end).
     let mut frags: Vec<[Option<(u64, u64)>; 2]> = vec![[None; 2]; n_units];
-    let mut next_branch = 0usize;
     for p in &placed {
-        let stream = usize::from(p.cold);
-        let buf = &mut streams[stream];
-        let cur_addr = bases[stream] + buf.len() as u64;
-        debug_assert!(p.start >= cur_addr);
-        push_nops(buf, p.start - cur_addr);
-
-        for einst in src.insts(p.unit as usize, p.block as usize) {
-            let addr = bases[stream] + buf.len() as u64;
-            let mut working = einst.inst;
-            if let Inst::Jcc { .. } | Inst::Jmp { .. } = working {
-                set_width(&mut working, branches[next_branch].width());
-                next_branch += 1;
-            }
-            let mut enc = encode_at(&working, addr)?;
-            if let Some(f) = enc.fixup {
-                let to = resolve(&label_addrs, f.label)?;
-                let len = enc.bytes.len();
-                apply_fixup(&mut enc.bytes, &f, addr, len, to)?;
-                if S::RELOCS {
-                    result.relocs.push(EmitReloc {
-                        at: addr + f.offset as u64,
-                        kind: f.kind,
-                        label: f.label,
-                    });
-                }
-            }
-            if let Some(line) = einst.line {
-                result.line_entries.push((addr, line));
-            }
-            if let Some(pad) = einst.eh_pad {
-                result.eh_entries.push((addr, pad));
-            }
-            buf.extend_from_slice(&enc.bytes);
-        }
-        let end = bases[stream] + buf.len() as u64;
-        frags[p.unit as usize][stream]
+        let end = p.end(&branches);
+        frags[p.unit as usize][usize::from(p.cold)]
             .get_or_insert((p.start, end))
             .1 = end;
     }
@@ -608,8 +787,8 @@ pub fn emit<S: EmitSource + ?Sized>(
     result.label_addrs = label_addrs;
     // Hot entries, then cold: already sorted unless the cold stream
     // starts below the hot one's end.
-    if !result.line_entries.is_sorted_by_key(|e| e.0) {
-        result.line_entries.sort_unstable_by_key(|e| e.0);
+    if !result.line_entries.is_sorted_by(|a, b| a.0 < b.0) {
+        result.line_entries.sort_unstable();
     }
     Ok(result)
 }

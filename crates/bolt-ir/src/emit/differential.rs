@@ -17,6 +17,15 @@ use super::*;
 use bolt_isa::{Cond, Fixup, Mem, Reg};
 use proptest::prelude::*;
 
+/// NOP padding as the reference appended it.
+fn push_nops(bytes: &mut Vec<u8>, mut n: u64) {
+    while n > 0 {
+        let chunk = n.min(9) as usize;
+        bytes.extend_from_slice(bolt_isa::NOP_SEQUENCES[chunk - 1]);
+        n -= chunk as u64;
+    }
+}
+
 /// One placed instruction during layout.
 struct Placed {
     /// Unit index, block index, instruction index.
@@ -447,7 +456,13 @@ proptest! {
         let units = build(&program, sparse);
         let cold_base = if near_cold { TEXT_BASE + 0x300 } else { 0x60_0000 };
         let [new, reference] = both(&units, cold_base);
-        prop_assert_eq!(new, reference);
+        prop_assert_eq!(&new, &reference);
+        // In shards, whatever the block count: the same, the first error
+        // in placement order included.
+        for shards in [2, 3, 5] {
+            let sharded = emit_in_shards(&units[..], TEXT_BASE, cold_base, &extern_labels(), shards);
+            prop_assert_eq!(&sharded, &reference, "{} shards", shards);
+        }
     }
 }
 

@@ -184,39 +184,26 @@ impl BinaryFunction {
             b.preds.clear();
             b.throwers.clear();
         }
-        let edges: Vec<(BlockId, BlockId)> = self
-            .layout
-            .iter()
-            .flat_map(|&from| {
-                self.block(from)
-                    .succs
-                    .iter()
-                    .map(move |e| (from, e.block))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (from, to) in edges {
-            if !self.blocks[to.index()].preds.contains(&from) {
-                self.blocks[to.index()].preds.push(from);
+        for &from in &self.layout {
+            for si in 0..self.blocks[from.index()].succs.len() {
+                let to = self.blocks[from.index()].succs[si].block;
+                let preds = &mut self.blocks[to.index()].preds;
+                if !preds.contains(&from) {
+                    preds.push(from);
+                }
             }
         }
         // Landing pads: collect throwers from call annotations.
-        let throws: Vec<(BlockId, BlockId)> = self
-            .layout
-            .iter()
-            .flat_map(|&from| {
-                self.block(from)
-                    .insts
-                    .iter()
-                    .filter_map(move |i| i.landing_pad.map(|lp| (from, lp)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (from, lp) in throws {
-            let b = &mut self.blocks[lp.index()];
-            b.is_landing_pad = true;
-            if !b.throwers.contains(&from) {
-                b.throwers.push(from);
+        for &from in &self.layout {
+            for ii in 0..self.blocks[from.index()].insts.len() {
+                let Some(lp) = self.blocks[from.index()].insts[ii].landing_pad else {
+                    continue;
+                };
+                let b = &mut self.blocks[lp.index()];
+                b.is_landing_pad = true;
+                if !b.throwers.contains(&from) {
+                    b.throwers.push(from);
+                }
             }
         }
     }

@@ -47,8 +47,8 @@ pub use dataflow::{
     Liveness, RegSet,
 };
 pub use emit::{
-    emit, emit_units, EmitBlock, EmitError, EmitInst, EmitReloc, EmitResult, EmitSource,
-    EmitSymbol, EmitUnit, LabelAddrs,
+    emit, emit_units, emit_with_threads, EmitBlock, EmitError, EmitInst, EmitReloc, EmitResult,
+    EmitSource, EmitSymbol, EmitUnit, LabelAddrs,
 };
 pub use function::{edges, BinaryFunction, JumpTable, NonSimpleReason, OptTier};
 pub use inst::{BinaryInst, LineInfo};

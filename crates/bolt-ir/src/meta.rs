@@ -3,9 +3,11 @@
 //! (`.bolt.eh`, standing in for the LSDA). Both are emitted by the linker
 //! and *rewritten* by BOLT when code moves (paper section 3.4).
 
+use crate::LineInfo;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Errors from parsing metadata sections.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,15 +102,8 @@ impl LineTable {
         max_entries: usize,
         entries: impl IntoIterator<Item = (u64, u32, u32)>,
     ) -> Vec<u8> {
-        let names: usize = files.iter().map(|f| 4 + f.len()).sum();
-        let mut out = Vec::with_capacity(8 + names + RECORD * max_entries);
-        out.extend_from_slice(&(files.len() as u32).to_le_bytes());
-        for f in files {
-            out.extend_from_slice(&(f.len() as u32).to_le_bytes());
-            out.extend_from_slice(f.as_bytes());
-        }
-        let count_at = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes());
+        let mut out = header(files, max_entries);
+        let count_at = out.len() - 4;
         let mut n = 0u32;
         for e in entries {
             push_record(&mut out, e);
@@ -132,6 +127,20 @@ impl LineTable {
 
 /// Bytes per `.bolt.lines` entry: address, file, line.
 const RECORD: usize = 16;
+
+/// The `.bolt.lines` bytes before the entries, their count 0 until
+/// patched, in a buffer sized for `max_entries` entries after them.
+fn header(files: &[String], max_entries: usize) -> Vec<u8> {
+    let names: usize = files.iter().map(|f| 4 + f.len()).sum();
+    let mut out = Vec::with_capacity(8 + names + RECORD * max_entries);
+    out.extend_from_slice(&(files.len() as u32).to_le_bytes());
+    for f in files {
+        out.extend_from_slice(&(f.len() as u32).to_le_bytes());
+        out.extend_from_slice(f.as_bytes());
+    }
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out
+}
 
 fn push_record(out: &mut Vec<u8>, (a, f, l): (u64, u32, u32)) {
     out.extend_from_slice(&a.to_le_bytes());
@@ -173,9 +182,9 @@ fn split_lines(data: &[u8]) -> Result<(Vec<String>, &[u8]), MetaError> {
 
 /// A `.bolt.lines` section read in place: its file names, and its
 /// entries as the section's own 16-byte records, or, when those are not
-/// sorted, an owned sorted and deduplicated copy of them (what
-/// [`LineTable::normalize`] would make). Lookups walk the records; no
-/// entry is copied into a table.
+/// strictly increasing, an owned sorted and deduplicated copy of them
+/// (what [`LineTable::normalize`] would make). Lookups walk the records;
+/// no entry is copied into a table.
 #[derive(Debug, Clone, Default)]
 pub struct LineRecords<'a> {
     /// File names, indexed by `LineInfo::file`.
@@ -194,7 +203,7 @@ impl<'a> LineRecords<'a> {
         let sorted = records
             .chunks_exact(RECORD)
             .map(record)
-            .is_sorted_by(|a, b| a <= b);
+            .is_sorted_by(|a, b| a < b);
         let records = if sorted {
             Cow::Borrowed(records)
         } else {
@@ -243,6 +252,68 @@ impl<'a> LineRecords<'a> {
     /// Every entry, in address order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, u32, u32)> + Clone + '_ {
         self.records.chunks_exact(RECORD).map(record)
+    }
+
+    /// The `.bolt.lines` bytes of these file names and of the entries in
+    /// `kept` (ascending runs of entry indices) merged with `new` (sorted
+    /// by address, then line), without repeats. The kept entries between
+    /// two new ones are copied as the section's bytes.
+    pub fn merge_to_bytes(
+        &self,
+        kept: impl Iterator<Item = Range<usize>> + Clone,
+        new: &[(u64, LineInfo)],
+    ) -> Vec<u8> {
+        let n_kept: usize = kept.clone().map(|r| r.len()).sum();
+        let mut out = header(&self.files, n_kept + new.len());
+        let count_at = out.len() - 4;
+        let mut last = None;
+        let mut new = new.iter().map(|&(a, li)| (a, li.file, li.line)).peekable();
+        for run in kept {
+            let mut i = run.start;
+            while i < run.end {
+                let entry = self.get(i).expect("in range");
+                // The new entry goes first, or the run's entries below it.
+                let upto = match new.peek() {
+                    Some(&n) if n <= entry => {
+                        if last.replace(n) != Some(n) {
+                            push_record(&mut out, n);
+                        }
+                        new.next();
+                        continue;
+                    }
+                    Some(&n) => self.first_at_least(i..run.end, n),
+                    None => run.end,
+                };
+                // The entries are strictly increasing: only the first can
+                // repeat the last one written.
+                let from = if last == Some(entry) { i + 1 } else { i };
+                out.extend_from_slice(&self.records[from * RECORD..upto * RECORD]);
+                last = self.get(upto - 1);
+                i = upto;
+            }
+        }
+        for n in new {
+            if last.replace(n) != Some(n) {
+                push_record(&mut out, n);
+            }
+        }
+        let n = ((out.len() - count_at - 4) / RECORD) as u32;
+        out[count_at..count_at + 4].copy_from_slice(&n.to_le_bytes());
+        out
+    }
+
+    /// The first index in `range` whose entry is at least `e`.
+    fn first_at_least(&self, range: Range<usize>, e: (u64, u32, u32)) -> usize {
+        let (mut lo, mut hi) = (range.start, range.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.get(mid).expect("in range") < e {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::disasm::disassemble_all_with_threads;
 use crate::discover::discover;
-use crate::emit::{rewrite_binary, RewriteStats};
+use crate::emit::{rewrite_binary_with_threads, RewriteStats};
 use crate::options::BoltOptions;
 use crate::report::bad_layout_report;
 use bolt_elf::Elf;
@@ -475,7 +475,9 @@ pub fn optimize(elf: &Elf, profile: &Profile, opts: &BoltOptions) -> Result<Bolt
         // quarantines it; anything else quarantines every still-emitted
         // function (last-resort graceful degradation: the output then
         // preserves the input bytes wholesale).
-        let (out, rewrite_stats) = match rewrite_binary(elf, &ctx, &pipeline.function_order) {
+        let order = &pipeline.function_order;
+        let (out, rewrite_stats) = match rewrite_binary_with_threads(elf, &ctx, order, opts.threads)
+        {
             Ok(v) => v,
             Err(e) => {
                 if rounds >= MAX_ROUNDS {

@@ -18,8 +18,8 @@
 use crate::disasm::line_records;
 use bolt_elf::{sections, Elf, Section, SymKind};
 use bolt_ir::{
-    emit, BinaryContext, BinaryFunction, BlockId, EmitError, EmitInst, EmitResult, EmitSource,
-    ExceptionTable, LineRecords, LineTable,
+    emit_with_threads, BinaryContext, BinaryFunction, BlockId, EmitError, EmitInst, EmitResult,
+    EmitSource, ExceptionTable, LineRecords,
 };
 use bolt_isa::{encode_at, Inst, JumpWidth, Label, Target};
 use std::collections::HashMap;
@@ -53,11 +53,12 @@ pub struct RewriteStats {
 
 /// The line and exception tables of the rewritten binary (paper section
 /// 3.4), the line table as `.bolt.lines` bytes: entries inside `moved`
-/// code go, `result`'s for its new home come. One sweep: the input's
-/// entries are sorted ([`LineRecords`] sorts a copy only when they are
+/// code go, `result`'s for its new home come. The input's entries are
+/// strictly increasing ([`LineRecords`] sorts a copy only when they are
 /// not), the moved ranges are sorted and merged here, and the emitter's
-/// entries are sorted, so survivors and new entries merge without a sort,
-/// straight into the output bytes.
+/// entries are sorted, so binary search finds the runs of entries
+/// between moved ranges, and those merge with the new entries straight
+/// into the output bytes. No entry inside moved code is read.
 fn rebuild_tables(
     lines: &LineRecords,
     exceptions: &ExceptionTable,
@@ -73,50 +74,32 @@ fn rebuild_tables(
         }
         joins
     });
+
+    // The entries outside every moved range, as runs of indices: one
+    // before, between and after the ranges.
+    let below = |a: Option<u64>| a.map_or(lines.len(), |a| lines.partition_point(|e| e < a));
+    let starts = moved.iter().map(|r| Some(r.0)).chain([None]);
+    let ends = [Some(0)].into_iter().chain(moved.iter().map(|r| Some(r.1)));
+    let kept = ends
+        .zip(starts)
+        .map(|(end, start)| below(end)..below(start));
+    debug_assert!(result.line_entries.is_sorted(), "the emitter sorts them");
+    let lines = lines.merge_to_bytes(kept, &result.line_entries);
+
     // "Is `a` inside a moved range?" for ascending `a`: a cursor past
     // every range that ends at or before `a`.
-    let moved = &moved[..];
-    let inside_moved = || {
-        let mut next = 0;
-        move |a: u64| {
-            while moved.get(next).is_some_and(|r| r.1 <= a) {
-                next += 1;
-            }
-            moved.get(next).is_some_and(|r| r.0 <= a)
+    let mut next = 0;
+    let mut inside_moved = |a: u64| {
+        while moved.get(next).is_some_and(|r| r.1 <= a) {
+            next += 1;
         }
+        moved.get(next).is_some_and(|r| r.0 <= a)
     };
-
-    let kept = || {
-        let mut inside = inside_moved();
-        lines.iter().filter(move |e| !inside(e.0))
-    };
-    let new = || {
-        result
-            .line_entries
-            .iter()
-            .map(|(a, li)| (*a, li.file, li.line))
-    };
-    let at_most = kept().count() + new().len();
-    // The new entries are sorted by address; two share one only if the
-    // hot and cold streams overlap, and then they are sorted here.
-    let lines = if new().is_sorted() {
-        LineTable::write(&lines.files, at_most, merge_dedup(kept(), new()))
-    } else {
-        let mut sorted: Vec<_> = new().collect();
-        sorted.sort_unstable();
-        LineTable::write(
-            &lines.files,
-            at_most,
-            merge_dedup(kept(), sorted.into_iter()),
-        )
-    };
-
-    let mut kept = inside_moved();
     let mut eh = ExceptionTable {
         entries: exceptions
             .entries
             .iter()
-            .filter(|(cs, _)| !kept(**cs))
+            .filter(|(cs, _)| !inside_moved(**cs))
             .map(|(&cs, &lp)| (cs, lp))
             .collect(),
     };
@@ -124,25 +107,6 @@ fn rebuild_tables(
         eh.add(*call_addr, result.label_addrs[pad_label]);
     }
     (lines, eh)
-}
-
-/// The merge of the sorted `a` and `b`, without repeats.
-fn merge_dedup<T: Ord + Copy>(
-    a: impl Iterator<Item = T>,
-    b: impl Iterator<Item = T>,
-) -> impl Iterator<Item = T> {
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    let mut last = None;
-    std::iter::from_fn(move || loop {
-        let next = match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) if y < x => b.next(),
-            (Some(_), _) => a.next(),
-            (None, _) => b.next(),
-        }?;
-        if last.replace(next) != Some(next) {
-            return Some(next);
-        }
-    })
 }
 
 /// The optimized IR as the emitter reads it ([`EmitSource`]): the
@@ -297,8 +261,32 @@ pub fn rewrite_binary(
     ctx: &BinaryContext,
     order: &[usize],
 ) -> Result<(Elf, RewriteStats), EmitError> {
+    rewrite_binary_with_threads(elf, ctx, order, 0)
+}
+
+/// [`rewrite_binary`] with an explicit thread-count knob for emission
+/// (the driver's `-threads=N`): `0` = auto (`BOLT_THREADS` env override
+/// or `available_parallelism`), `1` forces the serial path. The output is
+/// identical at any value.
+///
+/// # Errors
+///
+/// As [`rewrite_binary`].
+pub fn rewrite_binary_with_threads(
+    elf: &Elf,
+    ctx: &BinaryContext,
+    order: &[usize],
+    threads: usize,
+) -> Result<(Elf, RewriteStats), EmitError> {
+    let n_threads = bolt_emu::Knobs::get().threads(threads);
     rewrite_with(elf, ctx, order, |source| {
-        emit(source, BOLT_TEXT_BASE, BOLT_COLD_BASE, &HashMap::new())
+        emit_with_threads(
+            source,
+            BOLT_TEXT_BASE,
+            BOLT_COLD_BASE,
+            &HashMap::new(),
+            n_threads,
+        )
     })
 }
 
@@ -470,7 +458,7 @@ mod tests {
     use bolt_compiler::{compile_and_link, CompileOptions};
     use bolt_elf::write_elf;
     use bolt_emu::Machine;
-    use bolt_ir::{emit_units, EmitBlock, EmitUnit, LineInfo};
+    use bolt_ir::{emit_units, EmitBlock, EmitUnit, LineInfo, LineTable};
     use bolt_passes::PassOptions;
     use bolt_profile::{LbrSampler, Profile, SampleTrigger};
     use bolt_workloads::{Scale, Workload};
@@ -517,14 +505,15 @@ mod tests {
     /// New-home entries plus three that land on addresses surviving in the
     /// old tables: a second line for `0x1020` (both stay), an exact copy
     /// of `0x1021`'s (dropped), a new landing pad for `0x1022` (replaces).
+    /// The line entries are sorted, as the emitter leaves them.
     fn emitted() -> EmitResult {
         let mut result = EmitResult::default();
         let at = |line| LineInfo { file: 0, line };
         result.line_entries = vec![
-            (BOLT_TEXT_BASE, at(7)),
-            (BOLT_TEXT_BASE + 4, at(8)),
             (0x1020, at(9)),
             (0x1021, at(0x21)),
+            (BOLT_TEXT_BASE, at(7)),
+            (BOLT_TEXT_BASE + 4, at(8)),
         ];
         result.label_addrs.insert(Label(0), BOLT_COLD_BASE);
         result.eh_entries = vec![(BOLT_TEXT_BASE + 4, Label(0)), (0x1022, Label(0))];

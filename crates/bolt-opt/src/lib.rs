@@ -42,7 +42,9 @@ pub use driver::{
     optimize, prepare, BoltError, BoltOutput, PrepareTiming, PreparedContext, QuarantineAction,
     QuarantineEvent, QuarantineReport,
 };
-pub use emit::{rewrite_binary, RewriteStats, BOLT_COLD_BASE, BOLT_TEXT_BASE};
+pub use emit::{
+    rewrite_binary, rewrite_binary_with_threads, RewriteStats, BOLT_COLD_BASE, BOLT_TEXT_BASE,
+};
 pub use options::BoltOptions;
 pub use report::{
     bad_layout_report, find_bad_layout, prepare_timing_report, rewrite_timing_report,

@@ -4,10 +4,12 @@
 //! Table-1 transformations only ever touch one [`BinaryFunction`] at a
 //! time. A registry row whose body is a pure per-function [`Kernel`]
 //! ([`PassRow::per_function`](crate::PassRow::per_function)) is run by
-//! [`run_function_pass`], which shards `ctx.functions` across
-//! `std::thread::scope` workers when the one sharding rule,
-//! [`sharded`], says so; `bolt-opt::disasm::disassemble_all` asks the
-//! same rule whether to plan on a worker.
+//! [`run_function_pass`], which shards `ctx.functions` across the
+//! calling thread and `std::thread::scope` workers (`in_chunks`) when
+//! the one sharding rule, [`sharded`], says so. ICF hashes function
+//! bodies through the same `in_chunks`, and
+//! `bolt-opt::disasm::disassemble_all` asks the same rule whether to
+//! plan on a worker.
 //!
 //! Determinism: each kernel owns exactly one function and nothing else,
 //! so the post-pass context is identical at any worker count, and the
@@ -94,46 +96,57 @@ fn run_one(kernel: &Kernel, func: &mut BinaryFunction, out: &mut KernelRun) {
     }
 }
 
-/// Runs `kernel` over every function in `ctx`, sharded across
-/// `n_threads` scoped workers (an effective count, see
+/// Splits `items` into contiguous chunks, one per thread when a sweep
+/// over `items.len()` functions at `n_threads` threads is [`sharded`]
+/// and one in all otherwise, and runs `work` on each with the index of
+/// its first item: the first chunk on the calling thread, each other on
+/// a scoped worker. The results come back in chunk order, so whatever is
+/// reduced from them is the same at any thread count.
+pub(crate) fn in_chunks<T: Send, R: Send>(
+    items: &mut [T],
+    n_threads: usize,
+    work: impl Fn(usize, &mut [T]) -> R + Sync,
+) -> Vec<R> {
+    if !sharded(items.len(), n_threads) {
+        return vec![work(0, items)];
+    }
+    let chunk = items.len().div_ceil(n_threads);
+    let work = &work;
+    std::thread::scope(|scope| {
+        let mut chunks = items.chunks_mut(chunk).enumerate();
+        let (_, first) = chunks.next().expect("a sharded sweep has items");
+        let workers: Vec<_> = chunks
+            .map(|(i, slice)| scope.spawn(move || work(i * chunk, slice)))
+            .collect();
+        let mut results = Vec::with_capacity(n_threads);
+        results.push(work(0, first));
+        for worker in workers {
+            results.push(worker.join().expect("function sweep worker"));
+        }
+        results
+    })
+}
+
+/// Runs `kernel` over every function in `ctx`, sharded by `in_chunks`
+/// across `n_threads` threads (an effective count, see
 /// `bolt_emu::Knobs::threads`). Each kernel invocation is isolated with
 /// `catch_unwind`, so a panicking kernel poisons only its own function
 /// (see [`KernelRun`]).
 pub fn run_function_pass(kernel: &Kernel, ctx: &mut BinaryContext, n_threads: usize) -> KernelRun {
-    if !sharded(ctx.functions.len(), n_threads) {
+    let chunks = in_chunks(&mut ctx.functions, n_threads, |_, slice| {
         let mut out = KernelRun::default();
-        for f in ctx.functions.iter_mut() {
+        for f in slice.iter_mut() {
             run_one(kernel, f, &mut out);
         }
-        return out;
+        out
+    });
+    // Chunk subtotals, changes and failure lists alike, in chunk order.
+    let mut total = KernelRun::default();
+    for part in chunks {
+        total.changes += part.changes;
+        total.failures.extend(part.failures);
     }
-    let chunk = ctx.functions.len().div_ceil(n_threads);
-    // Each worker owns one contiguous chunk of functions (index order);
-    // chunk subtotals (changes and failure lists alike) are reduced in
-    // chunk order, so the result is deterministic regardless of worker
-    // scheduling.
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ctx
-            .functions
-            .chunks_mut(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    let mut out = KernelRun::default();
-                    for f in slice.iter_mut() {
-                        run_one(kernel, f, &mut out);
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut total = KernelRun::default();
-        for h in handles {
-            let part = h.join().expect("function-pass worker");
-            total.changes += part.changes;
-            total.failures.extend(part.failures);
-        }
-        total
-    })
+    total
 }
 
 #[cfg(test)]

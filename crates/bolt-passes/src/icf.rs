@@ -4,6 +4,7 @@
 //! functions with jump tables, which linker ICF cannot fold (paper
 //! section 4: ~3% size reduction on HHVM beyond the linker's ICF).
 
+use crate::function_pass::in_chunks;
 use bolt_ir::{BinaryContext, BinaryFunction};
 use bolt_isa::{Inst, JumpWidth, Mem, Rm, Target};
 use std::collections::hash_map::Entry;
@@ -108,23 +109,42 @@ impl Hasher for BodyHasher {
     }
 }
 
+/// The hash of `f`'s normalized body, callee identity left out; `None`
+/// if ICF may not fold `f`.
+fn body_hash(ctx: &BinaryContext, f: &BinaryFunction) -> Option<u64> {
+    let mut h = BodyHasher(0);
+    let feed = |k: Key| match k {
+        Key::Func(_) => {}
+        k => k.hash(&mut h),
+    };
+    let eligible = f.may_transform() && f.folded_into.is_none() && f.name != "_start";
+    (eligible && normalize(ctx, f, feed).is_some()).then(|| h.finish())
+}
+
 /// Runs one ICF fixpoint; returns the number of functions folded.
 pub fn run_icf(ctx: &mut BinaryContext) -> u64 {
+    run_icf_with_threads(ctx, 1)
+}
+
+/// [`run_icf`], hashing the bodies on `n_threads` threads (an effective
+/// count, see `bolt_emu::Knobs::threads`). Hashing only reads the
+/// context, and the hashes are gathered in function order, so the folds
+/// are the same at any count.
+pub fn run_icf_with_threads(ctx: &mut BinaryContext, n_threads: usize) -> u64 {
     // `(hash, address, index)` per candidate, sorted: possible twins are
     // adjacent, lowest address first. The hash leaves callee identity
     // out, so the folds below do not change it and one pass computes it.
-    let mut candidates = Vec::new();
-    for (i, f) in ctx.functions.iter().enumerate() {
-        let mut h = BodyHasher(0);
-        let feed = |k: Key| match k {
-            Key::Func(_) => {}
-            k => k.hash(&mut h),
-        };
-        let eligible = f.may_transform() && f.folded_into.is_none() && f.name != "_start";
-        if eligible && normalize(ctx, f, feed).is_some() {
-            candidates.push((h.finish(), f.address, i));
+    let mut hashes = vec![None; ctx.functions.len()];
+    let context = &*ctx;
+    in_chunks(&mut hashes, n_threads, |first, out| {
+        let functions = &context.functions[first..first + out.len()];
+        for (hash, f) in out.iter_mut().zip(functions) {
+            *hash = body_hash(context, f);
         }
-    }
+    });
+    let mut candidates: Vec<(u64, u64, usize)> = (hashes.into_iter().enumerate())
+        .filter_map(|(i, h)| Some((h?, ctx.functions[i].address, i)))
+        .collect();
     candidates.sort_unstable();
     let mut folded = 0;
     // Iterate: folding can enable more folds (mutually recursive twins).

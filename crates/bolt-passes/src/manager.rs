@@ -28,11 +28,12 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// A whole-context body: returns the change count (pass-specific unit,
-/// matching Table 1's activity column) and, for a pass that chooses the
-/// function emission order, that order (moved into
-/// [`PipelineResult::function_order`]).
-type ContextBody = dyn Fn(&mut BinaryContext) -> (u64, Option<Vec<usize>>);
+/// A whole-context body, handed the context and the effective thread
+/// count for any part it shards: returns the change count
+/// (pass-specific unit, matching Table 1's activity column) and, for a
+/// pass that chooses the function emission order, that order (moved
+/// into [`PipelineResult::function_order`]).
+type ContextBody = dyn Fn(&mut BinaryContext, usize) -> (u64, Option<Vec<usize>>);
 
 /// What a registry row runs. The per-function / whole-context
 /// distinction is this enum and nothing else: it decides how the manager
@@ -88,7 +89,21 @@ impl PassRow {
         PassRow {
             name,
             enabled,
-            body: PassBody::WholeContext(Box::new(move |ctx| (body(ctx), None))),
+            body: PassBody::WholeContext(Box::new(move |ctx, _| (body(ctx), None))),
+        }
+    }
+
+    /// A [`whole_context`](Self::whole_context) row whose body shards
+    /// part of its work: it is also handed the effective thread count.
+    fn whole_context_sharded(
+        name: &'static str,
+        enabled: fn(&PassOptions) -> bool,
+        body: impl Fn(&mut BinaryContext, usize) -> u64 + 'static,
+    ) -> PassRow {
+        PassRow {
+            name,
+            enabled,
+            body: PassBody::WholeContext(Box::new(move |ctx, n| (body(ctx, n), None))),
         }
     }
 
@@ -208,7 +223,7 @@ impl PassManager {
                 peephole::strip_rep_ret_function,
             ),
             // #2 and #7: identical code folding.
-            Row::whole_context("icf", |o| o.icf, icf::run_icf),
+            Row::whole_context_sharded("icf", |o| o.icf, icf::run_icf_with_threads),
             // #3: indirect call promotion.
             Row::whole_context(
                 "icp",
@@ -229,7 +244,7 @@ impl PassManager {
                 |o| o.simplify_ro_loads,
                 ro_loads::run_simplify_ro_loads,
             ),
-            Row::whole_context("icf", |o| o.icf, icf::run_icf),
+            Row::whole_context_sharded("icf", |o| o.icf, icf::run_icf_with_threads),
             // #8: remove indirection from PLT calls.
             Row::whole_context("plt", |o| o.plt, plt::run_plt),
             // #9: block reordering + hot/cold splitting. Always runs and
@@ -254,7 +269,7 @@ impl PassManager {
             Row {
                 name: "reorder-functions",
                 enabled: always,
-                body: PassBody::WholeContext(Box::new(move |ctx| {
+                body: PassBody::WholeContext(Box::new(move |ctx, _| {
                     let order = reorder_functions::run_reorder_functions(ctx, algorithm);
                     (order.len() as u64, Some(order))
                 })),
@@ -309,8 +324,9 @@ impl PassManager {
     /// Per-function kernels are sharded across
     /// [`ManagerConfig::threads`] workers (the sharder serializes itself
     /// at one thread, so a pass cannot behave differently between the
-    /// two); whole-context bodies run serially. The [`PipelineResult`]
-    /// is byte-identical at any thread count.
+    /// two); whole-context bodies run on the calling thread, sharding only
+    /// what they hand to the same chunking (ICF's body hashing). The
+    /// [`PipelineResult`] is byte-identical at any thread count.
     pub fn run(&self, ctx: &mut BinaryContext, opts: &PassOptions) -> PipelineResult {
         let n_threads = bolt_emu::Knobs::get().threads(self.config.threads);
         let mut result = PipelineResult::default();
@@ -355,7 +371,7 @@ impl PassManager {
                     run.changes
                 }
                 PassBody::WholeContext(body) => {
-                    match catch_unwind(AssertUnwindSafe(|| body(ctx))) {
+                    match catch_unwind(AssertUnwindSafe(|| body(ctx, n_threads))) {
                         Ok((changes, order)) => {
                             if let Some(order) = order {
                                 result.function_order = order;
@@ -402,6 +418,16 @@ impl PassManager {
             run_lint(ctx, "pipeline", &mut result);
         }
         result
+    }
+}
+
+#[cfg(test)]
+impl PassManager {
+    /// Drops the first row named `name` and every row after it: the
+    /// pipeline as far as the passes that run before that one.
+    pub(crate) fn truncate_before(&mut self, name: &str) {
+        let at = self.rows.iter().position(|r| r.name == name);
+        self.rows.truncate(at.expect("a registered pass"));
     }
 }
 

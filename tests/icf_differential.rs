@@ -4,7 +4,8 @@
 //! string-key implementation is kept here, verbatim, as the reference;
 //! both must fold exactly the same functions into the same keepers, in
 //! the same alias order, with the same summed execution counts — on the
-//! profiled workload binaries and on generated families of near-twins.
+//! profiled workload binaries and on generated families of near-twins,
+//! with the bodies hashed on one, two and three threads.
 
 use bolt::compiler::{compile_and_link, CompileOptions};
 use bolt::emu::Machine;
@@ -178,10 +179,18 @@ fn fold_state(ctx: &BinaryContext) -> Vec<(&str, Option<usize>, &[String], u64)>
 }
 
 /// Runs both implementations on copies of `ctx` and returns the fold
-/// count after asserting that they agree on it and on every function.
+/// count after asserting that they agree on it and on every function,
+/// with the bodies hashed on one, two and three threads.
 fn assert_same_folds(what: &str, ctx: &mut BinaryContext) -> u64 {
     let mut reference = ctx.clone();
     let expected = run_icf_reference(&mut reference);
+    for threads in [2, 3] {
+        let mut sharded = ctx.clone();
+        let folded = icf::run_icf_with_threads(&mut sharded, threads);
+        assert_eq!(folded, expected, "{what}: fold count at {threads} threads");
+        let state = fold_state(&sharded);
+        assert_eq!(state, fold_state(&reference), "{what} at {threads} threads");
+    }
     let folded = icf::run_icf(ctx);
     assert_eq!(folded, expected, "{what}: fold count");
     assert_eq!(fold_state(ctx), fold_state(&reference), "{what}");
