@@ -5,8 +5,9 @@
 //! ELF executables that the emulator can run and BOLT can rewrite. It
 //! supports the build configurations the paper's evaluation compares
 //! (section 6.2): plain `-O2`, PGO (AutoFDO-style source-level profiles),
-//! LTO (cross-module inlining), `--emit-relocs`, PLT indirection, alignment
-//! NOPs, and `repz ret` emission.
+//! LTO (cross-module inlining), PLT indirection, alignment NOPs, and
+//! `repz ret` emission. It writes no relocation section: the rewriter
+//! works without one, so nothing would read it.
 
 pub mod builder;
 pub mod codegen;

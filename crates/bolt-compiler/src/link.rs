@@ -7,12 +7,11 @@ use crate::inline::run_inlining;
 use crate::mir::{MirFunction, MirProgram};
 use crate::options::CompileOptions;
 use crate::pgo::pgo_layout;
-use bolt_elf::{reloc, Elf, Rela, Section, SymBind, SymKind, SymSection, Symbol};
+use bolt_elf::{Elf, Section, SymBind, SymKind, SymSection, Symbol};
 use bolt_ir::{
-    emit_units, EmitBlock, EmitError, EmitInst, EmitUnit, ExceptionTable, LabelAddrs, LineInfo,
-    LineTable,
+    emit_units, EmitBlock, EmitError, EmitInst, EmitUnit, ExceptionTable, LineInfo, LineTable,
 };
-use bolt_isa::{AluOp, FixupKind, Inst, JumpWidth, Label, Mem, Reg, Rm, Target};
+use bolt_isa::{AluOp, Inst, JumpWidth, Label, Mem, Reg, Rm, Target};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -64,8 +63,6 @@ impl From<bolt_elf::ElfError> for CompileError {
 #[derive(Debug)]
 pub struct CompiledBinary {
     pub elf: Elf,
-    /// Resolved code-label addresses (for tests and the profiler).
-    pub label_addrs: LabelAddrs,
 }
 
 /// Builds the runtime functions.
@@ -385,58 +382,8 @@ pub fn compile_and_link_phases(
         });
     }
 
-    // Relocations (--emit-relocs): map each applied fixup back to a
-    // symbol + addend.
-    if opts.emit_relocs {
-        // Sorted symbol spans for address->symbol search.
-        let mut spans: Vec<(u64, u64, u32)> = elf
-            .symbols
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.value, s.size.max(1), i as u32))
-            .collect();
-        spans.sort_unstable();
-        let find = |addr: u64| -> Option<(u32, i64)> {
-            let i = spans.partition_point(|(start, _, _)| *start <= addr);
-            if i == 0 {
-                return None;
-            }
-            let (start, size, idx) = spans[i - 1];
-            if addr < start + size {
-                Some((idx, (addr - start) as i64))
-            } else {
-                None
-            }
-        };
-        for r in &result.relocs {
-            let target_addr = result
-                .label_addrs
-                .get(r.label)
-                .or_else(|| extern_labels.get(&r.label).copied());
-            let Some(target_addr) = target_addr else {
-                continue;
-            };
-            let Some((sym_index, addend)) = find(target_addr) else {
-                continue;
-            };
-            let rtype = match r.kind {
-                FixupKind::Abs64 => reloc::R_X86_64_64,
-                FixupKind::Rel32 | FixupKind::Rel8 => reloc::R_X86_64_PC32,
-            };
-            elf.relocations.push(Rela {
-                offset: r.at,
-                sym_index,
-                rtype,
-                addend,
-            });
-        }
-    }
-
     phase("assemble");
-    Ok(CompiledBinary {
-        elf,
-        label_addrs: result.label_addrs,
-    })
+    Ok(CompiledBinary { elf })
 }
 
 /// The `.bolt.lines` section for the source `files` and the emitter's
@@ -641,7 +588,6 @@ mod tests {
             },
             CompileOptions {
                 lto: true,
-                emit_relocs: true,
                 ..CompileOptions::default()
             },
         ] {
@@ -649,22 +595,6 @@ mod tests {
             assert_eq!(code, expected, "exit code under {opts:?}");
             assert_eq!(output, interp.output, "output under {opts:?}");
         }
-    }
-
-    #[test]
-    fn emit_relocs_produces_relocations() {
-        let p = kitchen_sink();
-        let opts = CompileOptions {
-            emit_relocs: true,
-            ..CompileOptions::default()
-        };
-        let bin = compile_and_link(&p, &opts).unwrap();
-        assert!(
-            !bin.elf.relocations.is_empty(),
-            "--emit-relocs records relocations"
-        );
-        let no_relocs = compile_and_link(&p, &CompileOptions::default()).unwrap();
-        assert!(no_relocs.elf.relocations.is_empty());
     }
 
     #[test]

@@ -17,9 +17,6 @@ pub struct CompileOptions {
     pub pgo: Option<SourceProfile>,
     /// Route external (runtime) calls through PLT stubs.
     pub plt: bool,
-    /// Record relocations in the output (`--emit-relocs`), enabling BOLT's
-    /// relocations mode (paper section 3.2).
-    pub emit_relocs: bool,
     /// Emit `repz ret` instead of `ret` (legacy-AMD workaround stripped by
     /// BOLT's `strip-rep-ret`, Table 1 pass 1).
     pub legacy_amd: bool,
@@ -38,7 +35,6 @@ impl Default for CompileOptions {
             lto: false,
             pgo: None,
             plt: true,
-            emit_relocs: false,
             legacy_amd: false,
             align_blocks: true,
             function_order: None,

@@ -143,25 +143,13 @@ impl Symbol {
     }
 }
 
-/// A RELA relocation entry (as produced by `--emit-relocs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rela {
-    /// Virtual address of the patched field.
-    pub offset: u64,
-    /// Index into [`Elf::symbols`].
-    pub sym_index: u32,
-    /// `reloc::*` relocation type.
-    pub rtype: u32,
-    pub addend: i64,
-}
-
 /// An ELF64 executable image.
 ///
 /// This is the single model used by [`crate::write_elf`] and
 /// [`crate::read_elf`]; the generated bookkeeping sections (`.symtab`,
-/// `.strtab`, `.shstrtab`, `.rela.text`) are represented by the typed
-/// `symbols`/`relocations` fields rather than by raw [`Section`]s, so a
-/// write→read round trip reproduces the same `Elf` value.
+/// `.strtab`, `.shstrtab`) are represented by the typed `symbols` field
+/// rather than by raw [`Section`]s, so a write→read round trip reproduces
+/// the same `Elf` value.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Elf {
     /// Program entry point.
@@ -170,8 +158,6 @@ pub struct Elf {
     pub sections: Vec<Section>,
     /// Symbol table (never includes the leading null symbol).
     pub symbols: Vec<Symbol>,
-    /// Relocations against allocatable sections (from `--emit-relocs`).
-    pub relocations: Vec<Rela>,
 }
 
 impl Elf {
@@ -268,12 +254,7 @@ impl fmt::Display for Elf {
                 if s.is_exec() { "X" } else { "-" },
             )?;
         }
-        writeln!(
-            f,
-            "  {} symbols, {} relocations",
-            self.symbols.len(),
-            self.relocations.len()
-        )
+        writeln!(f, "  {} symbols", self.symbols.len())
     }
 }
 

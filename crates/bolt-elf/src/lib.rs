@@ -5,9 +5,10 @@
 //! the `goblin`-equivalent substrate called for by the reproduction plan.
 //!
 //! The model is deliberately executable-focused: sections with contents and
-//! virtual addresses, a typed symbol table, and RELA relocations (the
-//! `--emit-relocs` output BOLT's relocations mode consumes, paper
-//! section 3.2).
+//! virtual addresses, and a typed symbol table. It models no relocation
+//! section: the rewriter needs none (it patches moved functions' old
+//! entries instead, paper section 3.2), and the reader skips a `SHT_RELA`
+//! section if an input has one.
 //!
 //! ## Example
 //!
@@ -29,9 +30,9 @@ mod reader;
 pub mod types;
 mod writer;
 
-pub use image::{Elf, Rela, Section, SymSection, Symbol};
+pub use image::{Elf, Section, SymSection, Symbol};
 pub use reader::read_elf;
-pub use types::{reloc, sections, shf, sht, SymBind, SymKind};
+pub use types::{sections, shf, sht, SymBind, SymKind};
 pub use writer::write_elf;
 
 use std::fmt;
@@ -50,8 +51,6 @@ pub enum ElfError {
     BadStringOffset(usize),
     /// A symbol referenced a section index that does not exist.
     BadSymbolSection { symbol: usize, section: usize },
-    /// A relocation referenced a symbol index that does not exist.
-    BadRelocSymbol { reloc: usize, symbol: usize },
 }
 
 impl fmt::Display for ElfError {
@@ -63,9 +62,6 @@ impl fmt::Display for ElfError {
             ElfError::BadStringOffset(o) => write!(f, "invalid string table offset {o}"),
             ElfError::BadSymbolSection { symbol, section } => {
                 write!(f, "symbol {symbol} references invalid section {section}")
-            }
-            ElfError::BadRelocSymbol { reloc, symbol } => {
-                write!(f, "relocation {reloc} references invalid symbol {symbol}")
             }
         }
     }

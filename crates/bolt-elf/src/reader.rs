@@ -1,6 +1,6 @@
 //! ELF64 parser.
 
-use crate::image::{Elf, Rela, Section, SymSection, Symbol};
+use crate::image::{Elf, Section, SymSection, Symbol};
 use crate::types::*;
 use crate::ElfError;
 
@@ -36,9 +36,6 @@ impl<'a> In<'a> {
     fn u64(&mut self) -> Result<u64, ElfError> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
-    fn i64(&mut self) -> Result<i64, ElfError> {
-        Ok(i64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
     fn skip(&mut self, n: usize) -> Result<(), ElfError> {
         self.bytes(n).map(|_| ())
     }
@@ -70,6 +67,11 @@ fn strtab_get(table: &[u8], off: u32) -> Result<String, ElfError> {
 
 /// Parses an ELF64 executable produced by [`crate::write_elf`] (or any
 /// binary using the same subset of features) back into an [`Elf`] image.
+///
+/// Bookkeeping sections are not content: the symbol and string tables
+/// become [`Elf::symbols`], and a relocation (`SHT_RELA`) section is
+/// skipped unread, so an input that carries one reads as the same image
+/// without it.
 ///
 /// # Errors
 ///
@@ -179,7 +181,6 @@ pub fn read_elf(data: &[u8]) -> Result<Elf, ElfError> {
     }
 
     // Symbol table.
-    let mut file_sym_to_ours: Vec<u32> = Vec::new();
     if let Some(symtab_i) = (0..shdrs.len()).find(|&i| shdrs[i].sh_type == sht::SYMTAB) {
         let symtab = &shdrs[symtab_i];
         let strtab = shdrs
@@ -197,8 +198,7 @@ pub fn read_elf(data: &[u8]) -> Result<Elf, ElfError> {
             let value = sc.u64()?;
             let size = sc.u64()?;
             if i == 0 {
-                file_sym_to_ours.push(u32::MAX); // null symbol
-                continue;
+                continue; // null symbol
             }
             let bind = SymBind::from_st_bind(info >> 4)
                 .ok_or(ElfError::UnsupportedFormat("unknown symbol binding"))?;
@@ -216,7 +216,6 @@ pub fn read_elf(data: &[u8]) -> Result<Elf, ElfError> {
                     SymSection::Section(ci)
                 }
             };
-            file_sym_to_ours.push(elf.symbols.len() as u32);
             elf.symbols.push(Symbol {
                 name: strtab_get(str_data, name_off)?,
                 value,
@@ -224,36 +223,6 @@ pub fn read_elf(data: &[u8]) -> Result<Elf, ElfError> {
                 kind,
                 bind,
                 section,
-            });
-        }
-    }
-
-    // Relocations.
-    for (i, sh) in shdrs.iter().enumerate() {
-        if sh.sh_type != sht::RELA {
-            continue;
-        }
-        let _ = i;
-        let payload = sect_data(sh)?;
-        let count = payload.len() / RELA_SIZE;
-        let mut rc = In::at(payload, 0);
-        for _ in 0..count {
-            let offset = rc.u64()?;
-            let info = rc.u64()?;
-            let addend = rc.i64()?;
-            let file_sym = (info >> 32) as usize;
-            let sym_index = file_sym_to_ours
-                .get(file_sym)
-                .copied()
-                .filter(|&v| v != u32::MAX)
-                .ok_or(ElfError::UnsupportedFormat(
-                    "relocation against null symbol",
-                ))?;
-            elf.relocations.push(Rela {
-                offset,
-                sym_index,
-                rtype: (info & 0xFFFF_FFFF) as u32,
-                addend,
             });
         }
     }

@@ -22,8 +22,6 @@ pub const PHDR_SIZE: usize = 56;
 pub const SHDR_SIZE: usize = 64;
 /// Size of one symbol-table entry.
 pub const SYM_SIZE: usize = 24;
-/// Size of one RELA relocation entry.
-pub const RELA_SIZE: usize = 24;
 
 /// Section types.
 pub mod sht {
@@ -58,14 +56,6 @@ pub mod pf {
 pub mod shn {
     pub const UNDEF: u16 = 0;
     pub const ABS: u16 = 0xFFF1;
-}
-
-/// Relocation types for x86-64.
-pub mod reloc {
-    /// Direct 64-bit address.
-    pub const R_X86_64_64: u32 = 1;
-    /// 32-bit PC-relative.
-    pub const R_X86_64_PC32: u32 = 2;
 }
 
 /// Symbol binding.

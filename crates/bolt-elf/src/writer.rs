@@ -19,9 +19,6 @@ impl Out {
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    fn i64(&mut self, v: i64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
     fn pad_to(&mut self, off: usize) {
         assert!(off >= self.0.len(), "cannot pad backwards");
         self.0.resize(off, 0);
@@ -65,15 +62,14 @@ struct ShdrEntry {
 
 /// Serializes an [`Elf`] image to bytes.
 ///
-/// Bookkeeping sections (`.symtab`, `.strtab`, `.shstrtab`, `.rela.text`)
-/// are generated from the typed fields. One `PT_LOAD` program header is
-/// emitted per allocatable section, with file offsets congruent to virtual
-/// addresses modulo the page size.
+/// Bookkeeping sections (`.symtab`, `.strtab`, `.shstrtab`) are generated
+/// from the typed fields. One `PT_LOAD` program header is emitted per
+/// allocatable section, with file offsets congruent to virtual addresses
+/// modulo the page size.
 ///
 /// # Errors
 ///
-/// Returns an error if a relocation references an out-of-range symbol index
-/// or a symbol references an out-of-range section.
+/// Returns an error if a symbol references an out-of-range section.
 pub fn write_elf(elf: &Elf) -> Result<Vec<u8>, ElfError> {
     // Validate cross-references up front.
     for (i, sym) in elf.symbols.iter().enumerate() {
@@ -86,22 +82,10 @@ pub fn write_elf(elf: &Elf) -> Result<Vec<u8>, ElfError> {
             }
         }
     }
-    for (i, r) in elf.relocations.iter().enumerate() {
-        if r.sym_index as usize >= elf.symbols.len() {
-            return Err(ElfError::BadRelocSymbol {
-                reloc: i,
-                symbol: r.sym_index as usize,
-            });
-        }
-    }
 
     // Symbol order: ELF requires local symbols to precede globals.
     let mut sym_order: Vec<usize> = (0..elf.symbols.len()).collect();
     sym_order.sort_by_key(|&i| elf.symbols[i].bind.to_st_bind().min(1));
-    let mut sym_newpos = vec![0u32; elf.symbols.len()];
-    for (newpos, &old) in sym_order.iter().enumerate() {
-        sym_newpos[old] = newpos as u32;
-    }
     let n_local = elf
         .symbols
         .iter()
@@ -109,12 +93,11 @@ pub fn write_elf(elf: &Elf) -> Result<Vec<u8>, ElfError> {
         .count();
 
     let n_content = elf.sections.len();
-    let has_rela = !elf.relocations.is_empty();
     // Section header order:
-    //   0: null, 1..=n: content, then .symtab, .strtab, [.rela.text], .shstrtab
+    //   0: null, 1..=n: content, then .symtab, .strtab, .shstrtab
     let symtab_idx = n_content + 1;
     let strtab_idx = symtab_idx + 1;
-    let shstrtab_idx = strtab_idx + 1 + usize::from(has_rela);
+    let shstrtab_idx = strtab_idx + 1;
     let n_sections = shstrtab_idx + 1;
 
     let n_phdrs = elf.sections.iter().filter(|s| s.is_alloc()).count();
@@ -144,16 +127,6 @@ pub fn write_elf(elf: &Elf) -> Result<Vec<u8>, ElfError> {
         symtab_data.u64(sym.size);
     }
 
-    // .rela.text payload (symbol indices shifted by 1 for the null symbol
-    // and remapped for local-first ordering).
-    let mut rela_data = Out(Vec::new());
-    for r in &elf.relocations {
-        rela_data.u64(r.offset);
-        let sym = sym_newpos[r.sym_index as usize] + 1;
-        rela_data.u64(((sym as u64) << 32) | r.rtype as u64);
-        rela_data.i64(r.addend);
-    }
-
     // Header layout.
     let phdr_off = EHDR_SIZE;
     let data_start = phdr_off + n_phdrs * PHDR_SIZE;
@@ -176,8 +149,7 @@ pub fn write_elf(elf: &Elf) -> Result<Vec<u8>, ElfError> {
     }
     let symtab_off = (cursor + 7) & !7;
     let strtab_off = symtab_off + symtab_data.0.len();
-    let rela_off = strtab_off + strtab.data.len();
-    let shstrtab_off = rela_off + rela_data.0.len();
+    let shstrtab_off = strtab_off + strtab.data.len();
 
     // Build section header entries (names interned in order).
     let mut shdrs: Vec<ShdrEntry> = Vec::with_capacity(n_sections);
@@ -231,29 +203,7 @@ pub fn write_elf(elf: &Elf) -> Result<Vec<u8>, ElfError> {
         align: 1,
         entsize: 0,
     });
-    if has_rela {
-        let text_shndx = elf
-            .section_index(sections::TEXT)
-            .map(|i| (i + 1) as u32)
-            .unwrap_or(0);
-        shdrs.push(ShdrEntry {
-            name_off: shstr.add(".rela.text"),
-            sh_type: sht::RELA,
-            flags: 0,
-            addr: 0,
-            offset: rela_off as u64,
-            size: rela_data.0.len() as u64,
-            link: symtab_idx as u32,
-            info: text_shndx,
-            align: 8,
-            entsize: RELA_SIZE as u64,
-        });
-    }
     let shstrtab_name = shstr.add(".shstrtab");
-    let shstrtab_size = shstr.data.len() + ".shstrtab".len() + 1;
-    // The name was just interned, so the final size is already accounted
-    // for by StrTab::add above.
-    let _ = shstrtab_size;
     shdrs.push(ShdrEntry {
         name_off: shstrtab_name,
         sh_type: sht::STRTAB,
@@ -329,8 +279,6 @@ pub fn write_elf(elf: &Elf) -> Result<Vec<u8>, ElfError> {
     out.0.extend_from_slice(&symtab_data.0);
     debug_assert_eq!(out.0.len(), strtab_off);
     out.0.extend_from_slice(&strtab.data);
-    debug_assert_eq!(out.0.len(), rela_off);
-    out.0.extend_from_slice(&rela_data.0);
     debug_assert_eq!(out.0.len(), shstrtab_off);
     out.0.extend_from_slice(&shstr.data);
 

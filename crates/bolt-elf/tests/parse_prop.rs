@@ -5,12 +5,11 @@
 //! adversarial half of the fault-tolerance story (the dynamic sweep is
 //! `tests/fault_injection.rs` at the workspace root).
 
-use bolt_elf::{read_elf, write_elf, Elf, Rela, Section, Symbol};
+use bolt_elf::{read_elf, write_elf, Elf, Section, Symbol};
 use proptest::prelude::*;
 
-/// A representative well-formed image: code, rodata, data, metadata,
-/// symbols, and a relocation, so every reader code path is reachable
-/// from a mutation.
+/// A representative well-formed image: code, rodata, data, metadata and
+/// symbols, so every reader code path is reachable from a mutation.
 fn valid_image() -> Vec<u8> {
     let mut e = Elf::new(0x400000);
     e.sections.push(Section::code(
@@ -26,12 +25,6 @@ fn valid_image() -> Vec<u8> {
         .push(Section::metadata(".bolt.lines", vec![1, 2, 3, 4]));
     e.symbols.push(Symbol::func("main", 0x400000, 8, 0));
     e.symbols.push(Symbol::object("table", 0x500000, 8, 1));
-    e.relocations.push(Rela {
-        offset: 0x400002,
-        sym_index: 1,
-        rtype: bolt_elf::types::reloc::R_X86_64_PC32,
-        addend: -4,
-    });
     write_elf(&e).expect("valid image serializes")
 }
 

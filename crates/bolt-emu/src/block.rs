@@ -170,7 +170,7 @@ fn push_shapes_for(inst_idx: u32, inst: &Inst, out: &mut Vec<MemShape>) {
 }
 
 /// The static memory-shape list a spanning translation records for
-/// `insts` — the same recording [`BlockCache::translate`] performs,
+/// `insts` — the same recording `BlockCache::translate` performs,
 /// exposed so the semantic validator's tests and mutation harness build
 /// shape lists from the single source of truth.
 pub fn translation_shapes(insts: &[(Inst, u8)]) -> Vec<MemShape> {

@@ -9,9 +9,7 @@
 //! rebuild symbol tables, line tables, and exception tables.
 
 use crate::LineInfo;
-use bolt_isa::{
-    apply_fixup, encode_at, encoded_len, EncodeError, FixupKind, Inst, JumpWidth, Label, Target,
-};
+use bolt_isa::{apply_fixup, encode_at, encoded_len, EncodeError, Inst, JumpWidth, Label, Target};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -93,15 +91,6 @@ pub struct EmitSymbol {
     pub size: u64,
     /// True for the `.cold` fragment of a split function.
     pub is_cold_fragment: bool,
-}
-
-/// A fixup applied during emission, recorded for `--emit-relocs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmitReloc {
-    /// Address of the patched field.
-    pub at: u64,
-    pub kind: FixupKind,
-    pub label: Label,
 }
 
 /// Resolved block-label addresses. Both callers allocate labels densely
@@ -202,8 +191,6 @@ pub struct EmitResult {
     /// `(call-site address, landing-pad label)` pairs for the output
     /// exception table.
     pub eh_entries: Vec<(u64, Label)>,
-    /// Every label fixup applied, for relocation emission.
-    pub relocs: Vec<EmitReloc>,
 }
 
 /// Errors produced by the emitter.
@@ -373,16 +360,14 @@ fn resolve(
 }
 
 impl<S: EmitSource + ?Sized> Encoder<'_, S> {
-    /// Encodes the job's blocks into its parts of the output; returns the
-    /// fixups applied, if the source records them.
-    fn encode(&self, job: EncodeJob) -> Result<Vec<EmitReloc>, EmitError> {
+    /// Encodes the job's blocks into its parts of the output.
+    fn encode(&self, job: EncodeJob) -> Result<(), EmitError> {
         let EncodeJob {
             placed,
             mut streams,
             lines,
             pads,
         } = job;
-        let mut relocs = Vec::new();
         let (mut lines, mut pads) = (lines.iter_mut(), pads.iter_mut());
         let mut next_branch = placed.first().map_or(0, |p| p.first_branch as usize);
         let mut ends = streams.each_ref().map(|s| s.0);
@@ -404,13 +389,6 @@ impl<S: EmitSource + ?Sized> Encoder<'_, S> {
                 if let Some(f) = enc.fixup {
                     let to = resolve(self.label_addrs, self.extern_labels, f.label)?;
                     apply_fixup(&mut enc.bytes, &f, addr, len, to)?;
-                    if S::RELOCS {
-                        relocs.push(EmitReloc {
-                            at: addr + f.offset as u64,
-                            kind: f.kind,
-                            label: f.label,
-                        });
-                    }
                 }
                 if let Some(line) = einst.line {
                     *lines.next().expect("a slot per line") = (addr, line);
@@ -424,7 +402,7 @@ impl<S: EmitSource + ?Sized> Encoder<'_, S> {
             debug_assert_eq!(addr, p.end(self.branches));
             ends[stream] = addr;
         }
-        Ok(relocs)
+        Ok(())
     }
 }
 
@@ -465,8 +443,6 @@ impl Branch {
 /// view of its IR in emission order, which maps branch targets to labels
 /// as it hands each instruction out instead of copying the functions.
 pub trait EmitSource {
-    /// Whether the fixups applied are recorded in [`EmitResult::relocs`].
-    const RELOCS: bool;
     /// Number of units.
     fn units(&self) -> usize;
     fn name(&self, unit: usize) -> &str;
@@ -485,8 +461,6 @@ pub trait EmitSource {
 }
 
 impl EmitSource for [EmitUnit] {
-    const RELOCS: bool = true;
-
     fn units(&self) -> usize {
         self.len()
     }
@@ -725,12 +699,14 @@ fn emit_in_shards<S: EmitSource + Sync + ?Sized>(
         label_addrs: &label_addrs,
         extern_labels,
     };
-    let mut result = EmitResult::default();
-    for relocs in run_jobs(jobs, |job| encoder.encode(job)) {
-        result.relocs.extend(relocs?);
+    for encoded in run_jobs(jobs, |job| encoder.encode(job)) {
+        encoded?;
     }
-    result.line_entries = line_entries;
-    result.eh_entries = eh_entries;
+    let mut result = EmitResult {
+        line_entries,
+        eh_entries,
+        ..EmitResult::default()
+    };
 
     // Per-unit fragment extents, `[hot, cold]`: (start, end).
     let mut frags: Vec<[Option<(u64, u64)>; 2]> = vec![[None; 2]; n_units];
@@ -923,7 +899,7 @@ mod tests {
     }
 
     #[test]
-    fn extern_labels_and_reloc_records() {
+    fn extern_labels_resolve() {
         let mut ext = HashMap::new();
         ext.insert(label(100), 0x700010u64); // some rodata
         let mut unit = EmitUnit::new("f");
@@ -949,8 +925,6 @@ mod tests {
             }
             ref other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(r.relocs.len(), 1);
-        assert_eq!(r.relocs[0].label, label(100));
     }
 
     #[test]

@@ -195,11 +195,6 @@ fn emit_units_placed(
             if let Some(f) = &enc.fixup {
                 let to = resolve(f.label)?;
                 apply_one(&mut bytes, f, addr, to)?;
-                result.relocs.push(EmitReloc {
-                    at: addr + f.offset as u64,
-                    kind: f.kind,
-                    label: f.label,
-                });
             }
             if let Some(line) = einst.line {
                 result.line_entries.push((addr, line));
@@ -449,8 +444,8 @@ fn both(units: &[EmitUnit], cold_base: u64) -> [Result<EmitResult, EmitError>; 2
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Same bytes, labels, symbols, line/EH entries and relocations — or
-    /// the same error — as the `Placed` reference.
+    /// Same bytes, labels, symbols and line/EH entries — or the same
+    /// error — as the `Placed` reference.
     #[test]
     fn emitter_matches_the_placed_reference((program, near_cold, sparse) in arb_program()) {
         let units = build(&program, sparse);

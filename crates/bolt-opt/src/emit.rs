@@ -112,8 +112,7 @@ fn rebuild_tables(
 /// The optimized IR as the emitter reads it ([`EmitSource`]): the
 /// emitted functions in emission order, each one's blocks in layout
 /// order, every branch and call target mapped to a label as its
-/// instruction is read. Nothing is copied; the output carries no
-/// relocations, so none are recorded.
+/// instruction is read. Nothing is copied.
 struct IrSource<'a> {
     ctx: &'a BinaryContext,
     /// Function indices, in emission order.
@@ -181,8 +180,6 @@ impl<'a> IrSource<'a> {
 }
 
 impl EmitSource for IrSource<'_> {
-    const RELOCS: bool = false;
-
     fn units(&self) -> usize {
         self.emitted.len()
     }
@@ -310,8 +307,7 @@ fn rewrite_with(
 
     // ---- assemble the output ELF ----
     // The input, but for the line and exception tables, which are
-    // rebuilt below, and the relocations, which would describe the old
-    // text.
+    // rebuilt below.
     let mut out = Elf {
         entry: elf.entry,
         sections: (elf.sections.iter())
@@ -325,7 +321,6 @@ fn rewrite_with(
             })
             .collect(),
         symbols: elf.symbols.clone(),
-        relocations: Vec::new(),
     };
 
     // Patch jump tables in read-only data; a table lies in one section.
@@ -683,9 +678,7 @@ mod tests {
             }
             units.push(unit);
         }
-        let mut result = emit_units(&units, BOLT_TEXT_BASE, BOLT_COLD_BASE, &HashMap::new())?;
-        result.relocs.clear();
-        Ok(result)
+        emit_units(&units, BOLT_TEXT_BASE, BOLT_COLD_BASE, &HashMap::new())
     }
 
     /// A `Scale::Test` workload binary and one LBR profile of it.

@@ -32,7 +32,7 @@ const PARALLEL_THRESHOLD: usize = 8;
 /// (per-function passes, disassembly): whether a sweep over `len`
 /// functions at `n_threads` threads (an effective count, see
 /// `bolt_emu::Knobs::threads`) uses worker threads. It stays serial on
-/// the calling thread at one thread or below [`PARALLEL_THRESHOLD`]
+/// the calling thread at one thread or below `PARALLEL_THRESHOLD` (8)
 /// functions.
 pub fn sharded(len: usize, n_threads: usize) -> bool {
     n_threads > 1 && len >= PARALLEL_THRESHOLD

@@ -5,7 +5,7 @@
 //! closure over the whole context — and [`PassManager::run`] is the
 //! one loop over it: it gates every row, validates IR invariants between
 //! passes (in debug builds), firewalls every body against panics, and
-//! records a [`PassReport`](crate::PassReport) per executed row carrying
+//! records a [`PassReport`] per executed row carrying
 //! the change count, the wall-clock duration (`-time-passes`-style), and
 //! — when [`ManagerConfig::collect_dyno`] is set — before/after
 //! [`DynoStats`](crate::DynoStats) so per-pass dyno deltas can be

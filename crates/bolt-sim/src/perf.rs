@@ -342,14 +342,13 @@ impl TraceSink for CpuModel {
     /// page and line with the repeats bulk-counted, and then the memory
     /// records are walked alone. The one thing both sides share is
     /// L2/LLC, reached only through an L1 miss: the first L1I miss of an
-    /// event hands over to [`on_block_after_l1i_miss`], which restores
+    /// event hands over to `on_block_after_l1i_miss`, which restores
     /// the program order of the walks. Penalties are summed in a
     /// different order than the replay would, which is exact because
     /// every latency is integer-valued (`presets_are_consistent`).
     ///
     /// [`on_inst`]: TraceSink::on_inst
     /// [`on_mem`]: TraceSink::on_mem
-    /// [`on_block_after_l1i_miss`]: CpuModel::on_block_after_l1i_miss
     #[inline]
     fn on_block(&mut self, ev: BlockEvent<'_>) {
         // The precomputed footprint models 64-byte lines; a config with

